@@ -66,17 +66,6 @@ impl Default for AtlasSpec {
     }
 }
 
-/// FNV-1a over a canonical byte string — the zero-dependency fingerprint
-/// shared with the serve layer's cache keys.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl AtlasSpec {
     /// Rejects specs that cannot enumerate a grid.
     ///
@@ -123,7 +112,7 @@ impl AtlasSpec {
             self.band.0,
             self.band.1,
         );
-        format!("{:016x}", fnv1a(canon.as_bytes()))
+        format!("{:016x}", ed_powerflow::fnv1a(canon.bytes()))
     }
 }
 
@@ -245,6 +234,13 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let c = AtlasSpec { hours: 12, ..AtlasSpec::default() };
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    /// Journal headers written by earlier builds carry this value; a resume
+    /// against them must keep matching byte for byte.
+    #[test]
+    fn default_spec_fingerprint_is_pinned() {
+        assert_eq!(AtlasSpec::default().fingerprint(), "ab3227e1fda275bd");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use ed_bench::{criterion_group, criterion_main};
 use ed_core::attack::{optimal_attack, AttackConfig, BilevelOptions, BilevelSolver};
 use ed_core::dispatch::{DcOpf, Formulation};
 use ed_optim::lp::{Pricing, SimplexOptions};
-use ed_optim::qp::{QpMethod, QpOptions};
 use std::hint::black_box;
 
 fn cfg(solver: BilevelSolver, use_heuristic: bool) -> AttackConfig {
@@ -94,8 +93,8 @@ fn ablation_pricing(c: &mut Criterion) {
             // Route pricing through the LP path by rebuilding the problem
             // directly (DcOpf does not expose simplex options; measure the
             // raw LP instead).
-            use ed_optim::lp::{LpProblem, Row};
-            let mut lp = LpProblem::minimize();
+            use ed_optim::lp::Row;
+            let mut lp = ed_optim::Model::minimize();
             let base = linear_net.base_mva();
             let p: Vec<_> = linear_net
                 .gens()
@@ -149,7 +148,6 @@ fn ablation_qp_method(c: &mut Criterion) {
     for r in ratings.iter_mut() {
         *r *= 0.9;
     }
-    let _ = (&QpOptions::default(), QpMethod::Auto); // referenced for docs
     g.bench_function("auto", |b| {
         b.iter(|| black_box(DcOpf::new(&net).ratings(&ratings).solve()))
     });

@@ -914,17 +914,21 @@ fn run_subproblem_inner(
                 wall_ms: 0.0,
             }
         }
-        SubproblemAttempt::Budget(tripped, incumbent) => {
+        SubproblemAttempt::Budget {
+            tripped,
+            incumbent,
+            nodes,
+            lp_iterations,
+            warm_starts,
+            cold_restarts,
+        } => {
             // Budget trip: keep the better of the solver's partial
             // incumbent and the heuristic floor. With no partial incumbent
             // at all, try promoting the heuristic floor to a certified
             // answer, exactly as the pruned path does.
-            let (violation, nodes, lp_iterations) = match &incumbent {
-                Some(sol) => {
-                    ((sol.objective + offset).max(heuristic_violation), sol.nodes, sol.lp_iterations)
-                }
-                None => (heuristic_violation, 0, 0),
-            };
+            let violation = incumbent.as_ref().map_or(heuristic_violation, |sol| {
+                (sol.objective + offset).max(heuristic_violation)
+            });
             options.budget.record_nodes(nodes);
             let t0 = std::time::Instant::now();
             let promoted = (incumbent.is_none() && use_certify && !unusable)
@@ -973,8 +977,8 @@ fn run_subproblem_inner(
                 attempted: true,
                 certify_ms,
                 lp_iterations,
-                warm_starts: 0,
-                cold_restarts: 0,
+                warm_starts,
+                cold_restarts,
                 wall_ms: 0.0,
             }
         }

@@ -1,11 +1,11 @@
-//! Subproblem solvers: big-M MILP (paper, Eq. 16–17) vs complementarity
-//! branching (MPEC).
+//! Subproblem solves: one branch-and-bound run over the KKT model, with
+//! complementary slackness enforced either by big-M binaries (paper,
+//! Eq. 16–17) or by branching on the complementarity pairs (MPEC).
 
 use crate::attack::kkt::PreparedKkt;
+use ed_optim::branch_bound::{self, BranchOptions};
 use ed_optim::budget::{BudgetTripped, SolveBudget, SolveOutcome};
-use ed_optim::lp::{warm_env_enabled, Basis, Row, VarId};
-use ed_optim::milp::{MilpOptions, MilpProblem};
-use ed_optim::mpec::{MpecOptions, MpecProblem};
+use ed_optim::lp::{warm_env_enabled, Basis, Row};
 use ed_optim::OptimError;
 use ed_powerflow::LineId;
 
@@ -167,8 +167,21 @@ pub(crate) enum SubproblemAttempt {
         cold_restarts: usize,
     },
     /// The shared budget tripped. Carries the best incumbent found before
-    /// the trip, if the search had one.
-    Budget(BudgetTripped, Option<SubproblemSolution>),
+    /// the trip, if the search had one, and the search's tallies so far.
+    Budget {
+        /// Which budget tripped.
+        tripped: BudgetTripped,
+        /// Best incumbent found before the trip.
+        incumbent: Option<SubproblemSolution>,
+        /// Branch-and-bound nodes explored before the trip.
+        nodes: usize,
+        /// Simplex iterations spent before the trip.
+        lp_iterations: usize,
+        /// Node relaxations that accepted an offered warm basis.
+        warm_starts: usize,
+        /// Node relaxations offered a warm basis that restarted cold.
+        cold_restarts: usize,
+    },
     /// The solver failed numerically; the sweep falls back to the
     /// heuristic incumbent for this subproblem.
     Faulted(OptimError),
@@ -194,18 +207,38 @@ pub(crate) fn solve_subproblem(
     options: &BilevelOptions,
     incumbent_hint: Option<f64>,
 ) -> SubproblemAttempt {
-    let (lp, offset) = prepared.subproblem(target, dir, scale);
+    // The reduced model carries its (remapped) complementarity pairs.
+    let (mut lp, offset) = prepared.subproblem(target, dir, scale);
+    let mut opts = match options.solver {
+        BilevelSolver::Mpec => BranchOptions::pairs(),
+        BilevelSolver::BigM { big_m } => {
+            for (lambda, slack) in lp.pairs().to_vec() {
+                let mu = lp.add_var(0.0, 1.0, 0.0);
+                // λ ≤ M μ  and  s ≤ M (1 − μ)   (Eq. 16d).
+                lp.add_row(Row::le(0.0).coef(lambda, 1.0).coef(mu, -big_m));
+                lp.add_row(Row::le(big_m).coef(slack, 1.0).coef(mu, big_m));
+                lp.set_integer(mu);
+            }
+            BranchOptions::integers()
+        }
+    };
+    opts.max_nodes = options.node_limit;
     // The reduced model's objective differs from the original by `offset`;
     // hints and reported objectives convert at this boundary.
-    let hint = incumbent_hint.map(|h| h - offset);
-    let warm_on = options.warm_start.unwrap_or_else(warm_env_enabled);
-    let package = |x_red: &[f64],
-                   objective: f64,
-                   proved_optimal: bool,
-                   nodes: usize,
-                   lp_iterations: usize,
-                   warm_starts: usize,
-                   cold_restarts: usize| {
+    opts.incumbent_hint = incumbent_hint.map(|h| h - offset);
+    opts.presolve = Some(false);
+    opts.warm = options.warm_start.unwrap_or_else(warm_env_enabled);
+    if opts.warm {
+        // Root restart from the sweep's shared phase-1 seed; the install
+        // path re-verifies feasibility, so a rejected seed just costs a cold
+        // start. The big-M columns and indicator rows change the model's
+        // dimensions, so that reformulation skips the seed; parent→child
+        // hand-off inside the tree still applies.
+        opts.simplex.warm =
+            prepared.seed().filter(|b| b.dims_match(lp.num_vars(), lp.num_rows())).cloned();
+        opts.simplex.inject_basis_fault = options.inject_basis_fault;
+    }
+    let package = |x_red: &[f64], objective: f64, proved_optimal: bool, tally: [usize; 4]| {
         let x = prepared.restore(x_red);
         SubproblemSolution {
             objective: objective + offset,
@@ -213,93 +246,31 @@ pub(crate) fn solve_subproblem(
             flow_mw: prepared.base().flow_at(&x, target),
             dispatch_mw: prepared.base().dispatch_at(&x),
             proved_optimal,
-            nodes,
-            lp_iterations,
+            nodes: tally[0],
+            lp_iterations: tally[1],
             x,
-            warm_starts,
-            cold_restarts,
+            warm_starts: tally[2],
+            cold_restarts: tally[3],
         }
     };
-    let outcome = match options.solver {
-        BilevelSolver::Mpec => {
-            // The reduced model carries its (remapped) complementarity
-            // pairs; no separate pair list is needed.
-            let mpec = MpecProblem::from_model(lp);
-            let mut opts = MpecOptions {
-                max_nodes: options.node_limit,
-                incumbent_hint: hint,
-                presolve: Some(false),
-                warm: warm_on,
-                ..Default::default()
-            };
-            if warm_on {
-                // Root restart from the sweep's shared phase-1 seed; the
-                // install path re-verifies feasibility, so a rejected seed
-                // just costs a cold start.
-                opts.simplex.warm = prepared.seed().cloned();
-                opts.simplex.inject_basis_fault = options.inject_basis_fault;
-            }
-            mpec.solve_budgeted(&opts, &options.budget).map(|o| match o {
-                SolveOutcome::Solved(sol) => SolveOutcome::Solved(package(
-                    &sol.x,
-                    sol.objective,
-                    sol.proved_optimal,
-                    sol.nodes,
-                    sol.lp_iterations,
-                    sol.warm_starts,
-                    sol.cold_restarts,
-                )),
-                SolveOutcome::Partial(p) => SolveOutcome::Partial(p),
-            })
+    match branch_bound::solve(&lp, &opts, &options.budget) {
+        Ok(SolveOutcome::Solved(sol)) => {
+            let tally = [sol.nodes, sol.lp_iterations, sol.warm_starts, sol.cold_restarts];
+            SubproblemAttempt::Solved(package(&sol.x, sol.objective, sol.proved_optimal, tally))
         }
-        BilevelSolver::BigM { big_m } => {
-            let mut lp = lp;
-            let pairs: Vec<(VarId, VarId)> = lp.pairs().to_vec();
-            let mut binaries: Vec<VarId> = Vec::with_capacity(pairs.len());
-            for &(lambda, slack) in &pairs {
-                let mu = lp.add_var(0.0, 1.0, 0.0);
-                // λ ≤ M μ  and  s ≤ M (1 − μ)   (Eq. 16d).
-                lp.add_row(Row::le(0.0).coef(lambda, 1.0).coef(mu, -big_m));
-                lp.add_row(Row::le(big_m).coef(slack, 1.0).coef(mu, big_m));
-                binaries.push(mu);
-            }
-            let milp = MilpProblem::new(lp, binaries);
-            let mut opts = MilpOptions {
-                max_nodes: options.node_limit,
-                incumbent_hint: hint,
-                presolve: Some(false),
-                warm: warm_on,
-                ..Default::default()
-            };
-            if warm_on {
-                // The big-M reformulation appends μ columns and indicator
-                // rows, so the reduced-model seed no longer matches its
-                // dimensions and is skipped; parent→child hand-off inside
-                // the tree still applies.
-                opts.simplex.inject_basis_fault = options.inject_basis_fault;
-            }
-            milp.solve_budgeted(&opts, &options.budget).map(|o| match o {
-                SolveOutcome::Solved(sol) => SolveOutcome::Solved(package(
-                    &sol.x,
-                    sol.objective,
-                    sol.proved_optimal,
-                    sol.nodes,
-                    sol.lp_iterations,
-                    sol.warm_starts,
-                    sol.cold_restarts,
-                )),
-                SolveOutcome::Partial(p) => SolveOutcome::Partial(p),
-            })
-        }
-    };
-    match outcome {
-        Ok(SolveOutcome::Solved(sol)) => SubproblemAttempt::Solved(sol),
         Ok(SolveOutcome::Partial(p)) => {
-            let incumbent = match (&p.x, p.objective) {
-                (Some(x), Some(obj)) => Some(package(x, obj, false, p.nodes, p.iterations, 0, 0)),
-                _ => None,
-            };
-            SubproblemAttempt::Budget(p.tripped, incumbent)
+            let tally = [p.nodes, p.iterations, p.warm_starts, p.cold_restarts];
+            SubproblemAttempt::Budget {
+                tripped: p.tripped,
+                incumbent: match (&p.x, p.objective) {
+                    (Some(x), Some(obj)) => Some(package(x, obj, false, tally)),
+                    _ => None,
+                },
+                nodes: p.nodes,
+                lp_iterations: p.iterations,
+                warm_starts: p.warm_starts,
+                cold_restarts: p.cold_restarts,
+            }
         }
         Err(OptimError::Infeasible) => SubproblemAttempt::Pruned {
             proven: true,

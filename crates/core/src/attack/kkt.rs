@@ -13,7 +13,7 @@
 //! (`λ_i · s_i = 0`, where `s` is the explicit slack of each inequality).
 //!
 //! [`KktModel::build`] assembles everything *except* complementarity into a
-//! single [`LpProblem`]; complementarity is layered on by the caller either
+//! single [`Model`]; complementarity is layered on by the caller either
 //! as big-M indicator binaries (the paper's MILP, Eq. 16) or as
 //! complementarity pairs for branching (MPEC). The manipulated ratings
 //! `u^a` are first-class variables bounded by `[u^min, u^max]`, so the same
@@ -23,7 +23,7 @@ use crate::attack::AttackConfig;
 use crate::dispatch::Dispatch;
 use crate::CoreError;
 use ed_optim::budget::SolveBudget;
-use ed_optim::lp::{phase1_basis, Basis, LpProblem, Row, Sense, SimplexOptions, VarId};
+use ed_optim::lp::{phase1_basis, Basis, Row, Sense, SimplexOptions, VarId};
 use ed_optim::model::presolve;
 use ed_optim::{Model, Postsolve, PresolveStats};
 use ed_powerflow::{LineId, Network};
@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct KktModel {
     /// LP with primal feasibility, dual feasibility and stationarity rows;
     /// the objective is unset (zero) until a subproblem target is chosen.
-    pub lp: LpProblem,
+    pub lp: Model,
     /// Manipulated-rating variables, one per DLR line (order follows the
     /// config's `dlr_lines`).
     pub ua_vars: Vec<VarId>,
@@ -89,7 +89,7 @@ impl KktModel {
         // Index of each DLR line in the config, by line id.
         let dlr_index = |line: usize| config.dlr_lines.iter().position(|l| l.0 == line);
 
-        let mut lp = LpProblem::maximize(); // sense set per subproblem; Max by default
+        let mut lp = Model::maximize(); // sense set per subproblem; Max by default
 
         // --- Variables ---
         let ua_vars: Vec<VarId> = config
@@ -120,7 +120,7 @@ impl KktModel {
         }
         let mut ineqs: Vec<Ineq> = Vec::new();
         let mut add_ineq =
-            |lp: &mut LpProblem, coeffs: Vec<(VarId, f64)>, rhs_const: f64, rhs_ua: Option<VarId>| {
+            |lp: &mut Model, coeffs: Vec<(VarId, f64)>, rhs_const: f64, rhs_ua: Option<VarId>| {
                 let lambda = lp.add_var(0.0, f64::INFINITY, 0.0);
                 let slack = lp.add_var(0.0, f64::INFINITY, 0.0);
                 ineqs.push(Ineq { coeffs, rhs_const, rhs_ua, lambda, slack });
@@ -505,12 +505,12 @@ fn solve_small_spd(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
 /// `ED_POOL`.
 ///
 /// [`Presolved::patch`]: presolve::Presolved::patch
-fn cached_presolve(lp: &LpProblem) -> Result<presolve::Presolved, CoreError> {
+fn cached_presolve(lp: &Model) -> Result<presolve::Presolved, CoreError> {
     let opts = presolve::PresolveOptions { scale: false, ..Default::default() };
     if !ed_powerflow::pool_env_enabled() {
         return Ok(presolve::presolve_with(lp, &opts)?);
     }
-    type CacheEntry = (u64, Arc<(LpProblem, presolve::Presolved)>);
+    type CacheEntry = (u64, Arc<(Model, presolve::Presolved)>);
     static CACHE: OnceLock<Mutex<Vec<CacheEntry>>> = OnceLock::new();
     const CACHE_CAP: usize = 16;
     let fp = presolve::structure_fingerprint(lp);
@@ -679,7 +679,7 @@ mod tests {
     use super::*;
     use crate::attack::AttackConfig;
     use crate::dispatch::DcOpf;
-    use ed_optim::mpec::MpecProblem;
+    use ed_optim::branch_bound::{self, BranchOptions};
 
     /// With complementarity enforced and a zero objective, any feasible
     /// point of the KKT system must be an *optimal* inner dispatch. Verify
@@ -697,8 +697,10 @@ mod tests {
             model.lp.set_bounds(v, 160.0, 160.0);
         }
         // `build` already recorded the complementarity pairs on the model.
-        let mpec = MpecProblem::from_model(model.lp.clone());
-        let sol = mpec.solve().unwrap();
+        let sol = branch_bound::solve(&model.lp, &BranchOptions::pairs(), &SolveBudget::unlimited())
+            .unwrap()
+            .solved()
+            .unwrap();
         let p = model.dispatch_at(&sol.x);
         // Inner-optimal dispatch for these ratings is (120, 180).
         let reference = DcOpf::new(&net).solve().unwrap();

@@ -5,8 +5,8 @@
 
 use crate::CoreError;
 use ed_optim::budget::{SolveBudget, SolveOutcome};
-use ed_optim::lp::{LpProblem, Row};
-use ed_optim::model::{SimplexSolver, Solver};
+use ed_optim::lp::Row;
+use ed_optim::model::{Model, SimplexSolver, Solver};
 use ed_powerflow::{ptdf::Ptdf, Network};
 
 /// Per-generator objective coefficient: the generator's own linear cost, or
@@ -34,12 +34,11 @@ pub(crate) fn solve_angle(
 
 /// An assembled angle-formulation LP plus the handles needed to read a
 /// dispatch back out of its solution: the generator block is `x[..ng]` and
-/// the nodal prices are the duals of `balance_rows` (bus order). Because
-/// `LpProblem` is the shared `Model` IR, the assembled problem can be
-/// passed straight to the certification layer.
+/// the nodal prices are the duals of `balance_rows` (bus order). The
+/// assembled [`Model`] can be passed straight to the certification layer.
 pub(crate) struct AngleModel {
     /// The assembled LP.
-    pub lp: LpProblem,
+    pub lp: Model,
     /// Number of generator variables at the front of the variable block.
     pub ng: usize,
     /// Per-bus balance rows, in bus order.
@@ -57,7 +56,7 @@ pub(crate) fn build_angle_model(
     let nb = net.num_buses();
     let ng = net.num_gens();
     let base = net.base_mva();
-    let mut lp = LpProblem::minimize();
+    let mut lp = Model::minimize();
 
     let p_vars: Vec<_> = net
         .gens()
@@ -147,7 +146,7 @@ pub(crate) fn solve_ptdf_budgeted(
 ) -> super::BudgetedSolve {
     let ng = net.num_gens();
     let ptdf = Ptdf::compute(net)?;
-    let mut lp = LpProblem::minimize();
+    let mut lp = Model::minimize();
     let p_vars: Vec<_> = net
         .gens()
         .iter()

@@ -33,10 +33,11 @@
 //! ```
 //! use std::time::Duration;
 //! use ed_optim::budget::{SolveBudget, SolveOutcome};
-//! use ed_optim::lp::{LpProblem, Row};
+//! use ed_optim::lp::Row;
+//! use ed_optim::Model;
 //!
 //! # fn main() -> Result<(), ed_optim::OptimError> {
-//! let mut lp = LpProblem::maximize();
+//! let mut lp = Model::maximize();
 //! let x = lp.add_var(0.0, 1.0, 1.0);
 //! lp.add_row(Row::le(1.0).coef(x, 1.0));
 //! let budget = SolveBudget::with_deadline(Duration::from_secs(5));
@@ -296,6 +297,12 @@ pub struct Partial {
     pub iterations: usize,
     /// Branch-and-bound nodes explored before the trip (0 for LP/QP).
     pub nodes: usize,
+    /// Branch-and-bound node relaxations that accepted an offered warm
+    /// basis before the trip (0 for LP/QP).
+    pub warm_starts: usize,
+    /// Branch-and-bound node relaxations offered a warm basis that
+    /// restarted cold before the trip (0 for LP/QP).
+    pub cold_restarts: usize,
 }
 
 /// Outcome of a budgeted solve: either a full solution or a typed partial

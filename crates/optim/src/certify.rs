@@ -47,7 +47,8 @@ pub const CERT_MARGIN: f64 = 10.0;
 ///
 /// Solver option defaults ([`crate::lp::SimplexOptions`],
 /// [`crate::qp::QpOptions`], [`crate::qp::IpmOptions`],
-/// [`crate::model::presolve::PresolveOptions`], MILP/MPEC options) pull
+/// [`crate::model::presolve::PresolveOptions`],
+/// [`crate::branch_bound::BranchOptions`]) pull
 /// their tolerance fields from [`Tolerances::default`], and [`certify`]
 /// consumes the same struct — one source of truth instead of scattered
 /// `1e-6`/`1e-8` literals that can drift apart.

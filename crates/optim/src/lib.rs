@@ -1,37 +1,37 @@
 //! Mathematical-programming substrate for the `ed-security` workspace.
 //!
-//! The DSN'17 economic-dispatch attack pipeline needs four solver families,
-//! all implemented here from scratch on top of [`ed_linalg`]:
+//! The DSN'17 economic-dispatch attack pipeline needs three solver
+//! families, all implemented here from scratch on top of [`ed_linalg`]:
 //!
 //! - [`lp`] — linear programming via a bounded-variable two-phase revised
 //!   simplex method with an LU-factored basis, product-form eta updates,
 //!   and periodic refactorization. Used for economic dispatch with linear
-//!   generation costs and as the relaxation engine inside the MILP/MPEC
-//!   branch-and-bound solvers.
+//!   generation costs and as the relaxation engine inside branch and bound.
+//! - [`qp`] — convex quadratic programming via a primal active-set method
+//!   with an interior-point fallback. Used for economic dispatch with the
+//!   paper's convex quadratic costs (Eq. 3).
+//! - [`branch_bound`] — depth-first branch and bound over simplex
+//!   relaxations, branching either on integrality marks (the paper-faithful
+//!   big-M KKT reformulation of the bilevel attack problem, Eq. 16–17) or
+//!   directly on complementarity pairs (the scalable alternative used for
+//!   the 118-bus experiments).
 //!
-//! All four families share one problem representation: the sparse
+//! All of them consume one problem representation: the sparse
 //! [`model::Model`] IR (column-wise constraint storage, variable and row
 //! bounds, optional quadratic terms, integrality marks, complementarity
 //! pairs), with an optional presolve pass ([`model::presolve`]) that
-//! shrinks a model and maps reduced solutions back exactly.
-//! - [`qp`] — convex quadratic programming via a primal active-set method.
-//!   Used for economic dispatch with the paper's convex quadratic costs
-//!   (Eq. 3).
-//! - [`milp`] — mixed-integer linear programming via LP-based branch and
-//!   bound. Used for the paper-faithful big-M KKT reformulation of the
-//!   bilevel attack problem (Eq. 16–17).
-//! - [`mpec`] — linear programs with complementarity constraints, solved by
-//!   branching directly on complementarity pairs instead of big-M binaries.
-//!   This is the scalable alternative used for the 118-bus experiments.
+//! shrinks a model and maps reduced solutions back exactly. The
+//! [`Solver`] trait drives every family uniformly.
 //!
 //! # Example: a tiny LP
 //!
 //! ```
-//! use ed_optim::lp::{LpProblem, Row};
+//! use ed_optim::lp::Row;
+//! use ed_optim::Model;
 //!
 //! # fn main() -> Result<(), ed_optim::OptimError> {
 //! // max x + y  s.t.  x + 2y <= 4, 3x + y <= 6, x,y >= 0
-//! let mut lp = LpProblem::maximize();
+//! let mut lp = Model::maximize();
 //! let x = lp.add_var(0.0, f64::INFINITY, 1.0);
 //! let y = lp.add_var(0.0, f64::INFINITY, 1.0);
 //! lp.add_row(Row::le(4.0).coef(x, 1.0).coef(y, 2.0));
@@ -45,13 +45,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod branch_bound;
 pub mod budget;
 pub mod certify;
 mod error;
 pub mod lp;
-pub mod milp;
 pub mod model;
-pub mod mpec;
 pub mod qp;
 
 pub use budget::{BudgetTripped, Partial, SolveBudget, SolveOutcome};
@@ -61,7 +60,7 @@ pub use certify::{
 };
 pub use error::OptimError;
 pub use model::{
-    ActiveSetSolver, BranchBoundSolver, IpmSolver, Model, MpecSolver, Postsolve, PresolveOptions,
-    PresolveStats, Presolved, QpAutoSolver, SimplexSolver, Solution, Solver,
+    ActiveSetSolver, BranchBoundSolver, IpmSolver, Model, Postsolve, PresolveOptions, PresolveStats,
+    Presolved, QpAutoSolver, SimplexSolver, Solution, Solver,
 };
 

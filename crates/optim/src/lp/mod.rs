@@ -6,12 +6,10 @@
 //! reports primal values, row duals, and reduced costs. The basis is kept as
 //! an LU factorization plus product-form eta updates (see [`simplex`]).
 //!
-//! The problem type here is the workspace-wide [`crate::model::Model`];
-//! [`LpProblem`] is an alias kept for the original LP-centric call sites.
-//! Quadratic terms and integrality marks on a model are *ignored* by the
-//! simplex solver — the QP/MILP front ends layer those on top.
-//!
-//! See [`LpProblem`] for the entry point.
+//! The problem type is the workspace-wide [`crate::model::Model`]; solve
+//! it with [`Model::solve`](crate::model::Model::solve). Quadratic terms,
+//! integrality marks, and complementarity pairs on a model are *ignored*
+//! by the simplex solver — the QP solvers and branch and bound honor them.
 
 pub mod basis;
 pub(crate) mod pricing;
@@ -20,6 +18,3 @@ pub(crate) mod simplex;
 pub use crate::model::{LpSolution, LpStatus, Row, RowId, RowSense, Sense, VarId};
 pub use basis::{warm_env_enabled, Basis, BasisStatus};
 pub use simplex::{phase1_basis, Pricing, SimplexOptions};
-
-/// The LP problem type — an alias of the shared sparse [`crate::model::Model`].
-pub type LpProblem = crate::model::Model;

@@ -1223,6 +1223,8 @@ fn solve_attempt(
                     bound: None,
                     iterations: t.iterations,
                     nodes: 0,
+                    warm_starts: 0,
+                    cold_restarts: 0,
                 }));
             }
             WarmStart::Reject => {
@@ -1256,6 +1258,8 @@ fn solve_attempt(
                     bound: None,
                     iterations: t.iterations,
                     nodes: 0,
+                    warm_starts: 0,
+                    cold_restarts: 0,
                 }));
             }
             let infeas: f64 = ((t.n_structural + t.m)..t.ncols).map(|a| t.x[a].max(0.0)).sum();
@@ -1289,6 +1293,8 @@ fn solve_attempt(
             bound: None,
             iterations: t.iterations,
             nodes: 0,
+            warm_starts: 0,
+            cold_restarts: 0,
         }));
     }
     // Canonical final basis: any pivot path that ends at this basis set
@@ -1334,7 +1340,8 @@ fn solve_attempt(
 
 #[cfg(test)]
 mod tests {
-    use crate::lp::{LpProblem, Pricing, Row, SimplexOptions};
+    use crate::lp::{Pricing, Row, SimplexOptions};
+    use crate::model::Model;
     use crate::OptimError;
 
     fn close(a: f64, b: f64) -> bool {
@@ -1344,7 +1351,7 @@ mod tests {
     #[test]
     fn simple_max() {
         // max 3x + 2y st x + y <= 4, x + 3y <= 6, x,y >= 0 -> x=4,y=0, obj 12
-        let mut lp = LpProblem::maximize();
+        let mut lp = Model::maximize();
         let x = lp.add_var(0.0, f64::INFINITY, 3.0);
         let y = lp.add_var(0.0, f64::INFINITY, 2.0);
         lp.add_row(Row::le(4.0).coef(x, 1.0).coef(y, 1.0));
@@ -1357,7 +1364,7 @@ mod tests {
     #[test]
     fn equality_and_bounds() {
         // min 2p1 + p2 st p1 + p2 = 300, 0<=p1<=300, 0<=p2<=200
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let p1 = lp.add_var(0.0, 300.0, 2.0);
         let p2 = lp.add_var(0.0, 200.0, 1.0);
         lp.add_row(Row::eq(300.0).coef(p1, 1.0).coef(p2, 1.0));
@@ -1368,7 +1375,7 @@ mod tests {
 
     #[test]
     fn infeasible_detected() {
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let x = lp.add_var(0.0, 1.0, 1.0);
         lp.add_row(Row::ge(2.0).coef(x, 1.0));
         assert!(matches!(lp.solve(), Err(OptimError::Infeasible)));
@@ -1376,7 +1383,7 @@ mod tests {
 
     #[test]
     fn unbounded_detected() {
-        let mut lp = LpProblem::maximize();
+        let mut lp = Model::maximize();
         let x = lp.add_var(0.0, f64::INFINITY, 1.0);
         let y = lp.add_var(0.0, f64::INFINITY, 0.0);
         lp.add_row(Row::ge(0.0).coef(x, 1.0).coef(y, -1.0));
@@ -1386,7 +1393,7 @@ mod tests {
     #[test]
     fn free_variables() {
         // min |style| problem with free variable: min x st x >= -5 handled via row
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let x = lp.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0);
         lp.add_row(Row::ge(-5.0).coef(x, 1.0));
         let s = lp.solve().unwrap();
@@ -1396,7 +1403,7 @@ mod tests {
     #[test]
     fn negative_rhs() {
         // min x st -x <= -3  (i.e. x >= 3)
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let x = lp.add_var(0.0, 10.0, 1.0);
         lp.add_row(Row::le(-3.0).coef(x, -1.0));
         let s = lp.solve().unwrap();
@@ -1406,7 +1413,7 @@ mod tests {
     #[test]
     fn bound_flip_path() {
         // max x + y with x,y in [0, 1] and x + y <= 10: both flip to upper bound.
-        let mut lp = LpProblem::maximize();
+        let mut lp = Model::maximize();
         let x = lp.add_var(0.0, 1.0, 1.0);
         let y = lp.add_var(0.0, 1.0, 1.0);
         lp.add_row(Row::le(10.0).coef(x, 1.0).coef(y, 1.0));
@@ -1416,7 +1423,7 @@ mod tests {
 
     #[test]
     fn fixed_variables_respected() {
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let x = lp.add_var(2.0, 2.0, 1.0);
         let y = lp.add_var(0.0, 10.0, 1.0);
         lp.add_row(Row::ge(5.0).coef(x, 1.0).coef(y, 1.0));
@@ -1429,7 +1436,7 @@ mod tests {
     fn duals_equality_shadow_price() {
         // min 2p1 + p2 st p1 + p2 = 300, p2 <= 200: marginal unit comes from
         // p1 at cost 2 -> dual of balance = 2.
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let p1 = lp.add_var(0.0, 300.0, 2.0);
         let p2 = lp.add_var(0.0, 200.0, 1.0);
         lp.add_row(Row::eq(300.0).coef(p1, 1.0).coef(p2, 1.0));
@@ -1439,7 +1446,7 @@ mod tests {
 
     #[test]
     fn zero_rows_puts_vars_at_best_bound() {
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let _x = lp.add_var(-1.0, 5.0, 1.0);
         let _y = lp.add_var(-2.0, 3.0, -1.0);
         let s = lp.solve().unwrap();
@@ -1451,7 +1458,7 @@ mod tests {
         // Beale's classic cycling example (min form); optimum -0.05 at
         // x = (1/25, 0, 1, 0).
         let build = || {
-            let mut lp = LpProblem::minimize();
+            let mut lp = Model::minimize();
             let x1 = lp.add_var(0.0, f64::INFINITY, -0.75);
             let x2 = lp.add_var(0.0, f64::INFINITY, 150.0);
             let x3 = lp.add_var(0.0, f64::INFINITY, -0.02);
@@ -1470,7 +1477,7 @@ mod tests {
 
     #[test]
     fn redundant_rows_ok() {
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let x = lp.add_var(0.0, 10.0, 1.0);
         let y = lp.add_var(0.0, 10.0, 1.0);
         lp.add_row(Row::eq(4.0).coef(x, 1.0).coef(y, 1.0));
@@ -1489,7 +1496,7 @@ mod tests {
             [9.0, 12.0, 13.0, 7.0],
             [14.0, 9.0, 16.0, 5.0],
         ];
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let mut v = vec![];
         for i in 0..3 {
             for j in 0..4 {
@@ -1520,7 +1527,7 @@ mod tests {
         // enough to take multiple pivots; the LU+eta basis must agree with
         // the known optimum.
         let opts = SimplexOptions { refactor_interval: 2, ..Default::default() };
-        let mut lp = LpProblem::minimize();
+        let mut lp = Model::minimize();
         let n = 12;
         let v: Vec<_> = (0..n).map(|j| lp.add_var(0.0, 10.0, 1.0 + (j as f64) * 0.1)).collect();
         let mut row = Row::ge(60.0);

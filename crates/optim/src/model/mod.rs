@@ -14,10 +14,6 @@
 //!   QP, integrality marks ([`Model::set_integer`]) make it a MILP, and
 //!   complementarity pairs ([`Model::add_pair`]) make it an MPEC.
 //!
-//! The legacy `LpProblem` name is a type alias for `Model`; `QpProblem`,
-//! `MilpProblem`, and `MpecProblem` are thin wrappers that hold no
-//! constraint storage of their own.
-//!
 //! The [`presolve`] submodule reduces a model before solving and maps
 //! solutions back exactly; the [`solver`] submodule defines the [`Solver`]
 //! trait implemented by all four solver families.
@@ -29,8 +25,7 @@ pub mod solver;
 
 pub use presolve::{Postsolve, PresolveOptions, PresolveStats, Presolved};
 pub use solver::{
-    ActiveSetSolver, BranchBoundSolver, IpmSolver, MpecSolver, QpAutoSolver, SimplexSolver,
-    Solution, Solver,
+    ActiveSetSolver, BranchBoundSolver, IpmSolver, QpAutoSolver, SimplexSolver, Solution, Solver,
 };
 
 use crate::budget::{SolveBudget, SolveOutcome};
@@ -86,9 +81,10 @@ impl RowId {
 /// # Example
 ///
 /// ```
-/// use ed_optim::lp::{LpProblem, Row};
+/// use ed_optim::lp::Row;
+/// use ed_optim::Model;
 ///
-/// let mut lp = LpProblem::minimize();
+/// let mut lp = Model::minimize();
 /// let x = lp.add_var(0.0, 1.0, 1.0);
 /// let y = lp.add_var(0.0, 1.0, 1.0);
 /// lp.add_row(Row::ge(1.0).coef(x, 1.0).coef(y, 1.0));
@@ -185,18 +181,19 @@ pub struct LpSolution {
 ///
 /// Build with [`Model::minimize`]/[`Model::maximize`], add variables and
 /// rows, then call [`Model::solve`] (continuous linear relaxation) or hand
-/// the model to a capability-aware solver (`QpProblem`, `MilpProblem`,
-/// `MpecProblem`, or anything implementing [`solver::Solver`]).
+/// the model to a capability-aware [`solver::Solver`] (QP solvers, or
+/// branch and bound for integrality marks and complementarity pairs).
 ///
 /// # Example
 ///
 /// ```
-/// use ed_optim::lp::{LpProblem, Row};
+/// use ed_optim::lp::Row;
+/// use ed_optim::Model;
 ///
 /// # fn main() -> Result<(), ed_optim::OptimError> {
 /// // Economic-dispatch-flavored toy: two generators serve 300 MW,
 /// // generator 1 twice as expensive as generator 2.
-/// let mut lp = LpProblem::minimize();
+/// let mut lp = Model::minimize();
 /// let p1 = lp.add_var(0.0, 300.0, 2.0);
 /// let p2 = lp.add_var(0.0, 200.0, 1.0);
 /// lp.add_row(Row::eq(300.0).coef(p1, 1.0).coef(p2, 1.0));

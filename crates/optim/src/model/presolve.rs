@@ -1046,12 +1046,10 @@ impl Postsolve {
     /// objective offset, primal point restored).
     pub fn restore_partial(&self, p: Partial) -> Partial {
         Partial {
-            tripped: p.tripped,
             x: p.x.map(|x| self.restore_x(&x)),
             objective: p.objective.map(|o| o + self.obj_offset),
             bound: p.bound.map(|b| b + self.obj_offset),
-            iterations: p.iterations,
-            nodes: p.nodes,
+            ..p
         }
     }
 

@@ -1,9 +1,9 @@
 //! The [`Solver`] trait: one solve interface over the shared [`Model`] IR.
 //!
 //! Every solver family in this crate (simplex LP, active-set QP,
-//! interior-point QP, big-M branch-and-bound MILP, complementarity-branching
-//! MPEC) can be driven through this trait, which is what the dispatch
-//! fallback ladder in `ed-core` uses to treat rungs uniformly.
+//! interior-point QP, branch and bound on integrality marks or
+//! complementarity pairs) can be driven through this trait, which is what
+//! the dispatch fallback ladder in `ed-core` uses to treat rungs uniformly.
 //!
 //! Conventions:
 //!
@@ -15,13 +15,12 @@
 //!   problem and callers that need them (LMP extraction) resolve a fixed
 //!   continuous model instead.
 
+use crate::branch_bound::{self, BranchOptions, Branching};
 use crate::budget::{Partial, SolveBudget, SolveOutcome};
 use crate::certify::Tolerances;
 use crate::lp::{Basis, BasisStatus, SimplexOptions};
-use crate::milp::{MilpOptions, MilpProblem};
 use crate::model::Model;
-use crate::mpec::{MpecOptions, MpecProblem};
-use crate::qp::problem::{DenseQp, IneqSrc, QpSolution};
+use crate::qp::dense::{DenseQp, IneqSrc, QpSolution};
 use crate::qp::{active_set, ipm, IpmOptions, QpOptions};
 use crate::OptimError;
 
@@ -332,10 +331,9 @@ impl Solver for IpmSolver {
     }
 }
 
-/// QP with the same escalation the dispatch ladder's `QpMethod::Auto` used:
-/// active set first; degenerate stalls and numerical breakdowns fall back to
-/// the interior-point method, keeping a feasible active-set partial when the
-/// fallback cannot finish either.
+/// QP by escalation: active set first; degenerate stalls and numerical
+/// breakdowns fall back to the interior-point method, keeping a feasible
+/// active-set partial when the fallback cannot finish either.
 #[derive(Debug, Clone, Default)]
 pub struct QpAutoSolver {
     /// Active-set options (the embedded IPM options drive the fallback).
@@ -390,17 +388,22 @@ impl Solver for QpAutoSolver {
     }
 }
 
-/// MILP via branch and bound on the model's integrality marks (a model
-/// without marks degenerates to a single root LP).
+/// Branch and bound on the model's integrality marks
+/// ([`BranchOptions::integers`], the default; a model without marks
+/// degenerates to a single root LP) or its complementarity pairs
+/// ([`BranchOptions::pairs`]).
 #[derive(Debug, Clone, Default)]
 pub struct BranchBoundSolver {
     /// Branch-and-bound options for each solve.
-    pub options: MilpOptions,
+    pub options: BranchOptions,
 }
 
 impl Solver for BranchBoundSolver {
     fn name(&self) -> &'static str {
-        "branch-and-bound"
+        match self.options.branching {
+            Branching::Integers => "branch-and-bound",
+            Branching::Pairs => "mpec",
+        }
     }
 
     fn solve(
@@ -408,14 +411,7 @@ impl Solver for BranchBoundSolver {
         model: &Model,
         budget: &SolveBudget,
     ) -> Result<SolveOutcome<Solution>, OptimError> {
-        if model.is_quadratic() {
-            return Err(OptimError::InvalidModel {
-                what: "branch-and-bound solver cannot handle quadratic objective terms"
-                    .to_string(),
-            });
-        }
-        let milp = MilpProblem::from_model(model.clone());
-        let out = milp.solve_budgeted(&self.options, budget)?;
+        let out = branch_bound::solve(model, &self.options, budget)?;
         Ok(out.map(|s| Solution {
             x: s.x,
             objective: s.objective,
@@ -442,67 +438,9 @@ impl Solver for BranchBoundSolver {
 
     fn with_tolerances(&self, tol: &Tolerances) -> Box<dyn Solver> {
         let mut options = self.options.clone();
-        options.int_tol = tol.int;
-        options.gap_abs = tol.gap;
+        (options.tol, options.gap_abs) = options.branching.tolerances(tol);
         options.simplex = simplex_with(options.simplex, tol);
         Box::new(BranchBoundSolver { options })
-    }
-}
-
-/// MPEC via branching on the model's complementarity pairs.
-#[derive(Debug, Clone, Default)]
-pub struct MpecSolver {
-    /// Complementarity branch-and-bound options for each solve.
-    pub options: MpecOptions,
-}
-
-impl Solver for MpecSolver {
-    fn name(&self) -> &'static str {
-        "mpec"
-    }
-
-    fn solve(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        if model.is_quadratic() {
-            return Err(OptimError::InvalidModel {
-                what: "mpec solver cannot handle quadratic objective terms".to_string(),
-            });
-        }
-        let mpec = MpecProblem::from_model(model.clone());
-        let out = mpec.solve_budgeted(&self.options, budget)?;
-        Ok(out.map(|s| Solution {
-            x: s.x,
-            objective: s.objective,
-            row_duals: Vec::new(),
-            reduced_costs: Vec::new(),
-            proved_optimal: s.proved_optimal,
-            iterations: s.lp_iterations,
-            nodes: s.nodes,
-            basis: s.basis,
-        }))
-    }
-
-    fn solve_warm(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-        warm: Option<&Basis>,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        let Some(warm) = warm else { return self.solve(model, budget) };
-        let mut warmed = self.clone();
-        warmed.options.simplex.warm = Some(warm.clone());
-        warmed.solve(model, budget)
-    }
-
-    fn with_tolerances(&self, tol: &Tolerances) -> Box<dyn Solver> {
-        let mut options = self.options.clone();
-        options.comp_tol = tol.feas;
-        options.gap_abs = 100.0 * tol.opt;
-        options.simplex = simplex_with(options.simplex, tol);
-        Box::new(MpecSolver { options })
     }
 }
 
@@ -614,13 +552,13 @@ mod tests {
     }
 
     #[test]
-    fn mpec_solver_honors_pairs() {
+    fn branch_bound_solver_honors_pairs() {
         let mut m = Model::maximize();
         let x = m.add_var(0.0, 2.0, 1.0);
         let y = m.add_var(0.0, 2.0, 1.0);
         m.add_row(Row::le(3.0).coef(x, 1.0).coef(y, 1.0));
         m.add_pair(x, y);
-        let s = MpecSolver::default()
+        let s = BranchBoundSolver { options: BranchOptions::pairs() }
             .solve(&m, &SolveBudget::unlimited())
             .unwrap()
             .solved()

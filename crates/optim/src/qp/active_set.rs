@@ -1,16 +1,15 @@
 //! Primal active-set method for convex QP.
 
 use crate::budget::{Partial, SolveBudget, SolveOutcome};
-use crate::lp::{LpProblem, Row};
-use crate::qp::problem::{DenseQp, IneqSrc, QpSolution};
+use crate::lp::Row;
+use crate::model::Model;
+use crate::qp::dense::{DenseQp, IneqSrc, QpSolution};
 use crate::OptimError;
 use ed_linalg::{dot, Lu, Matrix};
 
 /// Options for the QP solvers.
 #[derive(Debug, Clone)]
 pub struct QpOptions {
-    /// Algorithm selection (see [`crate::qp::QpMethod`]).
-    pub method: crate::qp::QpMethod,
     /// Maximum active-set iterations.
     pub max_iterations: usize,
     /// Constraint feasibility / activity tolerance.
@@ -33,7 +32,6 @@ impl Default for QpOptions {
     fn default() -> Self {
         let tol = crate::certify::Tolerances::default();
         QpOptions {
-            method: crate::qp::QpMethod::Auto,
             max_iterations: 200,
             feas_tol: tol.feas,
             step_tol: tol.opt,
@@ -57,7 +55,7 @@ impl Default for QpOptions {
 /// whereas the same box written as `2n` singleton rows costs hundreds of
 /// extra pivots (and a basis of twice the size) on dispatch-shaped QPs.
 fn feasible_start(qp: &DenseQp) -> Result<Vec<f64>, OptimError> {
-    let mut lp = LpProblem::minimize();
+    let mut lp = Model::minimize();
     let mut lb = vec![f64::NEG_INFINITY; qp.n];
     let mut ub = vec![f64::INFINITY; qp.n];
     for (k, src) in qp.ineq_src.iter().enumerate() {
@@ -139,22 +137,13 @@ fn eqp_step(qp: &DenseQp, x: &[f64], w: &[usize], reg: f64) -> Result<EqpStep, O
     Ok((p, eq_duals, w_duals))
 }
 
-/// Entry point used by [`QpProblem::solve_with`]: runs the active-set
-/// method, retrying with tiny deterministic right-hand-side perturbations
-/// if degeneracy stalls it (heavily-tied vertices can cycle; perturbation
-/// breaks the ties, and the perturbed optimum is within the perturbation
-/// magnitude of the true one).
-pub(crate) fn solve(qp: &DenseQp, options: &QpOptions) -> Result<QpSolution, OptimError> {
-    match solve_budgeted(qp, options, &SolveBudget::unlimited())? {
-        SolveOutcome::Solved(sol) => Ok(sol),
-        SolveOutcome::Partial(_) => unreachable!("an unlimited budget cannot trip"),
-    }
-}
-
-/// Budgeted entry point (used by [`QpProblem::solve_budgeted`]). A budget
-/// trip mid-iteration returns the current iterate, which the active-set
-/// method keeps primal feasible throughout — so the partial incumbent is
-/// always usable as a dispatch.
+/// Budgeted entry point: runs the active-set method, retrying with tiny
+/// deterministic right-hand-side perturbations if degeneracy stalls it
+/// (heavily-tied vertices can cycle; perturbation breaks the ties, and the
+/// perturbed optimum is within the perturbation magnitude of the true one).
+/// A budget trip mid-iteration returns the current iterate, which the
+/// active-set method keeps primal feasible throughout — so the partial
+/// incumbent is always usable as a dispatch.
 pub(crate) fn solve_budgeted(
     qp: &DenseQp,
     options: &QpOptions,
@@ -202,12 +191,7 @@ fn solve_budgeted_inner(
                     *b += magnitude * scale * (0.5 + u);
                 }
                 match solve_once(&perturbed, options, budget) {
-                    Ok(SolveOutcome::Solved(sol)) => {
-                        return Ok(SolveOutcome::Solved(QpSolution {
-                            objective: qp.objective_value(&sol.x),
-                            ..sol
-                        }))
-                    }
+                    Ok(SolveOutcome::Solved(sol)) => return Ok(SolveOutcome::Solved(sol)),
                     Ok(SolveOutcome::Partial(mut p)) => {
                         // Re-price the perturbed iterate on the true problem.
                         p.objective = p.x.as_deref().map(|x| qp.objective_value(x));
@@ -242,6 +226,8 @@ fn partial_from_limit(
         bound: None,
         iterations: options.max_iterations,
         nodes: 0,
+        warm_starts: 0,
+        cold_restarts: 0,
     }
 }
 
@@ -293,6 +279,8 @@ fn solve_once(
                     bound: None,
                     iterations,
                     nodes: 0,
+                    warm_starts: 0,
+                    cold_restarts: 0,
                 }));
             }
         }
@@ -339,15 +327,7 @@ fn solve_once(
                 for (k, &wi) in w.iter().enumerate() {
                     ineq_duals[wi] = w_duals[k].max(0.0);
                 }
-                let objective = qp.objective_value(&x);
-                return Ok(SolveOutcome::Solved(QpSolution {
-                    x,
-                    objective,
-                    eq_duals,
-                    ineq_duals,
-                    active_set: w,
-                    iterations,
-                }));
+                return Ok(SolveOutcome::Solved(QpSolution { x, eq_duals, ineq_duals, iterations }));
             }
             // Drop the most negative multiplier and continue.
             let dropped = w.remove(min_idx.expect("checked above"));
@@ -389,21 +369,58 @@ fn solve_once(
 
 #[cfg(test)]
 mod tests {
-    use crate::qp::QpProblem;
+    use crate::model::{Model, Row, Solution};
+    use crate::{ActiveSetSolver, SolveBudget, Solver};
+
+    fn solve(m: &Model) -> Solution {
+        let out = ActiveSetSolver::default().solve(m, &SolveBudget::unlimited());
+        out.unwrap().solved().unwrap()
+    }
+
+    /// `min 0.5 x'diag(h)x + c'x` over free variables.
+    fn qp(h: &[f64], c: &[f64]) -> Model {
+        let mut m = Model::minimize();
+        for (&hj, &cj) in h.iter().zip(c) {
+            let x = m.add_var(f64::NEG_INFINITY, f64::INFINITY, cj);
+            m.add_quad(x, x, hj);
+        }
+        m
+    }
+
+    fn le(m: &mut Model, a: &[f64], b: f64) {
+        let vars = m.var_ids();
+        m.add_row(Row::le(b).coefs(vars.into_iter().zip(a.iter().copied())));
+    }
+
+    #[test]
+    fn unconstrained_minimum() {
+        // min (x-3)^2 -> x = 3
+        let s = solve(&qp(&[2.0], &[-6.0]));
+        assert!((s.x[0] - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bound_becomes_active() {
+        // min (x-3)^2 with x <= 1 -> x = 1, multiplier 4: raising the rhs
+        // lowers the objective at rate 4.
+        let mut m = qp(&[2.0], &[-6.0]);
+        le(&mut m, &[1.0], 1.0);
+        let s = solve(&m);
+        assert!((s.x[0] - 1.0).abs() < 1e-8);
+        assert!((s.row_duals[0] + 4.0).abs() < 1e-6, "duals={:?}", s.row_duals);
+    }
 
     /// Nocedal & Wright example 16.4: min (x1-1)^2 + (x2-2.5)^2 with five
     /// inequality constraints; optimum at (1.4, 1.7).
     #[test]
     fn nocedal_wright_16_4() {
-        let mut qp = QpProblem::new(2);
-        qp.set_quadratic_diag(&[2.0, 2.0]);
-        qp.set_linear(&[-2.0, -5.0]);
-        qp.add_ineq(&[-1.0, 2.0], 2.0);
-        qp.add_ineq(&[1.0, 2.0], 6.0);
-        qp.add_ineq(&[1.0, -2.0], 2.0);
-        qp.add_ineq(&[-1.0, 0.0], 0.0);
-        qp.add_ineq(&[0.0, -1.0], 0.0);
-        let s = qp.solve().unwrap();
+        let mut m = qp(&[2.0, 2.0], &[-2.0, -5.0]);
+        le(&mut m, &[-1.0, 2.0], 2.0);
+        le(&mut m, &[1.0, 2.0], 6.0);
+        le(&mut m, &[1.0, -2.0], 2.0);
+        le(&mut m, &[-1.0, 0.0], 0.0);
+        le(&mut m, &[0.0, -1.0], 0.0);
+        let s = solve(&m);
         assert!((s.x[0] - 1.4).abs() < 1e-7, "x={:?}", s.x);
         assert!((s.x[1] - 1.7).abs() < 1e-7, "x={:?}", s.x);
     }
@@ -416,30 +433,28 @@ mod tests {
         // Unconstrained equal-lambda: 0.02 p1 + 10 = 0.04 p2 + 8
         // with p1 + p2 = 200 -> 0.02p1 - 0.04(200 - p1) + 2 = 0
         // 0.06 p1 = 6 -> p1 = 100, p2 = 100.
-        let mut qp = QpProblem::new(2);
-        qp.set_quadratic_diag(&[0.02, 0.04]);
-        qp.set_linear(&[10.0, 8.0]);
-        qp.add_eq(&[1.0, 1.0], 200.0);
-        qp.add_bounds(0, 0.0, 300.0);
-        qp.add_bounds(1, 0.0, 300.0);
-        let s = qp.solve().unwrap();
+        let mut m = qp(&[0.02, 0.04], &[10.0, 8.0]);
+        let vars = m.var_ids();
+        m.set_bounds(vars[0], 0.0, 300.0);
+        m.set_bounds(vars[1], 0.0, 300.0);
+        let balance = m.add_row(Row::eq(200.0).coef(vars[0], 1.0).coef(vars[1], 1.0));
+        let s = solve(&m);
         assert!((s.x[0] - 100.0).abs() < 1e-6, "{:?}", s.x);
         assert!((s.x[1] - 100.0).abs() < 1e-6, "{:?}", s.x);
-        // Balance dual = -(marginal cost) under Hx + c + A'nu = 0 convention.
-        let lambda = -s.eq_duals[0];
+        // The balance dual is the marginal cost ∂obj/∂demand.
+        let lambda = s.row_duals[balance.index()];
         assert!((lambda - 12.0).abs() < 1e-6, "lambda={lambda}");
     }
 
     /// Binding generator limit forces redistribution.
     #[test]
     fn dispatch_with_binding_limit() {
-        let mut qp = QpProblem::new(2);
-        qp.set_quadratic_diag(&[0.02, 0.04]);
-        qp.set_linear(&[10.0, 8.0]);
-        qp.add_eq(&[1.0, 1.0], 200.0);
-        qp.add_bounds(0, 0.0, 80.0); // p1 capped below its unconstrained share
-        qp.add_bounds(1, 0.0, 300.0);
-        let s = qp.solve().unwrap();
+        let mut m = qp(&[0.02, 0.04], &[10.0, 8.0]);
+        let vars = m.var_ids();
+        m.set_bounds(vars[0], 0.0, 80.0); // p1 capped below its unconstrained share
+        m.set_bounds(vars[1], 0.0, 300.0);
+        m.add_row(Row::eq(200.0).coef(vars[0], 1.0).coef(vars[1], 1.0));
+        let s = solve(&m);
         assert!((s.x[0] - 80.0).abs() < 1e-6, "{:?}", s.x);
         assert!((s.x[1] - 120.0).abs() < 1e-6, "{:?}", s.x);
     }
@@ -447,13 +462,20 @@ mod tests {
     /// Redundant (duplicate) constraints must not break the solver.
     #[test]
     fn tolerates_redundant_rows() {
-        let mut qp = QpProblem::new(2);
-        qp.set_quadratic_diag(&[2.0, 2.0]);
-        qp.set_linear(&[-2.0, -2.0]);
-        qp.add_ineq(&[1.0, 0.0], 0.5);
-        qp.add_ineq(&[1.0, 0.0], 0.5); // duplicate
-        qp.add_ineq(&[2.0, 0.0], 1.0); // scaled duplicate
-        let s = qp.solve().unwrap();
+        let mut m = qp(&[2.0, 2.0], &[-2.0, -2.0]);
+        le(&mut m, &[1.0, 0.0], 0.5);
+        le(&mut m, &[1.0, 0.0], 0.5); // duplicate
+        le(&mut m, &[2.0, 0.0], 1.0); // scaled duplicate
+        let s = solve(&m);
         assert!((s.x[0] - 0.5).abs() < 1e-7 && (s.x[1] - 1.0).abs() < 1e-7, "{:?}", s.x);
+    }
+
+    #[test]
+    fn infeasible_reported() {
+        let mut m = qp(&[2.0], &[0.0]);
+        le(&mut m, &[1.0], 0.0); // x <= 0
+        le(&mut m, &[-1.0], -1.0); // x >= 1
+        let res = ActiveSetSolver::default().solve(&m, &SolveBudget::unlimited());
+        assert!(matches!(res, Err(crate::OptimError::Infeasible)), "{res:?}");
     }
 }

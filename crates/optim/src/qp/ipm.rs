@@ -5,7 +5,7 @@
 //! degenerate polytopes (thousands of near-ties at a congested dispatch
 //! vertex), at the price of slightly less crisp active-set identification.
 //! The dispatch layer uses active-set first and falls back here
-//! ([`crate::qp::QpMethod::Auto`]).
+//! ([`crate::QpAutoSolver`]).
 //!
 //! Standard infeasible-start formulation with slacks `s ≥ 0` on the
 //! inequalities, Newton steps on the perturbed KKT system reduced to the
@@ -13,7 +13,7 @@
 //! parameter.
 
 use crate::budget::{Partial, SolveBudget, SolveOutcome};
-use crate::qp::problem::{DenseQp, QpSolution};
+use crate::qp::dense::{DenseQp, QpSolution};
 use crate::OptimError;
 use ed_linalg::{dot, Lu, Matrix};
 
@@ -39,7 +39,9 @@ impl Default for IpmOptions {
     }
 }
 
-/// Solves the QP by the interior-point method.
+/// Budgeted interior-point solve. Interior iterates are **not** primal
+/// feasible, so a budget trip returns `x: None` — callers must fall back to
+/// another rung rather than dispatch a half-converged interior point.
 ///
 /// # Errors
 ///
@@ -47,16 +49,6 @@ impl Default for IpmOptions {
 ///   certificate-free stall with large primal residual (practical
 ///   infeasibility detection).
 /// - [`OptimError::IterationLimit`] / [`OptimError::Numerical`] otherwise.
-pub(crate) fn solve(qp: &DenseQp, options: &IpmOptions) -> Result<QpSolution, OptimError> {
-    match solve_budgeted(qp, options, &SolveBudget::unlimited())? {
-        SolveOutcome::Solved(sol) => Ok(sol),
-        SolveOutcome::Partial(_) => unreachable!("an unlimited budget cannot trip"),
-    }
-}
-
-/// Budgeted interior-point solve. Interior iterates are **not** primal
-/// feasible, so a budget trip returns `x: None` — callers must fall back to
-/// another rung rather than dispatch a half-converged interior point.
 pub(crate) fn solve_budgeted(
     qp: &DenseQp,
     options: &IpmOptions,
@@ -90,13 +82,10 @@ fn solve_budgeted_inner(
             what: "unconstrained QP with singular Hessian".into(),
         })?;
         let x = lu.solve(&qp.c.iter().map(|c| -c).collect::<Vec<_>>())?;
-        let objective = qp.objective_value(&x);
         return Ok(SolveOutcome::Solved(QpSolution {
             x,
-            objective,
             eq_duals: Vec::new(),
             ineq_duals: Vec::new(),
-            active_set: Vec::new(),
             iterations: 1,
         }));
     }
@@ -126,6 +115,8 @@ fn solve_budgeted_inner(
                     bound: None,
                     iterations: iter,
                     nodes: 0,
+                    warm_starts: 0,
+                    cold_restarts: 0,
                 }));
             }
         }
@@ -162,16 +153,10 @@ fn solve_budgeted_inner(
             .max(ed_linalg::norm_inf(&r_i))
             .max(gap);
         if worst <= options.tol * scale {
-            let active_set: Vec<usize> = (0..mi)
-                .filter(|&i| s[i] <= 1e-6 * scale.max(1.0))
-                .collect();
-            let objective = qp.objective_value(&x);
             return Ok(SolveOutcome::Solved(QpSolution {
                 x,
-                objective,
                 eq_duals: y,
                 ineq_duals: lam,
-                active_set,
                 iterations: iter + 1,
             }));
         }
@@ -267,69 +252,81 @@ fn solve_budgeted_inner(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::qp::{QpMethod, QpOptions, QpProblem};
+    use crate::model::{Model, Row, Solution};
+    use crate::{IpmSolver, OptimError, QpAutoSolver, SolveBudget, Solver};
 
-    fn solve_ipm(qp: &QpProblem) -> QpSolution {
-        solve(&qp.dense(), &IpmOptions::default()).unwrap()
+    fn solve_ipm(m: &Model) -> Result<Solution, OptimError> {
+        Ok(IpmSolver::default().solve(m, &SolveBudget::unlimited())?.solved().unwrap())
+    }
+
+    /// `min 0.5 x'diag(h)x + c'x` over free variables.
+    fn qp(h: &[f64], c: &[f64]) -> Model {
+        let mut m = Model::minimize();
+        for (&hj, &cj) in h.iter().zip(c) {
+            let x = m.add_var(f64::NEG_INFINITY, f64::INFINITY, cj);
+            m.add_quad(x, x, hj);
+        }
+        m
+    }
+
+    fn le(m: &mut Model, a: &[f64], b: f64) {
+        let vars = m.var_ids();
+        m.add_row(Row::le(b).coefs(vars.into_iter().zip(a.iter().copied())));
     }
 
     #[test]
     fn matches_active_set_on_nocedal_example() {
-        let mut qp = QpProblem::new(2);
-        qp.set_quadratic_diag(&[2.0, 2.0]);
-        qp.set_linear(&[-2.0, -5.0]);
-        qp.add_ineq(&[-1.0, 2.0], 2.0);
-        qp.add_ineq(&[1.0, 2.0], 6.0);
-        qp.add_ineq(&[1.0, -2.0], 2.0);
-        qp.add_ineq(&[-1.0, 0.0], 0.0);
-        qp.add_ineq(&[0.0, -1.0], 0.0);
-        let s = solve_ipm(&qp);
+        let mut m = qp(&[2.0, 2.0], &[-2.0, -5.0]);
+        le(&mut m, &[-1.0, 2.0], 2.0);
+        le(&mut m, &[1.0, 2.0], 6.0);
+        le(&mut m, &[1.0, -2.0], 2.0);
+        le(&mut m, &[-1.0, 0.0], 0.0);
+        le(&mut m, &[0.0, -1.0], 0.0);
+        let s = solve_ipm(&m).unwrap();
         assert!((s.x[0] - 1.4).abs() < 1e-6, "{:?}", s.x);
         assert!((s.x[1] - 1.7).abs() < 1e-6, "{:?}", s.x);
     }
 
     #[test]
     fn equality_constrained() {
-        let mut qp = QpProblem::new(2);
-        qp.set_quadratic_diag(&[2.0, 2.0]);
-        qp.add_eq(&[1.0, 1.0], 2.0);
-        let s = solve_ipm(&qp);
+        // min x² + y² st x + y = 2 -> (1, 1) with ∂obj/∂rhs = 2.
+        let mut m = qp(&[2.0, 2.0], &[0.0, 0.0]);
+        let vars = m.var_ids();
+        let row = m.add_row(Row::eq(2.0).coef(vars[0], 1.0).coef(vars[1], 1.0));
+        let s = solve_ipm(&m).unwrap();
         assert!((s.x[0] - 1.0).abs() < 1e-7 && (s.x[1] - 1.0).abs() < 1e-7);
-        assert!((s.eq_duals[0] + 2.0).abs() < 1e-5, "nu={:?}", s.eq_duals);
+        assert!((s.row_duals[row.index()] - 2.0).abs() < 1e-5, "{:?}", s.row_duals);
     }
 
     #[test]
     fn dispatch_duals_match_active_set() {
-        let mut qp = QpProblem::new(2);
-        qp.set_quadratic_diag(&[0.02, 0.04]);
-        qp.set_linear(&[10.0, 8.0]);
-        qp.add_eq(&[1.0, 1.0], 200.0);
-        qp.add_bounds(0, 0.0, 300.0);
-        qp.add_bounds(1, 0.0, 300.0);
-        let s = solve_ipm(&qp);
+        let mut m = qp(&[0.02, 0.04], &[10.0, 8.0]);
+        let vars = m.var_ids();
+        m.set_bounds(vars[0], 0.0, 300.0);
+        m.set_bounds(vars[1], 0.0, 300.0);
+        let balance = m.add_row(Row::eq(200.0).coef(vars[0], 1.0).coef(vars[1], 1.0));
+        let s = solve_ipm(&m).unwrap();
         assert!((s.x[0] - 100.0).abs() < 1e-5, "{:?}", s.x);
-        assert!((-s.eq_duals[0] - 12.0).abs() < 1e-4);
+        assert!((s.row_duals[balance.index()] - 12.0).abs() < 1e-4);
     }
 
     #[test]
     fn infeasible_detected() {
-        let mut qp = QpProblem::new(1);
-        qp.set_quadratic_diag(&[2.0]);
-        qp.add_ineq(&[1.0], 0.0);
-        qp.add_ineq(&[-1.0], -1.0);
-        let r = solve(&qp.dense(), &IpmOptions::default());
-        assert!(r.is_err());
+        let mut m = qp(&[2.0], &[0.0]);
+        le(&mut m, &[1.0], 0.0);
+        le(&mut m, &[-1.0], -1.0);
+        assert!(solve_ipm(&m).is_err());
     }
 
     #[test]
-    fn auto_method_solves_via_fallback_path() {
-        let mut qp = QpProblem::new(2);
-        qp.set_quadratic_diag(&[2.0, 2.0]);
-        qp.set_linear(&[-2.0, -2.0]);
-        qp.add_ineq(&[1.0, 0.0], 0.5);
-        let opts = QpOptions { method: QpMethod::InteriorPoint, ..Default::default() };
-        let s = qp.solve_with(&opts).unwrap();
-        assert!((s.x[0] - 0.5).abs() < 1e-6 && (s.x[1] - 1.0).abs() < 1e-6);
+    fn auto_solver_agrees_with_interior_point() {
+        let mut m = qp(&[2.0, 2.0], &[-2.0, -2.0]);
+        le(&mut m, &[1.0, 0.0], 0.5);
+        for s in [
+            solve_ipm(&m).unwrap(),
+            QpAutoSolver::default().solve(&m, &SolveBudget::unlimited()).unwrap().solved().unwrap(),
+        ] {
+            assert!((s.x[0] - 0.5).abs() < 1e-6 && (s.x[1] - 1.0).abs() < 1e-6, "{:?}", s.x);
+        }
     }
 }

@@ -15,26 +15,17 @@
 //! A feasible starting point is obtained from a phase-1 LP solved with the
 //! crate's simplex method; the active-set loop then alternates
 //! equality-constrained QP steps (dense KKT solves) with blocking-constraint
-//! additions and multiplier-driven deletions.
+//! additions and multiplier-driven deletions. A primal-dual interior-point
+//! method is the robust fallback on degenerate instances.
+//!
+//! Build the problem as a [`Model`](crate::model::Model) with quadratic
+//! terms and solve it through [`ActiveSetSolver`](crate::ActiveSetSolver),
+//! [`IpmSolver`](crate::IpmSolver), or [`QpAutoSolver`](crate::QpAutoSolver)
+//! (active set first, interior point on a stall).
 
 pub(crate) mod active_set;
+pub(crate) mod dense;
 pub(crate) mod ipm;
-pub(crate) mod problem;
 
 pub use active_set::QpOptions;
 pub use ipm::IpmOptions;
-pub use problem::{QpProblem, QpSolution};
-
-/// Which algorithm solves the QP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QpMethod {
-    /// Active set first; fall back to interior point if it stalls on a
-    /// degenerate vertex. The recommended default.
-    #[default]
-    Auto,
-    /// Primal active-set method only (crisp active sets, exact vertices).
-    ActiveSet,
-    /// Primal-dual interior-point method only (robust on degenerate
-    /// problems).
-    InteriorPoint,
-}

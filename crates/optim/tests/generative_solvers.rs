@@ -6,18 +6,17 @@
 //! bounds, cross-solver agreement). Formerly proptest-based; rewritten as
 //! seeded loops over [`ed_rng`] so the workspace builds offline.
 
-use ed_optim::lp::{LpProblem, Row};
-use ed_optim::milp::MilpProblem;
-use ed_optim::mpec::MpecProblem;
-use ed_optim::qp::{QpMethod, QpOptions, QpProblem};
+use ed_optim::branch_bound::{self, BranchOptions, BranchSolution};
+use ed_optim::lp::Row;
+use ed_optim::{ActiveSetSolver, IpmSolver, Model, OptimError, SolveBudget, Solver};
 use ed_rng::{Rng, SeedableRng, StdRng};
 
 /// An LP built around a feasible anchor point: vars in [0, 10], rows
 /// `a'x <= a'x0 + slack` with `slack >= 0`, so `x0` is always feasible.
-fn anchored_lp(nvars: usize, nrows: usize, rng: &mut StdRng) -> (LpProblem, Vec<f64>) {
+fn anchored_lp(nvars: usize, nrows: usize, rng: &mut StdRng) -> (Model, Vec<f64>) {
     let x0: Vec<f64> = (0..nvars).map(|_| rng.gen_range(0.0..10.0)).collect();
     let costs: Vec<f64> = (0..nvars).map(|_| rng.gen_range(-5.0..5.0)).collect();
-    let mut lp = LpProblem::minimize();
+    let mut lp = Model::minimize();
     let vars: Vec<_> = costs.iter().map(|&c| lp.add_var(0.0, 10.0, c)).collect();
     for _ in 0..nrows {
         let coefs: Vec<f64> = (0..nvars).map(|_| rng.gen_range(-2.0..2.0)).collect();
@@ -28,6 +27,10 @@ fn anchored_lp(nvars: usize, nrows: usize, rng: &mut StdRng) -> (LpProblem, Vec<
         );
     }
     (lp, x0)
+}
+
+fn solve(model: &Model, options: &BranchOptions) -> Result<BranchSolution, OptimError> {
+    Ok(branch_bound::solve(model, options, &SolveBudget::unlimited())?.solved().unwrap())
 }
 
 /// The LP optimum is feasible and no worse than the anchor point.
@@ -79,21 +82,18 @@ fn qp_methods_agree() {
         let diag: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..1.0)).collect();
         let lin: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
         let total = rng.gen_range(5.0..40.0);
-        let mut qp = QpProblem::new(n);
-        qp.set_quadratic_diag(&diag);
-        qp.set_linear(&lin);
-        qp.add_eq(&vec![1.0; n], total);
-        for j in 0..n {
-            qp.add_bounds(j, 0.0, 10.0);
-        }
-        let active = qp.solve_with(&QpOptions {
-            method: QpMethod::ActiveSet,
-            ..Default::default()
-        });
-        let ipm = qp.solve_with(&QpOptions {
-            method: QpMethod::InteriorPoint,
-            ..Default::default()
-        });
+        let mut qp = Model::minimize();
+        let vars: Vec<_> = (0..n)
+            .map(|j| {
+                let v = qp.add_var(0.0, 10.0, lin[j]);
+                qp.add_quad(v, v, diag[j]);
+                v
+            })
+            .collect();
+        qp.add_row(Row::eq(total).coefs(vars.into_iter().map(|v| (v, 1.0))));
+        let budget = SolveBudget::unlimited();
+        let active = ActiveSetSolver::default().solve(&qp, &budget).map(|o| o.solved().unwrap());
+        let ipm = IpmSolver::default().solve(&qp, &budget).map(|o| o.solved().unwrap());
         match (active, ipm) {
             (Ok(a), Ok(b)) => {
                 assert!(
@@ -118,9 +118,11 @@ fn milp_sandwiched() {
     for _ in 0..48 {
         let (lp, _x0) = anchored_lp(5, 4, &mut rng);
         let relaxed = lp.solve().unwrap();
-        let vars = lp.var_ids();
-        let milp = MilpProblem::new(lp.clone(), vars);
-        match milp.solve() {
+        let mut milp = lp.clone();
+        for v in lp.var_ids() {
+            milp.set_integer(v);
+        }
+        match solve(&milp, &BranchOptions::integers()) {
             Ok(sol) => {
                 // Minimization: integer optimum >= relaxation.
                 assert!(sol.objective >= relaxed.objective - 1e-6);
@@ -129,7 +131,7 @@ fn milp_sandwiched() {
                 }
                 assert!(lp.infeasibility(&sol.x) < 1e-6);
             }
-            Err(ed_optim::OptimError::Infeasible) => {} // no integer point in the polytope
+            Err(OptimError::Infeasible) => {} // no integer point in the polytope
             Err(e) => panic!("unexpected: {e}"),
         }
     }
@@ -141,12 +143,14 @@ fn mpec_complementary() {
     let mut rng = StdRng::seed_from_u64(0x0C05);
     for _ in 0..48 {
         let costs: Vec<f64> = (0..6).map(|_| rng.gen_range(0.1..3.0)).collect();
-        let mut lp = LpProblem::maximize();
+        let mut lp = Model::maximize();
         let vars: Vec<_> = costs.iter().map(|&c| lp.add_var(0.0, 4.0, c)).collect();
         // Couple consecutive variables.
         let pairs: Vec<_> = vars.windows(2).map(|w| (w[0], w[1])).collect();
-        let mpec = MpecProblem::new(lp, pairs.clone());
-        let sol = mpec.solve().unwrap();
+        for &(a, b) in &pairs {
+            lp.add_pair(a, b);
+        }
+        let sol = solve(&lp, &BranchOptions::pairs()).unwrap();
         for (a, b) in pairs {
             let prod = sol.x[a.index()] * sol.x[b.index()];
             assert!(prod.abs() < 1e-6, "pair violated: {prod}");

@@ -12,7 +12,7 @@
 use crate::metrics::{bump, metrics};
 use ed_core::dispatch::ResilientDispatcher;
 use ed_optim::lp::Basis;
-use ed_powerflow::{FactorCache, Network};
+use ed_powerflow::{fnv1a, FactorCache, Network};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -91,16 +91,6 @@ fn build_network(case: &str) -> Option<Network> {
     }
 }
 
-/// FNV-1a — stable, dependency-free fingerprint for cache keys.
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Keyed warm cache over the known cases.
 #[derive(Default)]
 pub struct WarmCache {
@@ -120,7 +110,7 @@ impl WarmCache {
     /// A typed reason string when the case is unknown or its
     /// factorization fails — the caller turns this into a refusal.
     pub fn entry(&self, case: &str) -> Result<Arc<CaseEntry>, String> {
-        let key = fingerprint(case.as_bytes());
+        let key = fnv1a(case.bytes());
         if let Some(e) = self.lock().get(&key) {
             bump(&metrics().cache_hits);
             return Ok(Arc::clone(e));
@@ -151,7 +141,7 @@ impl WarmCache {
     /// last-known-good, which is the point — both derived from state that
     /// just failed an independent audit).
     pub fn invalidate(&self, case: &str) -> bool {
-        let key = fingerprint(case.as_bytes());
+        let key = fnv1a(case.bytes());
         let removed = self.lock().remove(&key).is_some();
         if removed {
             bump(&metrics().cache_invalidations);
@@ -164,7 +154,7 @@ impl WarmCache {
     /// Returns whether a basis was actually dropped; a cold case is a
     /// no-op — there is nothing warm to taint.
     pub fn clear_sweep_basis(&self, case: &str) -> bool {
-        let key = fingerprint(case.as_bytes());
+        let key = fnv1a(case.bytes());
         let entry = self.lock().get(&key).cloned();
         entry.is_some_and(|e| e.clear_sweep_basis())
     }

@@ -514,7 +514,7 @@ fn sweep(state: &AppState, body: &Json, deadline: Instant) -> Response {
                 bytes.extend_from_slice(&v.to_le_bytes());
             }
         }
-        crate::cache::fingerprint(&bytes)
+        ed_powerflow::fnv1a(bytes)
     };
     config.options.warm_basis = entry.sweep_basis_for(sweep_key);
     if config.options.warm_basis.is_some() {

@@ -56,6 +56,11 @@ run env ED_TRACE=1 cargo test -q --offline --workspace
 run env ED_POOL=0 cargo test -q --offline --workspace
 run env ED_POOL=1 cargo test -q --offline --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# The benchmark package (benchmark/) sits outside the workspace, so none of
+# the runs above build it: smoke-test it here so an API change in crates/*
+# that breaks it fails the gate. --locked also fails if benchmark/Cargo.lock
+# would need rewriting.
+run cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Trace-overhead guard: the committed benchmark artifact records what the
 # instrumentation costs a production (ED_TRACE=0) sweep — the calibrated

@@ -5,27 +5,25 @@
 use ed_security::cases::{synthetic, SyntheticConfig};
 use ed_security::core::attack::{optimal_attack_with, AttackConfig};
 use ed_security::core::dispatch::{loss_adjusted_dispatch, DcOpf, Formulation};
-use ed_security::optim::lp::{LpProblem, Row};
-use ed_security::optim::qp::{QpMethod, QpOptions, QpProblem};
+use ed_security::optim::lp::Row;
+use ed_security::optim::{ActiveSetSolver, IpmSolver, Model, QpAutoSolver, SolveBudget, Solver};
 use ed_security::powerflow::{ac, contingency, dc, lodf::Lodf, ptdf::Ptdf, LineId};
 
 /// A QP with a vanishing quadratic term converges to the LP solution.
 #[test]
 fn qp_degenerates_to_lp() {
     // min 2x + y st x + y >= 3, x,y in [0, 4].
-    let mut lp = LpProblem::minimize();
+    let mut lp = Model::minimize();
     let x = lp.add_var(0.0, 4.0, 2.0);
     let y = lp.add_var(0.0, 4.0, 1.0);
     lp.add_row(Row::ge(3.0).coef(x, 1.0).coef(y, 1.0));
     let lp_sol = lp.solve().unwrap();
 
-    let mut qp = QpProblem::new(2);
-    qp.set_quadratic_diag(&[1e-7, 1e-7]);
-    qp.set_linear(&[2.0, 1.0]);
-    qp.add_ineq(&[-1.0, -1.0], -3.0);
-    qp.add_bounds(0, 0.0, 4.0);
-    qp.add_bounds(1, 0.0, 4.0);
-    let qp_sol = qp.solve().unwrap();
+    let mut qp = lp.clone();
+    qp.add_quad(x, x, 1e-7);
+    qp.add_quad(y, y, 1e-7);
+    let qp_sol = QpAutoSolver::default().solve(&qp, &SolveBudget::unlimited()).unwrap();
+    let qp_sol = qp_sol.solved().unwrap();
     assert!((lp_sol.objective - qp_sol.objective).abs() < 1e-3);
     assert!((lp_sol.x[0] - qp_sol.x[0]).abs() < 1e-2);
 }
@@ -56,29 +54,27 @@ fn qp_methods_agree_on_dispatch() {
     // not exposed; instead compare through a raw QP over the generators.
     let ptdf = Ptdf::compute(&net).unwrap();
     let d = net.demand_vector_mw();
-    let ng = net.num_gens();
-    let mut qp = QpProblem::new(ng);
-    let diag: Vec<f64> = net.gens().iter().map(|g| 2.0 * g.cost.a).collect();
-    let lin: Vec<f64> = net.gens().iter().map(|g| g.cost.b).collect();
-    qp.set_quadratic_diag(&diag);
-    qp.set_linear(&lin);
-    qp.add_eq(&vec![1.0; ng], d.iter().sum());
-    for (gi, g) in net.gens().iter().enumerate() {
-        qp.add_bounds(gi, g.pmin_mw, g.pmax_mw);
-    }
-    for l in 0..net.num_lines() {
+    let mut qp = Model::minimize();
+    let p: Vec<_> = net
+        .gens()
+        .iter()
+        .map(|g| {
+            let v = qp.add_var(g.pmin_mw, g.pmax_mw, g.cost.b);
+            qp.add_quad(v, v, 2.0 * g.cost.a);
+            v
+        })
+        .collect();
+    qp.add_row(Row::eq(d.iter().sum()).coefs(p.iter().map(|&v| (v, 1.0))));
+    for (l, line) in net.lines().iter().enumerate() {
         let base: f64 = d.iter().enumerate().map(|(b, &x)| ptdf.factor(l, b) * x).sum();
-        let a: Vec<f64> = net.gens().iter().map(|g| ptdf.factor(l, g.bus.0)).collect();
-        let neg: Vec<f64> = a.iter().map(|v| -v).collect();
-        qp.add_ineq(&a, net.lines()[l].rating_mva + base);
-        qp.add_ineq(&neg, net.lines()[l].rating_mva - base);
+        let a: Vec<_> =
+            net.gens().iter().zip(&p).map(|(g, &v)| (v, ptdf.factor(l, g.bus.0))).collect();
+        qp.add_row(Row::le(line.rating_mva + base).coefs(a.iter().copied()));
+        qp.add_row(Row::ge(base - line.rating_mva).coefs(a.iter().copied()));
     }
-    let a = qp
-        .solve_with(&QpOptions { method: QpMethod::ActiveSet, ..Default::default() })
-        .unwrap();
-    let b = qp
-        .solve_with(&QpOptions { method: QpMethod::InteriorPoint, ..Default::default() })
-        .unwrap();
+    let a = ActiveSetSolver::default().solve(&qp, &SolveBudget::unlimited()).unwrap();
+    let b = IpmSolver::default().solve(&qp, &SolveBudget::unlimited()).unwrap();
+    let (a, b) = (a.solved().unwrap(), b.solved().unwrap());
     assert!((a.objective - b.objective).abs() < 1e-4 * (1.0 + a.objective.abs()));
 }
 

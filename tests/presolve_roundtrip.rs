@@ -15,9 +15,9 @@
 //! [`Postsolve`]: ed_security::optim::Postsolve
 
 use ed_security::core::attack::{optimal_attack_with, AttackConfig, BilevelOptions};
+use ed_security::optim::branch_bound::{self, BranchOptions};
 use ed_security::optim::budget::{SolveBudget, SolveOutcome};
 use ed_security::optim::lp::Row;
-use ed_security::optim::milp::{MilpOptions, MilpProblem};
 use ed_security::optim::model::presolve;
 use ed_security::optim::{ActiveSetSolver, Model, SimplexSolver, Solver};
 use ed_security::powerflow::LineId;
@@ -109,14 +109,11 @@ fn milp_presolve_matches_unpresolved_optimum() {
     m.add_row(Row::le(6.0).coef(x, 1.0).coef(y, 2.0));
     m.set_integer(x);
     m.set_integer(y);
-    let milp = MilpProblem::from_model(m);
-
-    let on = milp
-        .solve_with(&MilpOptions { presolve: Some(true), ..Default::default() })
-        .unwrap();
-    let off = milp
-        .solve_with(&MilpOptions { presolve: Some(false), ..Default::default() })
-        .unwrap();
+    let solve = |presolve| {
+        let opts = BranchOptions { presolve: Some(presolve), ..BranchOptions::integers() };
+        branch_bound::solve(&m, &opts, &SolveBudget::unlimited()).unwrap().solved().unwrap()
+    };
+    let (on, off) = (solve(true), solve(false));
     assert!(on.proved_optimal && off.proved_optimal);
     assert!((on.objective - 26.0).abs() < 1e-9, "obj {}", on.objective);
     assert!((on.objective - off.objective).abs() < 1e-9);
