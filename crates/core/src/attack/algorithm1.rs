@@ -154,7 +154,9 @@ pub struct SweepReport {
     pub warm_fallbacks: usize,
     /// Simplex iterations spent once, before the fan-out, computing the
     /// shared phase-1 seed basis (already included in the sweep's total
-    /// `lp_iterations` tally).
+    /// `lp_iterations` tally). Reads 0 when an offered seed
+    /// ([`BilevelOptions::warm_basis`] or a solution-pool hit) was primal
+    /// feasible for this scenario and kept without running phase 1.
     pub seed_iterations: usize,
 }
 
@@ -197,11 +199,13 @@ pub struct AttackResult {
     /// across thread counts and repeated runs. Wall-clock content lives
     /// only in `timings`/`dur_ms`, never in the deterministic projection.
     pub trace: Option<ed_obs::TraceReport>,
-    /// The shared phase-1 seed basis the exact sweep used (computed once,
-    /// or injected via [`BilevelOptions::warm_basis`] and validated).
-    /// `None` in heuristic-only mode or with warm starts disabled. The
-    /// serve layer stores this per case fingerprint so repeat sweeps of
-    /// the same case skip phase 1 entirely.
+    /// The shared phase-1 seed basis the exact sweep's roots started from:
+    /// computed once, or an offered seed ([`BilevelOptions::warm_basis`]
+    /// or a solution-pool hit) kept because it was primal feasible for
+    /// this scenario. `None` in heuristic-only mode, with warm starts
+    /// disabled, or when phase 1 tripped the budget. The serve layer
+    /// stores this per case fingerprint so repeat sweeps of the same case
+    /// skip phase 1 entirely; an hour chain hands it to the next hour.
     pub seed_basis: Option<ed_optim::lp::Basis>,
 }
 
@@ -248,8 +252,8 @@ pub fn optimal_attack_with(
     let warm_on = options.warm_start.unwrap_or_else(ed_optim::lp::warm_env_enabled);
     // Warm-basis priority: an explicitly injected basis wins; otherwise the
     // scenario-fingerprinted solution pool may hold the seed of an earlier
-    // certified sweep of this exact scenario. Either way the basis is
-    // validated before use and silently dropped on mismatch — pool state is
+    // certified sweep of this exact scenario. Either way the basis is only
+    // an offer, checked once below before any root sees it — pool state is
     // an accelerator, never an input to the answer. Trace-attached runs skip
     // the lookup: a trace is pinned as a pure function of the scenario, and
     // a pool hit would fold another run's history into this run's counters.
@@ -267,9 +271,11 @@ pub fn optimal_attack_with(
     // independent and each is deterministic on its own — the overlap
     // changes wall-clock only, never an answer. The seed is computed once,
     // before the fan-out: siblings differ only in the objective row, so one
-    // phase-1 trajectory serves them all; an injected basis (serve warm
-    // cache) short-circuits even that, and a dimension mismatch falls
-    // through to computing a fresh seed.
+    // phase-1 trajectory serves them all. An offered basis (serve warm
+    // cache, pool hit, previous hour) is checked here once: it skips even
+    // that phase 1 when primal feasible at this scenario's rhs and bounds,
+    // and is replaced by the cold seed otherwise (a dimension mismatch is
+    // dropped by `set_seed`), so every root starts from a seed it accepts.
     let (heuristic, prep) = std::thread::scope(|s| {
         let prep = s.spawn(move || -> Result<(PreparedKkt, usize), CoreError> {
             let mut prepared = KktModel::build(net, config)?.prepare(use_presolve)?;

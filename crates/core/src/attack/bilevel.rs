@@ -78,10 +78,14 @@ pub struct BilevelOptions {
     /// that fails to install falls back to a cold solve, and a warm-started
     /// answer that fails its certificate is re-solved cold.
     pub warm_start: Option<bool>,
-    /// Seed basis injected from outside the sweep (e.g. the serve layer's
+    /// Seed basis offered from outside the sweep (e.g. the serve layer's
     /// per-fingerprint warm cache, holding the last certified sweep's
-    /// basis). Validated against the prepared reduced model's dimensions
-    /// and silently dropped on mismatch, so a stale entry is never trusted.
+    /// basis, or the previous hour's `seed_basis` in an hour chain).
+    /// Checked once per sweep, before any subproblem root sees it: dropped
+    /// on a dimension mismatch with the prepared reduced model, kept (phase
+    /// 1 skipped) when primal feasible at this scenario's rhs and bounds,
+    /// and otherwise replaced by the cold phase-1 seed — so a stale entry
+    /// costs one phase 1 and is never handed to a root.
     pub warm_basis: Option<Basis>,
     /// Test hook: forwards to `SimplexOptions::inject_basis_fault` on
     /// **warm-enabled** primary solves only — cold fallback re-solves stay

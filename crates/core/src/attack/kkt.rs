@@ -258,7 +258,6 @@ impl KktModel {
                 stats: Some(pre.stats),
                 base: self,
                 seed: None,
-                seed_iterations: 0,
             })
         } else {
             Ok(PreparedKkt {
@@ -267,7 +266,6 @@ impl KktModel {
                 stats: None,
                 base: self,
                 seed: None,
-                seed_iterations: 0,
             })
         }
     }
@@ -556,9 +554,9 @@ pub struct PreparedKkt {
     /// never looks at the objective — traces the same pivot path in every
     /// sibling; computing it once and handing the resulting basis to each
     /// subproblem skips that shared prefix without changing any answer.
+    /// Between [`Self::set_seed`] and [`Self::compute_seed`] it holds an
+    /// unchecked offer instead.
     seed: Option<Basis>,
-    /// Simplex iterations spent computing [`Self::seed`].
-    seed_iterations: usize,
 }
 
 impl PreparedKkt {
@@ -620,29 +618,30 @@ impl PreparedKkt {
     }
 
     /// Computes the shared phase-1 seed basis for the sibling subproblems,
-    /// returning the simplex iterations it cost (`0` when a seed is already
-    /// present, phase 1 trips the budget, or the system is infeasible — all
-    /// of which simply leave every subproblem starting cold).
+    /// returning the simplex iterations it cost. A seed installed by
+    /// [`Self::set_seed`] is offered to [`phase1_basis`]: kept at `0`
+    /// iterations when it is primal feasible at this model's rhs and
+    /// bounds, replaced by the cold phase-1 seed otherwise, so no root is
+    /// handed a seed it would reject. Returns `0` and leaves no seed when
+    /// phase 1 trips the budget or fails (e.g. an infeasible system) —
+    /// every subproblem then starts cold.
     pub fn compute_seed(&mut self, budget: &SolveBudget) -> usize {
-        if self.seed.is_some() {
-            return 0;
-        }
-        let options = SimplexOptions::default();
+        let options = SimplexOptions { warm: self.seed.take(), ..SimplexOptions::default() };
         match phase1_basis(&self.reduced, &options, budget) {
             Ok(Some((basis, iterations))) => {
                 self.seed = Some(basis);
-                self.seed_iterations = iterations;
                 iterations
             }
             _ => 0,
         }
     }
 
-    /// Installs an externally stored seed basis (e.g. from a serve-layer
-    /// warm cache). Returns `false` — leaving the prepared model unchanged —
-    /// unless the basis dimensions match the reduced model, so a stale entry
-    /// recorded against a different case or presolve outcome is rejected
-    /// rather than trusted.
+    /// Installs an externally stored seed basis (e.g. a serve-layer warm
+    /// cache entry or the previous hour's seed) as the offer the next
+    /// [`Self::compute_seed`] checks for feasibility. Returns `false` —
+    /// leaving the prepared model unchanged — unless the basis dimensions
+    /// match the reduced model, so an entry recorded against a different
+    /// case or presolve outcome is dropped here.
     pub fn set_seed(&mut self, basis: Basis) -> bool {
         if basis.dims_match(self.reduced.num_vars(), self.reduced.num_rows()) {
             self.seed = Some(basis);
@@ -655,11 +654,6 @@ impl PreparedKkt {
     /// The current seed basis, if one was computed or installed.
     pub fn seed(&self) -> Option<&Basis> {
         self.seed.as_ref()
-    }
-
-    /// Simplex iterations spent by [`Self::compute_seed`].
-    pub fn seed_iterations(&self) -> usize {
-        self.seed_iterations
     }
 
     /// Maps a reduced solution vector back to the original variable space

@@ -71,7 +71,8 @@ pub struct SimplexOptions {
     /// verdict the repair is allowed to issue itself is infeasibility: a
     /// dual ray found on freshly factored bases is a Farkas proof about
     /// the problem, independent of which basis the walk started from, and
-    /// is returned without a cold re-derivation.
+    /// is returned without a cold re-derivation. [`phase1_basis`] reads it
+    /// as an offered seed, kept only when primal feasible.
     pub warm: Option<Basis>,
 }
 
@@ -1089,6 +1090,14 @@ pub(crate) fn solve_budgeted(
 /// the state a cold solve reaches after phase 1, so its warm answer is
 /// bit-identical to its cold answer by construction.
 ///
+/// A seed offered in [`SimplexOptions::warm`] (e.g. one recorded against
+/// the same constraint matrix before an rhs change) is checked first: when
+/// it installs and is primal feasible at this model's rhs and bounds, it
+/// comes back unchanged with 0 pivots. Any other offer — wrong dimensions,
+/// a singular basis matrix, a violated bound — is discarded and the cold
+/// phase 1 runs as if none had been made, returning the same basis and
+/// pivot count.
+///
 /// Returns `Ok(None)` when the budget trips mid-phase-1.
 ///
 /// # Errors
@@ -1100,6 +1109,12 @@ pub fn phase1_basis(
     options: &SimplexOptions,
     budget: &SolveBudget,
 ) -> Result<Option<(Basis, usize)>, OptimError> {
+    if let Some(offer) = &options.warm {
+        let mut t = Tableau::build(lp);
+        if t.install_warm(offer).is_ok() && t.primal_infeasibility() <= options.feas_tol {
+            return Ok(Some((offer.clone(), 0)));
+        }
+    }
     let mut t = Tableau::build(lp);
     t.install_artificials()?;
     let mut phase1_cost = vec![0.0; t.ncols];
@@ -1340,7 +1355,9 @@ fn solve_attempt(
 
 #[cfg(test)]
 mod tests {
-    use crate::lp::{Pricing, Row, SimplexOptions};
+    use super::{phase1_basis, Tableau};
+    use crate::budget::SolveBudget;
+    use crate::lp::{Basis, BasisStatus, Pricing, Row, SimplexOptions};
     use crate::model::Model;
     use crate::OptimError;
 
@@ -1519,6 +1536,71 @@ mod tests {
         }
         let s = lp.solve().unwrap();
         assert!(close(s.objective, 1020.0), "obj={}", s.objective);
+    }
+
+    /// A 3 × 4 transportation LP with the supplies and demands of
+    /// `larger_transportation_problem`, every market demand scaled by
+    /// `scale` (an rhs-only change).
+    fn transportation(scale: f64) -> Model {
+        let supply = [35.0, 50.0, 40.0];
+        let demand = [45.0, 20.0, 30.0, 30.0];
+        let mut lp = Model::minimize();
+        let v: Vec<_> = (0..12).map(|k| lp.add_var(0.0, f64::INFINITY, 5.0 + k as f64)).collect();
+        for (i, &s) in supply.iter().enumerate() {
+            lp.add_row(Row::le(s).coefs((0..4).map(|j| (v[i * 4 + j], 1.0))));
+        }
+        for (j, &d) in demand.iter().enumerate() {
+            lp.add_row(Row::ge(scale * d).coefs((0..3).map(|i| (v[i * 4 + j], 1.0))));
+        }
+        lp
+    }
+
+    fn seed(lp: &Model, offer: Option<Basis>) -> (Basis, usize) {
+        let options = SimplexOptions { warm: offer, ..Default::default() };
+        phase1_basis(lp, &options, &SolveBudget::unlimited()).unwrap().unwrap()
+    }
+
+    /// An offered seed comes back unchanged with 0 pivots when it is primal
+    /// feasible; every other offer yields exactly the cold result.
+    #[test]
+    fn phase1_basis_keeps_only_a_feasible_offer() {
+        let lp = transportation(1.0);
+        let cold = seed(&lp, None);
+        assert!(cold.1 > 0, "the cold phase 1 must pivot for this check to mean anything");
+        assert_eq!(seed(&lp, Some(cold.0.clone())), (cold.0.clone(), 0));
+
+        // Recorded before an rhs shift that makes it primal infeasible.
+        let stale = seed(&transportation(0.5), None).0;
+        let mut t = Tableau::build(&lp);
+        t.install_warm(&stale).unwrap();
+        assert!(t.primal_infeasibility() > 1e-6, "the rhs shift must make the offer infeasible");
+        assert_eq!(seed(&lp, Some(stale)), cold);
+
+        let mut small = Model::minimize();
+        let x = small.add_var(0.0, 10.0, 1.0);
+        small.add_row(Row::ge(1.0).coef(x, 1.0));
+        assert_eq!(seed(&lp, Some(seed(&small, None).0)), cold, "wrong dimensions");
+
+        // x00, x01, x10 and x11 close a cycle of the transportation graph
+        // (x00 − x01 − x10 + x11 = 0), so with the slacks of rows 2, 5 and
+        // 6 they make a correctly sized but singular basis matrix.
+        let mut statuses = vec![BasisStatus::AtLower; 12];
+        for j in [0, 1, 4, 5] {
+            statuses[j] = BasisStatus::Basic;
+        }
+        statuses.extend([
+            BasisStatus::AtLower,
+            BasisStatus::AtLower,
+            BasisStatus::Basic,
+            BasisStatus::AtUpper,
+            BasisStatus::AtUpper,
+            BasisStatus::Basic,
+            BasisStatus::Basic,
+        ]);
+        let singular = Basis { statuses, art_rows: Vec::new() };
+        assert!(singular.dims_match(lp.num_vars(), lp.num_rows()));
+        assert!(Tableau::build(&lp).install_warm(&singular).is_err());
+        assert_eq!(seed(&lp, Some(singular)), cold, "singular basis matrix");
     }
 
     #[test]

@@ -263,6 +263,58 @@ fn six_bus_four_hour_delta_chain_final_hour_is_pool_invariant() {
     assert_eq!(cold.target, None, "6-bus chain must stay unattackable: {:?}", cold.target);
 }
 
+/// One 6-bus sweep at `factor ×` nominal demand with warm start, presolve
+/// and certification forced on, single-threaded, offered `warm_basis`.
+fn six_bus_sweep_at(
+    net: &ed_security::powerflow::Network,
+    factor: f64,
+    warm_basis: Option<ed_security::optim::lp::Basis>,
+) -> AttackResult {
+    let demand: Vec<f64> = net.buses().iter().map(|b| b.demand_mw * factor).collect();
+    let mut cfg = six_bus_config(net).demand(demand);
+    cfg.options.warm_start = Some(true);
+    cfg.options.presolve = Some(true);
+    cfg.options.certify = Some(true);
+    cfg.options.threads = Some(1);
+    cfg.options.warm_basis = warm_basis;
+    optimal_attack(net, &cfg).expect("6-bus sweep solves")
+}
+
+/// The answer's bits: per-subproblem violations, `ucap_pct`, `ua_mw`,
+/// `dispatch_mw` and the target.
+type AnswerBits = (Vec<u64>, u64, Vec<u64>, Vec<u64>, Option<(LineId, i8)>);
+
+fn answer_bits(r: &AttackResult) -> AnswerBits {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let violations: Vec<f64> = r.subproblems.iter().map(|s| s.violation).collect();
+    (bits(&violations), r.ucap_pct.to_bits(), bits(&r.ua_mw), bits(&r.dispatch_mw), r.target)
+}
+
+/// A seed handed to the next demand level is checked once per sweep, not
+/// at every subproblem root: the ×0.8 seed is primal infeasible at ×1.0,
+/// so the sweep re-derives the cold phase-1 seed (spending phase-1
+/// iterations once) and no root is offered a basis it would reject. The
+/// answer is then the fresh ×1.0 sweep's, bit for bit. An exact repeat's
+/// seed is feasible and kept without running phase 1.
+#[test]
+fn six_bus_stale_handoff_is_rederived_once_per_sweep() {
+    let net = cases::six_bus();
+    let fresh = six_bus_sweep_at(&net, 1.0, None);
+    let stale = six_bus_sweep_at(&net, 0.8, None).seed_basis;
+    assert!(stale.is_some(), "the ×0.8 sweep produced no seed");
+
+    let handed = six_bus_sweep_at(&net, 1.0, stale);
+    assert_eq!(handed.sweep.cold_restarts, 0, "a root was offered a seed it rejected");
+    assert!(handed.sweep.seed_iterations > 0, "the stale seed was kept without phase 1");
+    assert_eq!(answer_bits(&handed), answer_bits(&fresh), "stale hand-off moved the answer");
+
+    let repeat = six_bus_sweep_at(&net, 1.0, handed.seed_basis.clone());
+    assert_eq!(repeat.sweep.seed_iterations, 0, "an exact repeat's seed ran phase 1");
+    assert_eq!(repeat.sweep.cold_restarts, 0, "an exact repeat's seed was rejected at a root");
+    assert_eq!(repeat.seed_basis, handed.seed_basis, "an accepted seed must come back unchanged");
+    assert_eq!(answer_bits(&repeat), answer_bits(&fresh), "exact repeat moved the answer");
+}
+
 /// Lower-bound invariant: on every (line, direction) subproblem the corner
 /// heuristic's achieved violation is ≤ the exact optimum (the heuristic
 /// evaluates feasible candidates; the exact solver maximizes over all of
