@@ -185,8 +185,7 @@ impl CellInput<'_> {
             // free.
             threads: Some(1),
             // The atlas's contract includes per-cell certificate status:
-            // force certification on regardless of ED_CERTIFY so rows do
-            // not depend on the caller's environment.
+            // certification stays on explicitly, whatever the default.
             certify: Some(true),
             trace: Some(false),
             warm_basis: self.warm.clone(),

@@ -2,14 +2,10 @@
 //!
 //! A **chain** is the `hours` cells of one fixed (case, E_D subset,
 //! outage) coordinate, run sequentially so the exact sweep's seed basis
-//! hands off hour-to-hour (warm starts never change answers — PR 7's
-//! pinned invariant — so the hand-off is pure speed). Chains are
-//! independent and go onto the `ed-par` pool. Behind the explicit
-//! hand-off, each cell's sweep also reads and feeds the attack layer's
-//! scenario-keyed `ed_core::pool::SolutionPool` (`ED_POOL` gated), so
-//! repeated sweeps of the same scenario — a re-run, or the same hour
-//! under a different outage column resolving to an identical scenario —
-//! skip phase 1 even across chains.
+//! hands off hour-to-hour through `BilevelOptions::warm_basis` (warm
+//! starts never change answers, so the hand-off is pure speed). That
+//! hand-off is the only seed a cell's sweep gets. Chains are independent
+//! and go onto the `ed-par` pool.
 //!
 //! Per cell, the life cycle is: journal `claim` → attempt loop (panic
 //! shield + typed faults, retries with the jittered `ed-ems` backoff
@@ -381,22 +377,6 @@ mod tests {
         assert_eq!(a.rows.len(), 12);
         std::fs::remove_file(ja).ok();
         std::fs::remove_file(jb).ok();
-    }
-
-    #[test]
-    fn exact_cells_deposit_into_the_solution_pool() {
-        use ed_core::pool::SolutionPool;
-        let spec = small_spec();
-        let j = temp_journal("pool");
-        let report = run_atlas(&AtlasOptions::new(spec, j.clone())).unwrap();
-        assert!(report.rows.iter().any(|r| matches!(r.kind, crate::report::RowKind::Completed)));
-        if SolutionPool::enabled() {
-            assert!(
-                !SolutionPool::global().is_empty(),
-                "an exact-tier atlas run must leave warm scenario state in the pool"
-            );
-        }
-        std::fs::remove_file(j).ok();
     }
 
     #[test]

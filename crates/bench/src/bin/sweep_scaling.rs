@@ -4,8 +4,8 @@
 //! `available_parallelism` worker threads, verifies the results are
 //! bit-identical across thread counts, and writes `BENCH_attack.json` with
 //! the measured wall clocks plus the sweep's [`SweepReport`]: the shared
-//! KKT model is presolved once (forced on here, independent of
-//! `ED_PRESOLVE`), so the JSON also records the full vs reduced model
+//! KKT model is presolved once (forced on here; the library default is
+//! off), so the JSON also records the full vs reduced model
 //! dimensions and the presolve reduction ratio. The hardware thread count
 //! is recorded so numbers from a core-starved container are not mistaken
 //! for a scaling regression: on a 1-core host all thread counts time out
@@ -283,8 +283,8 @@ fn main() {
     // (ED_POOL=0, warm starts off): each hour re-runs the presolve fixpoint,
     // refactors the susceptance matrix, and recomputes phase 1 from scratch.
     // Warm = the production path: the shared factor pool, the KKT presolve
-    // patch-cache, the scenario solution pool, and the hour-to-hour basis
-    // hand-off all engaged. The chains must agree hour by hour on every
+    // patch-cache, and the hour-to-hour basis hand-off all engaged. The
+    // chains must agree hour by hour on every
     // answer field (ucap, overload, u^a, dispatch, target) bit-for-bit —
     // the delta machinery is an accelerator, never an input to the
     // answer. Per-subproblem *objectives* are held to the certificate
@@ -352,7 +352,6 @@ fn main() {
         }
     }
     std::env::set_var("ED_POOL", "1");
-    ed_core::pool::SolutionPool::global().clear();
     let mut warm_walls: Vec<f64> = Vec::with_capacity(CHAIN_HOURS * REPS);
     let mut warm_equals_cold_chain = true;
     for _ in 0..REPS {
@@ -377,8 +376,8 @@ fn main() {
         }
     }
     // One instrumented (untimed) warm pass for the reuse evidence: how many
-    // hours patched their presolve, hit the scenario pool, and shared the
-    // factorization.
+    // hours patched their presolve and shared the factorization. Algorithm 1
+    // reads no solution pool, so `pool_hits` stays 0.
     ed_obs::set_enabled(true);
     ed_obs::reset();
     {

@@ -24,7 +24,6 @@ use crate::attack::kkt::{KktModel, PreparedKkt};
 use crate::attack::{AttackConfig, ViolationMetric};
 use crate::CoreError;
 use ed_optim::budget::BudgetTripped;
-use ed_optim::model::presolve;
 use ed_optim::{Certificate, PresolveStats, Solution, Tolerances};
 use ed_powerflow::{LineId, Network};
 
@@ -154,9 +153,9 @@ pub struct SweepReport {
     pub warm_fallbacks: usize,
     /// Simplex iterations spent once, before the fan-out, computing the
     /// shared phase-1 seed basis (already included in the sweep's total
-    /// `lp_iterations` tally). Reads 0 when an offered seed
-    /// ([`BilevelOptions::warm_basis`] or a solution-pool hit) was primal
-    /// feasible for this scenario and kept without running phase 1.
+    /// `lp_iterations` tally). Reads 0 when the offered seed
+    /// ([`BilevelOptions::warm_basis`]) was primal feasible for this
+    /// scenario and kept without running phase 1.
     pub seed_iterations: usize,
 }
 
@@ -200,12 +199,12 @@ pub struct AttackResult {
     /// only in `timings`/`dur_ms`, never in the deterministic projection.
     pub trace: Option<ed_obs::TraceReport>,
     /// The shared phase-1 seed basis the exact sweep's roots started from:
-    /// computed once, or an offered seed ([`BilevelOptions::warm_basis`]
-    /// or a solution-pool hit) kept because it was primal feasible for
-    /// this scenario. `None` in heuristic-only mode, with warm starts
-    /// disabled, or when phase 1 tripped the budget. The serve layer
-    /// stores this per case fingerprint so repeat sweeps of the same case
-    /// skip phase 1 entirely; an hour chain hands it to the next hour.
+    /// computed once, or the offered seed ([`BilevelOptions::warm_basis`])
+    /// kept because it was primal feasible for this scenario. `None` in
+    /// heuristic-only mode, with warm starts disabled, or when phase 1
+    /// tripped the budget. The serve layer pools this per scenario
+    /// fingerprint so repeat sweeps of the same scenario skip phase 1
+    /// entirely; an hour chain hands it to the next hour.
     pub seed_basis: Option<ed_optim::lp::Basis>,
 }
 
@@ -249,30 +248,17 @@ pub fn optimal_attack_with(
     // (budget clones share the cancellation flag).
     let mut options = config.options.clone();
     options.budget = options.budget.clone().cancellable();
-    let warm_on = options.warm_start.unwrap_or_else(ed_optim::lp::warm_env_enabled);
-    // Warm-basis priority: an explicitly injected basis wins; otherwise the
-    // scenario-fingerprinted solution pool may hold the seed of an earlier
-    // certified sweep of this exact scenario. Either way the basis is only
-    // an offer, checked once below before any root sees it — pool state is
-    // an accelerator, never an input to the answer. Trace-attached runs skip
-    // the lookup: a trace is pinned as a pure function of the scenario, and
-    // a pool hit would fold another run's history into this run's counters.
-    let scenario_key = crate::pool::scenario_fingerprint(net, config);
-    let warm_basis = options.warm_basis.take().or_else(|| {
-        (exact && warm_on && !trace_on)
-            .then(|| crate::pool::SolutionPool::global().lookup(scenario_key))
-            .flatten()
-            .map(|entry| entry.basis)
-    });
-    let use_presolve = config.options.presolve.unwrap_or_else(presolve::env_enabled);
+    let warm_on = options.warm_start.unwrap_or(true);
+    let warm_basis = options.warm_basis.take();
+    let use_presolve = config.options.presolve.unwrap_or(false);
     let seed_budget = options.budget.clone();
     // Model build + presolve + the shared phase-1 seed run on a helper
     // thread, overlapped with the heuristic stage. The two are fully
     // independent and each is deterministic on its own — the overlap
     // changes wall-clock only, never an answer. The seed is computed once,
     // before the fan-out: siblings differ only in the objective row, so one
-    // phase-1 trajectory serves them all. An offered basis (serve warm
-    // cache, pool hit, previous hour) is checked here once: it skips even
+    // phase-1 trajectory serves them all. The offered `warm_basis` (serve's
+    // pooled seed, the previous hour's) is checked here once: it skips even
     // that phase 1 when primal feasible at this scenario's rhs and bounds,
     // and is replaced by the cold seed otherwise (a dimension mismatch is
     // dropped by `set_seed`), so every root starts from a seed it accepts.
@@ -336,8 +322,8 @@ pub fn optimal_attack_with(
     let mut walls: Vec<f64> = Vec::new();
 
     // The invariant KKT blocks (primal/dual feasibility, stationarity,
-    // complementarity pairs) were assembled exactly once and — unless
-    // disabled by `options.presolve` / `ED_PRESOLVE=0` — presolved once;
+    // complementarity pairs) were assembled exactly once and — when
+    // `options.presolve` enables it — presolved once;
     // each subproblem is an objective patch on the shared reduced model.
     // Heuristic-only runs build it too, so their records carry the same
     // (presolved) model dimensions.
@@ -461,25 +447,6 @@ pub fn optimal_attack_with(
     let trace =
         trace_on.then(|| build_trace(&sweep, &subproblems, total_nodes, lp_iterations, &walls));
     let seed_basis = if exact { prepared.seed().cloned() } else { None };
-    // Certified invalidation: a sweep with any failed certificate evicts
-    // the scenario's pooled state; a clean sweep deposits its seed basis and
-    // dispatch for the next solve of the same scenario.
-    if exact {
-        let pool = crate::pool::SolutionPool::global();
-        if sweep.uncertified > 0 {
-            pool.invalidate(scenario_key);
-        } else if let Some(basis) = seed_basis.clone() {
-            pool.store(
-                scenario_key,
-                crate::pool::PoolEntry {
-                    basis,
-                    dispatch_mw: dispatch.clone(),
-                    ucap_pct,
-                    certified: sweep.certified + sweep.cert_repaired > 0,
-                },
-            );
-        }
-    }
     Ok(AttackResult {
         ucap_pct,
         overload_mw: overload,
@@ -774,8 +741,8 @@ fn run_subproblem_inner(
     } else {
         None
     };
-    let warm_on = options.warm_start.unwrap_or_else(ed_optim::lp::warm_env_enabled);
-    let use_certify = options.certify.unwrap_or_else(ed_optim::certify::env_enabled);
+    let warm_on = options.warm_start.unwrap_or(true);
+    let use_certify = options.certify.unwrap_or(true);
     match solve_subproblem(prepared, line, dir, scale, options, hint) {
         SubproblemAttempt::Solved(mut sol) => {
             let warm_starts = sol.warm_starts;

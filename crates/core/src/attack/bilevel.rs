@@ -5,7 +5,7 @@
 use crate::attack::kkt::PreparedKkt;
 use ed_optim::branch_bound::{self, BranchOptions};
 use ed_optim::budget::{BudgetTripped, SolveBudget, SolveOutcome};
-use ed_optim::lp::{warm_env_enabled, Basis, Row};
+use ed_optim::lp::{Basis, Row};
 use ed_optim::OptimError;
 use ed_powerflow::LineId;
 
@@ -51,15 +51,14 @@ pub struct BilevelOptions {
     /// bit-identical across thread counts.
     pub threads: Option<usize>,
     /// Presolve the shared KKT base model once before the sweep, so each
-    /// subproblem is an objective patch on the reduced model: `Some(flag)`
-    /// forces it, `None` defers to the `ED_PRESOLVE` environment variable.
+    /// subproblem is an objective patch on the reduced model. `None` means
+    /// the default, **off**.
     pub presolve: Option<bool>,
     /// Independently certify every exact subproblem solution against the
     /// full-space KKT model (primal feasibility, complementarity,
     /// objective consistency); a failed certificate triggers one repair
-    /// re-solve with the alternate reformulation. `Some(flag)` forces it,
-    /// `None` defers to the `ED_CERTIFY` environment variable (default
-    /// **on**).
+    /// re-solve with the alternate reformulation. `None` means the
+    /// default, **on**.
     pub certify: Option<bool>,
     /// Attach a deterministic [`ed_obs::TraceReport`] to the
     /// [`AttackResult`](crate::attack::AttackResult): per-subproblem spans
@@ -72,20 +71,20 @@ pub struct BilevelOptions {
     /// Warm-start the solver stack: compute one shared phase-1 seed basis
     /// for the sibling subproblems (they differ only in the objective row,
     /// which phase 1 never reads) and hand each branch-and-bound parent's
-    /// optimal basis to its children for a dual-simplex restart. `Some(flag)`
-    /// forces it, `None` defers to the `ED_WARM` environment variable
-    /// (default **on**). Warm starts never change answers: a warm basis
-    /// that fails to install falls back to a cold solve, and a warm-started
-    /// answer that fails its certificate is re-solved cold.
+    /// optimal basis to its children for a dual-simplex restart. `None`
+    /// means the default, **on**. Warm starts never change answers: a warm
+    /// basis that fails to install falls back to a cold solve, and a
+    /// warm-started answer that fails its certificate is re-solved cold.
     pub warm_start: Option<bool>,
-    /// Seed basis offered from outside the sweep (e.g. the serve layer's
-    /// per-fingerprint warm cache, holding the last certified sweep's
-    /// basis, or the previous hour's `seed_basis` in an hour chain).
-    /// Checked once per sweep, before any subproblem root sees it: dropped
-    /// on a dimension mismatch with the prepared reduced model, kept (phase
-    /// 1 skipped) when primal feasible at this scenario's rhs and bounds,
-    /// and otherwise replaced by the cold phase-1 seed — so a stale entry
-    /// costs one phase 1 and is never handed to a root.
+    /// Seed basis offered from outside the sweep, and the only way a seed
+    /// enters Algorithm 1: e.g. serve's pooled seed from the last certified
+    /// sweep of the same scenario, or the previous hour's `seed_basis` in
+    /// an hour chain. Checked once per sweep, before any subproblem root
+    /// sees it: dropped on a dimension mismatch with the prepared reduced
+    /// model, kept (phase 1 skipped) when primal feasible at this
+    /// scenario's rhs and bounds, and otherwise replaced by the cold
+    /// phase-1 seed — so a stale entry costs one phase 1 and is never
+    /// handed to a root.
     pub warm_basis: Option<Basis>,
     /// Test hook: forwards to `SimplexOptions::inject_basis_fault` on
     /// **warm-enabled** primary solves only — cold fallback re-solves stay
@@ -230,8 +229,8 @@ pub(crate) fn solve_subproblem(
     // The reduced model's objective differs from the original by `offset`;
     // hints and reported objectives convert at this boundary.
     opts.incumbent_hint = incumbent_hint.map(|h| h - offset);
-    opts.presolve = Some(false);
-    opts.warm = options.warm_start.unwrap_or_else(warm_env_enabled);
+    opts.presolve = false;
+    opts.warm = options.warm_start.unwrap_or(true);
     if opts.warm {
         // Root restart from the sweep's shared phase-1 seed; the install
         // path re-verifies feasibility, so a rejected seed just costs a cold

@@ -636,8 +636,8 @@ impl PreparedKkt {
         }
     }
 
-    /// Installs an externally stored seed basis (e.g. a serve-layer warm
-    /// cache entry or the previous hour's seed) as the offer the next
+    /// Installs an externally stored seed basis (e.g. serve's pooled seed
+    /// or the previous hour's seed) as the offer the next
     /// [`Self::compute_seed`] checks for feasibility. Returns `false` —
     /// leaving the prepared model unchanged — unless the basis dimensions
     /// match the reduced model, so an entry recorded against a different

@@ -18,9 +18,9 @@
 //! - [`mitigation`] — the defenses sketched in Section VII: in-bound and
 //!   trend plausibility checks, attack-aware robust dispatch, and N-version
 //!   replica cross-checking.
-//! - [`pool`] — scenario-fingerprinted warm-start pool with certified
-//!   invalidation, shared by Algorithm 1, `ed-atlas` hour chains, and the
-//!   `ed-serve` warm cache (`ED_POOL` gated).
+//! - [`pool`] — scenario-fingerprinted seed pool with certified
+//!   invalidation, used by `ed-serve` to start repeat `/sweep`s of a
+//!   scenario from the last certified seed (`ED_POOL` gated).
 //!
 //! # Example: the paper's 3-bus attack
 //!

@@ -1,22 +1,22 @@
-//! Scenario-fingerprinted solution pool with certified invalidation.
+//! Scenario-fingerprinted seed pool with certified invalidation.
 //!
-//! The attack sweep (Algorithm 1), the `ed-atlas` hour chains, and the
-//! `ed-serve` warm cache all re-solve near-identical scenarios: the same
-//! network under a slightly different demand profile, rating band, or
-//! attack budget. Each certified sweep leaves behind exactly the state the
-//! next solve of the *same* scenario wants — the shared phase-1 seed
-//! [`Basis`], the optimal dispatch, and the attack magnitude — so this
-//! module keeps a process-wide pool of them keyed by a scenario
-//! fingerprint.
+//! `ed-serve` answers repeat `/sweep` requests for the same scenario: the
+//! same network, DLR lines, rating bounds, true ratings and demand. A
+//! certified sweep leaves behind its shared phase-1 seed [`Basis`], which
+//! is exactly what the next sweep of that scenario wants, so this module
+//! keeps a process-wide pool of seeds keyed by [`scenario_fingerprint`].
+//! Serve's `/sweep` is the one depositor and the one reader; it hands a
+//! pooled seed to Algorithm 1 as `BilevelOptions::warm_basis`, which is
+//! the only way a seed enters a sweep.
 //!
-//! **Trust semantics (certified invalidation):** entries record whether
-//! the sweep that produced them was certified. A consumer observing a
-//! failed certificate for a scenario calls [`SolutionPool::invalidate`],
-//! which evicts the entry — the pool never serves state downstream of a
-//! known-bad answer. Warm starts sourced here inherit the PR 7 proof
-//! standard: an installed basis that fails validation is dropped and a
-//! warm answer that fails its certificate is re-solved cold, so the pool
-//! is a pure accelerator and can never change an answer.
+//! **Trust semantics (certified invalidation):** only a fully certified
+//! sweep deposits its seed, and [`SolutionPool::invalidate_network`]
+//! evicts every seed of a network whose warm state a failed certificate
+//! or an atlas quarantine has tainted — the pool never serves state
+//! downstream of a known-bad answer. A pooled seed is still only an offer:
+//! Algorithm 1 checks it once per sweep and re-derives the cold seed when
+//! it does not fit, so the pool is a pure accelerator and can never
+//! change an answer.
 //!
 //! The pool (together with the shared factor pool in `ed-powerflow` and
 //! the KKT presolve patch-cache) is gated by `ED_POOL`: on by default,
@@ -29,18 +29,14 @@ use ed_powerflow::{fnv1a, network_fingerprint, pool_env_enabled, Network};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-/// One pooled solution: the certified leftovers of a completed sweep.
+/// One pooled seed: the shared phase-1 basis of a fully certified sweep.
 #[derive(Debug, Clone)]
 pub struct PoolEntry {
     /// Shared phase-1 seed basis of the sweep (reduced-model dimensions).
     pub basis: Basis,
-    /// Optimal dispatch of the worst-case subproblem, MW per generator.
-    pub dispatch_mw: Vec<f64>,
-    /// Worst-case rating violation, percent of the true rating.
-    pub ucap_pct: f64,
-    /// Whether every exact subproblem of the producing sweep passed its
-    /// independent certificate.
-    pub certified: bool,
+    /// [`network_fingerprint`] of the sweep's network, so
+    /// [`SolutionPool::invalidate_network`] can find every seed of it.
+    pub network: u64,
 }
 
 /// Process-wide pool of [`PoolEntry`]s keyed by scenario fingerprint,
@@ -57,8 +53,7 @@ struct PoolInner {
     order: Vec<u64>,
 }
 
-/// Entry cap: generous for a 24 h × case-family × contingency atlas run
-/// while bounding a long-running server's memory.
+/// Entry cap: bounds a long-running server's memory.
 const POOL_CAP: usize = 256;
 
 impl SolutionPool {
@@ -104,8 +99,8 @@ impl SolutionPool {
         }
     }
 
-    /// Stores (or replaces) the entry for a scenario. No-op when pooling
-    /// is off.
+    /// Stores (or replaces) the entry for a scenario. Callers deposit only
+    /// the seeds of fully certified sweeps. No-op when pooling is off.
     pub fn store(&self, key: u64, entry: PoolEntry) {
         if !Self::enabled() {
             return;
@@ -122,14 +117,20 @@ impl SolutionPool {
         ed_obs::counter("core.pool.stores", 1);
     }
 
-    /// Certified invalidation: a failed certificate for this scenario
-    /// evicts its entry so nothing downstream reuses tainted state.
-    pub fn invalidate(&self, key: u64) {
+    /// Certified invalidation: evicts every entry recorded against the
+    /// network with fingerprint `network`, leaving other networks' entries
+    /// alone. Returns the number of entries evicted.
+    pub fn invalidate_network(&self, network: u64) -> usize {
         let mut inner = self.inner.lock().expect("solution pool lock");
-        if inner.entries.remove(&key).is_some() {
-            inner.order.retain(|&k| k != key);
-            ed_obs::counter("core.pool.invalidations", 1);
+        let PoolInner { entries, order } = &mut *inner;
+        entries.retain(|_, e| e.network != network);
+        let before = order.len();
+        order.retain(|k| entries.contains_key(k));
+        let evicted = before - order.len();
+        if evicted > 0 {
+            ed_obs::counter("core.pool.invalidations", evicted as u64);
         }
+        evicted
     }
 
     /// Number of pooled entries.
@@ -186,20 +187,25 @@ pub fn scenario_fingerprint(net: &Network, config: &AttackConfig) -> u64 {
 mod tests {
     use super::*;
 
-    fn entry(tag: f64) -> PoolEntry {
-        PoolEntry { basis: Basis::default(), dispatch_mw: vec![tag], ucap_pct: tag, certified: true }
+    fn entry(network: u64) -> PoolEntry {
+        PoolEntry { basis: Basis::default(), network }
     }
 
     #[test]
-    fn store_lookup_invalidate_roundtrip() {
+    fn invalidate_network_evicts_only_that_network() {
         let pool = SolutionPool::new();
-        pool.store(7, entry(1.0));
+        pool.store(1, entry(10));
+        pool.store(2, entry(10));
+        pool.store(3, entry(20));
         if SolutionPool::enabled() {
-            assert_eq!(pool.lookup(7).unwrap().ucap_pct, 1.0);
-            pool.invalidate(7);
-            assert!(pool.lookup(7).is_none());
+            assert_eq!(pool.invalidate_network(10), 2);
+            assert!(pool.lookup(1).is_none() && pool.lookup(2).is_none());
+            assert_eq!(pool.lookup(3).map(|e| e.network), Some(20));
+            assert_eq!(pool.invalidate_network(10), 0, "nothing left to evict");
+            assert_eq!(pool.len(), 1);
         } else {
-            assert!(pool.lookup(7).is_none());
+            assert!(pool.is_empty());
+            assert_eq!(pool.invalidate_network(10), 0);
         }
     }
 
@@ -207,7 +213,7 @@ mod tests {
     fn fifo_cap_bounds_entries() {
         let pool = SolutionPool::new();
         for k in 0..(POOL_CAP as u64 + 10) {
-            pool.store(k, entry(k as f64));
+            pool.store(k, entry(k));
         }
         if SolutionPool::enabled() {
             assert_eq!(pool.len(), POOL_CAP);

@@ -12,7 +12,7 @@
 //!   relaxations stay tight; this is the scalable default.
 //!
 //! Everything else is shared. The root model is presolved once (when
-//! enabled via [`BranchOptions::presolve`] or `ED_PRESOLVE`); presolve
+//! enabled via [`BranchOptions::presolve`]); presolve
 //! never eliminates pair columns, so branching happens on the mapped
 //! variables of the reduced model and the final point is mapped back
 //! exactly. Every node then bound-patches the *reduced* shared model —
@@ -108,9 +108,8 @@ pub struct BranchOptions {
     /// Optional known feasible objective (in the problem's own sense) used
     /// to prune from the start — e.g. from a problem-specific heuristic.
     pub incumbent_hint: Option<f64>,
-    /// Presolve the root model before branching: `Some(flag)` forces it,
-    /// `None` defers to the `ED_PRESOLVE` environment variable.
-    pub presolve: Option<bool>,
+    /// Presolve the root model before branching (default off).
+    pub presolve: bool,
     /// Hand each child node its parent's optimal basis as a warm start.
     /// Disabling this never changes answers — only iteration counts.
     pub warm: bool,
@@ -136,7 +135,7 @@ impl BranchOptions {
             gap_abs,
             simplex: SimplexOptions::default(),
             incumbent_hint: None,
-            presolve: None,
+            presolve: false,
             warm: true,
         }
     }
@@ -310,8 +309,7 @@ fn search(
     let sense = model.sense();
 
     // Root presolve (once; the node loop never re-presolves).
-    let use_presolve = options.presolve.unwrap_or_else(presolve::env_enabled);
-    let (mut lp, post): (Model, Option<Postsolve>) = if use_presolve {
+    let (mut lp, post): (Model, Option<Postsolve>) = if options.presolve {
         let pre = presolve::presolve(model)?;
         (pre.reduced, Some(pre.postsolve))
     } else {
@@ -472,7 +470,7 @@ fn search(
                 warm_starts,
                 cold_restarts,
                 // A reduced-space basis does not transfer through postsolve.
-                basis: if use_presolve { None } else { incumbent_basis },
+                basis: if options.presolve { None } else { incumbent_basis },
             }))
         }
         None if stack.is_empty() => Err(OptimError::Infeasible),
@@ -599,9 +597,9 @@ mod tests {
         m.add_row(Row::le(4.0).coef(vars[0], 2.0).coef(vars[1], 3.0).coef(vars[2], 1.0));
         m.add_row(Row::le(3.0).coef(fixed, 1.0));
         let plain =
-            run(&m, &BranchOptions { presolve: Some(false), ..BranchOptions::integers() }).unwrap();
+            run(&m, &BranchOptions { presolve: false, ..BranchOptions::integers() }).unwrap();
         let pre =
-            run(&m, &BranchOptions { presolve: Some(true), ..BranchOptions::integers() }).unwrap();
+            run(&m, &BranchOptions { presolve: true, ..BranchOptions::integers() }).unwrap();
         assert!((plain.objective - 10.0).abs() < 1e-6, "obj={}", plain.objective);
         assert!((pre.objective - plain.objective).abs() < 1e-9);
         assert_eq!(pre.x.len(), plain.x.len());
@@ -644,7 +642,7 @@ mod tests {
         m.add_row(Row::ge(1.0).coef(y, 1.0));
         m.add_pair(x, y);
         for presolve in [false, true] {
-            let opts = BranchOptions { presolve: Some(presolve), ..BranchOptions::pairs() };
+            let opts = BranchOptions { presolve, ..BranchOptions::pairs() };
             let res = run(&m, &opts);
             assert!(matches!(res, Err(OptimError::Infeasible)), "{res:?}");
         }
@@ -656,7 +654,7 @@ mod tests {
         let y = m.add_var(0.0, 2.0, 1.0);
         m.add_row(Row::ge(1.0).coef(x, 1.0));
         m.add_pair(x, y);
-        let opts = BranchOptions { presolve: Some(true), ..BranchOptions::pairs() };
+        let opts = BranchOptions { presolve: true, ..BranchOptions::pairs() };
         let sol = run(&m, &opts).unwrap();
         assert!(sol.proved_optimal);
         assert!((sol.objective - 2.0).abs() < 1e-9, "obj {}", sol.objective);
@@ -688,9 +686,9 @@ mod tests {
         m.add_row(Row::le(6.0).coef(x, 2.0).coef(y, 2.0)); // dominated duplicate
         m.add_row(Row::le(5.0).coef(fixed, 1.0)); // singleton on the fixed var
         let plain =
-            run(&m, &BranchOptions { presolve: Some(false), ..BranchOptions::pairs() }).unwrap();
+            run(&m, &BranchOptions { presolve: false, ..BranchOptions::pairs() }).unwrap();
         let pre =
-            run(&m, &BranchOptions { presolve: Some(true), ..BranchOptions::pairs() }).unwrap();
+            run(&m, &BranchOptions { presolve: true, ..BranchOptions::pairs() }).unwrap();
         assert!((plain.objective - 5.0).abs() < 1e-7, "obj={}", plain.objective);
         assert!((pre.objective - plain.objective).abs() < 1e-9);
         for (p, q) in pre.x.iter().zip(&plain.x) {

@@ -26,9 +26,8 @@
 //!
 //! [`CertifiedSolver`] wraps any [`Solver`] with an automatic repair
 //! ladder: certify → re-solve with tightened tolerances → alternate
-//! backends → flag the result as uncertified. The `ED_CERTIFY`
-//! environment variable (default **on**; `0`/`false`/`off` disables)
-//! gates the call sites across the workspace.
+//! backends → flag the result as uncertified. Callers decide whether to
+//! certify; Algorithm 1 does by default (`BilevelOptions::certify`).
 
 use crate::budget::{SolveBudget, SolveOutcome};
 use crate::model::{Model, RowSense, Sense, Solution, Solver};
@@ -92,16 +91,6 @@ impl Tolerances {
     pub fn tightened(&self) -> Tolerances {
         Tolerances { feas: self.feas / 10.0, opt: self.opt / 10.0, ..*self }
     }
-}
-
-/// Whether certification is enabled by the environment. Unlike
-/// `ED_PRESOLVE`, the default is **on** — trust is opt-out:
-/// `ED_CERTIFY=0`/`false`/`off` disables.
-pub fn env_enabled() -> bool {
-    !matches!(
-        std::env::var("ED_CERTIFY").as_deref(),
-        Ok("0") | Ok("false") | Ok("FALSE") | Ok("off") | Ok("OFF")
-    )
 }
 
 /// Certification outcome, ordered by severity (a solution failing several
@@ -806,17 +795,6 @@ mod tests {
             basis: None,
         };
         assert_eq!(certify(&m, &s, &Tolerances::default()).status, CertStatus::Malformed);
-    }
-
-    #[test]
-    fn env_gate_default_on() {
-        // Not set in the test environment unless the harness set it; both
-        // branches are exercised by scripts/verify.sh.
-        let enabled = env_enabled();
-        match std::env::var("ED_CERTIFY").as_deref() {
-            Ok("0") | Ok("false") | Ok("off") => assert!(!enabled),
-            _ => assert!(enabled),
-        }
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl Basis {
     }
 }
 
-/// Whether warm-started solves are enabled by the environment
-/// (`ED_WARM=0` disables them; anything else, including unset, enables).
-pub fn warm_env_enabled() -> bool {
-    std::env::var("ED_WARM").map(|v| v != "0").unwrap_or(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,5 +16,5 @@ pub(crate) mod pricing;
 pub(crate) mod simplex;
 
 pub use crate::model::{LpSolution, LpStatus, Row, RowId, RowSense, Sense, VarId};
-pub use basis::{warm_env_enabled, Basis, BasisStatus};
+pub use basis::{Basis, BasisStatus};
 pub use simplex::{phase1_basis, Pricing, SimplexOptions};

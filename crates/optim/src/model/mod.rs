@@ -518,67 +518,20 @@ impl Model {
         self.solve_with(&SimplexOptions::default())
     }
 
-    /// Solves with explicit simplex options. When the `ED_PRESOLVE`
-    /// environment variable is `1`/`true`/`on`, the model is presolved
-    /// first and the solution mapped back to the original space (exactly
-    /// for `x`; duals of presolve-removed rows are recovered from
-    /// stationarity).
+    /// Solves with explicit simplex options.
     ///
     /// # Errors
     ///
     /// Same as [`Model::solve`].
     pub fn solve_with(&self, options: &SimplexOptions) -> Result<LpSolution, OptimError> {
         self.validate()?;
-        if presolve::env_enabled() {
-            let pre = presolve::presolve(self)?;
-            let sol = simplex::solve(&pre.reduced, options)?;
-            return Ok(self.audit_postsolve(options, pre.postsolve.restore_lp_solution(sol)));
-        }
         simplex::solve(self, options)
-    }
-
-    /// Post-postsolve audit (gated by `ED_CERTIFY`, default on): certifies
-    /// a presolve-restored solution against *this* — the original,
-    /// un-presolved — model. A failed certificate means the presolve or the
-    /// postsolve mapping corrupted the answer; the repair is to re-solve
-    /// directly without presolve, keeping whichever of the two certifies
-    /// (falling back to the restored answer so callers' own ladders see the
-    /// same shape either way).
-    fn audit_postsolve(&self, options: &SimplexOptions, restored: LpSolution) -> LpSolution {
-        if !crate::certify::env_enabled() {
-            return restored;
-        }
-        let tol = crate::certify::Tolerances {
-            feas: options.feas_tol,
-            opt: options.opt_tol,
-            ..crate::certify::Tolerances::default()
-        };
-        let as_solution = |s: &LpSolution| Solution {
-            x: s.x.clone(),
-            objective: s.objective,
-            row_duals: s.duals.clone(),
-            reduced_costs: s.reduced_costs.clone(),
-            proved_optimal: true,
-            iterations: s.iterations,
-            nodes: 0,
-            basis: None,
-        };
-        if crate::certify::certify(self, &as_solution(&restored), &tol).passed() {
-            return restored;
-        }
-        match simplex::solve(self, options) {
-            Ok(direct) if crate::certify::certify(self, &as_solution(&direct), &tol).passed() => {
-                direct
-            }
-            _ => restored,
-        }
     }
 
     /// Solves under a cooperative [`SolveBudget`]. Exhausting the budget is
     /// not an error: the solver returns [`SolveOutcome::Partial`] carrying
     /// the best feasible iterate reached (phase 2) or `x: None` if the trip
     /// happened before feasibility (phase 1), plus which budget tripped.
-    /// Honors `ED_PRESOLVE` like [`Model::solve_with`].
     ///
     /// # Errors
     ///
@@ -591,17 +544,6 @@ impl Model {
         budget: &SolveBudget,
     ) -> Result<SolveOutcome<LpSolution>, OptimError> {
         self.validate()?;
-        if presolve::env_enabled() {
-            let pre = presolve::presolve(self)?;
-            return Ok(match simplex::solve_budgeted(&pre.reduced, options, budget)? {
-                SolveOutcome::Solved(sol) => SolveOutcome::Solved(
-                    self.audit_postsolve(options, pre.postsolve.restore_lp_solution(sol)),
-                ),
-                SolveOutcome::Partial(p) => {
-                    SolveOutcome::Partial(pre.postsolve.restore_partial(p))
-                }
-            });
-        }
         simplex::solve_budgeted(self, options, budget)
     }
 

@@ -28,23 +28,13 @@
 //! (`rc_j = c_j − Σ_i y_i·a_ij`) by replaying removals in reverse, so
 //! downstream LMP extraction keeps working with presolve enabled.
 //!
-//! The `ED_PRESOLVE` environment variable (`1`/`true`/`on`) routes the
-//! continuous [`Model::solve`] entry points through presolve automatically;
-//! everything here is also callable explicitly.
+//! Presolve is always explicit: [`Model::solve`] never presolves on its
+//! own. Callers run [`presolve`] themselves or set
+//! [`BranchOptions::presolve`](crate::branch_bound::BranchOptions::presolve).
 
 use super::{LpSolution, Model, RowSense, Sense, VarId};
-use crate::budget::Partial;
 use crate::OptimError;
 use std::sync::Arc;
-
-/// `true` when the `ED_PRESOLVE` environment variable enables presolve.
-/// Read on every call so tests can toggle it in-process.
-pub fn env_enabled() -> bool {
-    matches!(
-        std::env::var("ED_PRESOLVE").ok().as_deref(),
-        Some("1" | "true" | "TRUE" | "on" | "ON")
-    )
-}
 
 /// Fingerprint of a model's **structure** — everything [`Presolved::patch`]
 /// requires to be unchanged: optimization sense, the constraint-matrix
@@ -1040,17 +1030,6 @@ impl Postsolve {
             }
         }
         (red, offset)
-    }
-
-    /// Expands a reduced [`Partial`] (incumbent and bounds shifted by the
-    /// objective offset, primal point restored).
-    pub fn restore_partial(&self, p: Partial) -> Partial {
-        Partial {
-            x: p.x.map(|x| self.restore_x(&x)),
-            objective: p.objective.map(|o| o + self.obj_offset),
-            bound: p.bound.map(|b| b + self.obj_offset),
-            ..p
-        }
     }
 
     /// Expands a reduced [`LpSolution`]: primal restored exactly, objective

@@ -303,13 +303,6 @@ fn solve_once(
             Err(e) => return Err(e),
         };
 
-        if std::env::var_os("ED_QP_TRACE").is_some() && iterations.is_multiple_of(50) {
-            eprintln!(
-                "iter {iterations}: |W|={} obj={:.6}",
-                w.len(),
-                qp.objective_value(&x)
-            );
-        }
         let p_norm = ed_linalg::norm_inf(&p);
         if p_norm <= options.step_tol * (1.0 + ed_linalg::norm_inf(&x)) {
             // Candidate optimum: check working-set multipliers.

@@ -5,14 +5,17 @@
 //! style: an invalidation swaps the map slot, while in-flight requests
 //! keep their (still-consistent) snapshot until they finish. Invalidation
 //! is *certified*: a `/certify` answer that fails its certificate, or a
-//! sweep with uncertified subproblems, evicts the entry — the next
-//! request rebuilds the factorization from the case definition instead of
-//! trusting possibly-poisoned warm state.
+//! sweep with uncertified subproblems, evicts the entry and drops the
+//! case's pooled sweep seeds, so the next request starts without a
+//! last-known-good dispatch or a seed derived from the failed state. The
+//! factorization is reused: it comes back from the process-wide factor
+//! pool, because it is a pure function of the network and a failed LP
+//! certificate does not implicate it.
 
 use crate::metrics::{bump, metrics};
 use ed_core::dispatch::ResilientDispatcher;
-use ed_optim::lp::Basis;
-use ed_powerflow::{fnv1a, FactorCache, Network};
+use ed_core::pool::SolutionPool;
+use ed_powerflow::{fnv1a, network_fingerprint, FactorCache, Network};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -28,54 +31,6 @@ pub struct CaseEntry {
     /// serializes dispatches *per case*, which is also what keeps the LKG
     /// hand-off race-free.
     pub dispatcher: Mutex<ResilientDispatcher>,
-    /// Last fully-certified sweep's shared seed basis, keyed by a
-    /// fingerprint of the sweep parameters (DLR lines, bounds, true
-    /// ratings, demand): a repeat `/sweep` of the same case skips the
-    /// shared phase-1 solve entirely. One slot per case bounds memory;
-    /// the attack layer re-validates dimensions before trusting it, and
-    /// certified invalidation drops it with the rest of the entry.
-    ///
-    /// This slot is the per-case fast path; behind it, the attack layer's
-    /// scenario-keyed [`ed_core::pool::SolutionPool`] serves the same
-    /// basis to any caller of the sweep (atlas chains, repeat requests
-    /// after an entry rebuild), so a displaced or evicted slot is a
-    /// performance miss, not a cold start.
-    pub sweep_basis: Mutex<Option<(u64, Basis)>>,
-}
-
-impl CaseEntry {
-    /// The stored sweep seed basis, if one was recorded under `key`.
-    pub fn sweep_basis_for(&self, key: u64) -> Option<Basis> {
-        let slot = self
-            .sweep_basis
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        slot.as_ref().filter(|(k, _)| *k == key).map(|(_, b)| b.clone())
-    }
-
-    /// Records `basis` as the warm seed for sweeps keyed by `key`. Callers
-    /// must only store bases from **fully certified** sweeps.
-    pub fn store_sweep_basis(&self, key: u64, basis: Basis) {
-        let mut slot = self
-            .sweep_basis
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *slot = Some((key, basis));
-    }
-
-    /// Drops the stored sweep basis (any key) while keeping the rest of
-    /// the entry warm. Returns whether a basis was present. This is the
-    /// narrow eviction for atlas quarantine events: a quarantined cell
-    /// says "solves on this case faulted repeatedly", which taints the
-    /// warm seed basis specifically — the factorization and last-known-
-    /// good dispatch were independently audited and stay.
-    pub fn clear_sweep_basis(&self) -> bool {
-        let mut slot = self
-            .sweep_basis
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        slot.take().is_some()
-    }
 }
 
 /// The set of named cases the service will build.
@@ -110,10 +65,9 @@ impl WarmCache {
     /// A typed reason string when the case is unknown or its
     /// factorization fails — the caller turns this into a refusal.
     pub fn entry(&self, case: &str) -> Result<Arc<CaseEntry>, String> {
-        let key = fnv1a(case.bytes());
-        if let Some(e) = self.lock().get(&key) {
+        if let Some(e) = self.warm(case) {
             bump(&metrics().cache_hits);
-            return Ok(Arc::clone(e));
+            return Ok(e);
         }
         bump(&metrics().cache_misses);
         let net = build_network(case)
@@ -123,12 +77,12 @@ impl WarmCache {
         // this entry — is shared instead of refactored.
         let factors = FactorCache::shared(&net)
             .map_err(|e| format!("case '{case}' cannot be factored: {e}"))?;
+        let key = fnv1a(case.bytes());
         let entry = Arc::new(CaseEntry {
             fingerprint: key,
             net: Arc::new(net),
             factors,
             dispatcher: Mutex::new(ResilientDispatcher::new()),
-            sweep_basis: Mutex::new(None),
         });
         // Double-build race on a cold miss is harmless: last writer wins
         // and the loser's Arc drops when its requests finish.
@@ -136,27 +90,25 @@ impl WarmCache {
         Ok(entry)
     }
 
-    /// Certified invalidation: drops the entry so the next request
-    /// rebuilds from the case definition (losing warm factors *and* the
-    /// last-known-good, which is the point — both derived from state that
-    /// just failed an independent audit).
-    pub fn invalidate(&self, case: &str) -> bool {
-        let key = fnv1a(case.bytes());
-        let removed = self.lock().remove(&key).is_some();
-        if removed {
-            bump(&metrics().cache_invalidations);
-        }
-        removed
+    /// The warm entry for `case`, if one is cached. Never builds one.
+    pub fn warm(&self, case: &str) -> Option<Arc<CaseEntry>> {
+        self.lock().get(&fnv1a(case.bytes())).cloned()
     }
 
-    /// Quarantine-driven eviction: drops only the sweep seed basis for
-    /// `case`, keeping the warm entry (factors, last-known-good) intact.
-    /// Returns whether a basis was actually dropped; a cold case is a
-    /// no-op — there is nothing warm to taint.
-    pub fn clear_sweep_basis(&self, case: &str) -> bool {
+    /// Certified invalidation: drops the entry and every pooled sweep seed
+    /// of its network — the last-known-good dispatch and the seeds both
+    /// derive from state that just failed an independent audit. The next
+    /// request rebuilds the entry with a fresh dispatcher; its factors come
+    /// back from the factor pool, since they depend only on the network
+    /// and a failed certificate does not implicate them.
+    pub fn invalidate(&self, case: &str) -> bool {
         let key = fnv1a(case.bytes());
-        let entry = self.lock().get(&key).cloned();
-        entry.is_some_and(|e| e.clear_sweep_basis())
+        let removed = self.lock().remove(&key);
+        if let Some(entry) = &removed {
+            bump(&metrics().cache_invalidations);
+            SolutionPool::global().invalidate_network(network_fingerprint(&entry.net));
+        }
+        removed.is_some()
     }
 
     /// Number of warm entries.
@@ -200,25 +152,26 @@ mod tests {
     }
 
     #[test]
-    fn sweep_basis_is_keyed_and_dropped_on_invalidation() {
-        use ed_optim::lp::BasisStatus;
+    fn invalidation_drops_the_cases_pooled_seeds() {
+        use ed_core::pool::PoolEntry;
+        use ed_optim::lp::Basis;
         let cache = WarmCache::new();
         let entry = cache.entry("three_bus").unwrap();
-        let basis = Basis {
-            statuses: vec![BasisStatus::Basic, BasisStatus::AtLower],
-            art_rows: Vec::new(),
-        };
-        assert!(entry.sweep_basis_for(7).is_none(), "cold slot must miss");
-        entry.store_sweep_basis(7, basis.clone());
-        assert_eq!(entry.sweep_basis_for(7), Some(basis.clone()));
-        assert!(entry.sweep_basis_for(8).is_none(), "wrong key must miss");
-        // A newer sweep under different parameters displaces the slot.
-        entry.store_sweep_basis(9, basis);
-        assert!(entry.sweep_basis_for(7).is_none());
-        // Certified invalidation rebuilds a cold entry — no basis survives.
+        let network = network_fingerprint(&entry.net);
+        let pool = SolutionPool::global();
+        // Two sweep scenarios of this case, keyed apart from anything
+        // another test of this binary could pool.
+        let keys = [network ^ 1, network ^ 2];
+        for key in keys {
+            pool.store(key, PoolEntry { basis: Basis::default(), network });
+        }
+        assert_eq!(pool.lookup(keys[0]).is_some(), SolutionPool::enabled());
         assert!(cache.invalidate("three_bus"));
-        let fresh = cache.entry("three_bus").unwrap();
-        assert!(fresh.sweep_basis_for(9).is_none());
+        for key in keys {
+            assert!(pool.lookup(key).is_none(), "an invalidated case kept a pooled seed");
+        }
+        // A cold case has nothing to invalidate.
+        assert!(!cache.invalidate("six_bus"));
     }
 
     #[test]

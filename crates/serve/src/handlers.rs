@@ -15,9 +15,10 @@ use crate::json::{self, esc, num, num_array, Json};
 use crate::metrics::{bump, metrics};
 use ed_core::attack::{optimal_attack, AttackConfig};
 use ed_core::dispatch::{DcOpf, Degradation, Dispatch, SafetyGate, SafetyReport};
+use ed_core::pool::{scenario_fingerprint, PoolEntry, SolutionPool};
 use ed_core::{CoreError, SolveBudget};
 use ed_optim::Trust;
-use ed_powerflow::LineId;
+use ed_powerflow::{network_fingerprint, LineId};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -102,7 +103,7 @@ impl Response {
 
 /// `GET /atlas`: reports the configured atlas journal's recovery state
 /// and couples the sweep's quarantine verdicts back into the warm cache —
-/// any case the atlas quarantined has its stored sweep seed basis
+/// any warm case the atlas quarantined has its pooled sweep seeds
 /// evicted (narrowly: factors and last-known-good stay, both being
 /// independently audited). Answered inline by the acceptor so it stays
 /// responsive under work-queue saturation, like the other control
@@ -128,17 +129,13 @@ pub fn handle_atlas(state: &AppState) -> Response {
     };
     let mut evicted: Vec<String> = Vec::new();
     for case in scan.quarantined_cases() {
-        if state.cache.clear_sweep_basis(&case) {
+        // A cold case has no pooled seeds: invalidating an entry drops
+        // them with it.
+        let network = state.cache.warm(&case).map(|e| network_fingerprint(&e.net));
+        if network.is_some_and(|n| SolutionPool::global().invalidate_network(n) > 0) {
             bump(&metrics().atlas_quarantine_evictions);
             evicted.push(case);
         }
-    }
-    // The per-case slot is only the fast path: the attack layer's
-    // scenario-keyed solution pool could re-serve a quarantined case's
-    // basis from behind it. Quarantine is rare and coarse, so drop the
-    // whole pool — purely a performance reset, never an answer change.
-    if !scan.quarantined_cases().is_empty() {
-        ed_core::pool::SolutionPool::global().clear();
     }
     let quarantined = scan.quarantined_cases();
     let join = |names: &[String]| {
@@ -435,8 +432,9 @@ fn certify(state: &AppState, body: &Json, deadline: Instant) -> Response {
     ))
 }
 
-/// `POST /sweep` — Algorithm 1 attack assessment; a sweep with any
-/// uncertified subproblem refuses and evicts the warm entry.
+/// `POST /sweep` — Algorithm 1 attack assessment, started from the pooled
+/// seed of a repeat scenario; a sweep with any uncertified subproblem
+/// refuses and evicts the warm entry.
 fn sweep(state: &AppState, body: &Json, deadline: Instant) -> Response {
     let (entry, demand, _ratings) = match case_inputs(state, body) {
         Ok(v) => v,
@@ -497,26 +495,13 @@ fn sweep(state: &AppState, body: &Json, deadline: Instant) -> Response {
         config.options.node_limit = (nodes as usize).clamp(1, 1_000_000);
     }
 
-    // Warm-start a repeat sweep from the last fully-certified run's seed
-    // basis, keyed by the sweep parameters. The attack layer re-validates
-    // dimensions and certifies every answer, so a stale entry can cost
+    // Warm-start a repeat sweep of the same scenario from the pooled seed
+    // of its last fully-certified run. The attack layer checks the seed
+    // once and certifies every answer, so a stale entry can cost
     // iterations but never change a result.
-    let sweep_key = {
-        let mut bytes = case.as_bytes().to_vec();
-        for l in &config.dlr_lines {
-            bytes.extend_from_slice(&(l.0 as u64).to_le_bytes());
-        }
-        for v in config.u_min.iter().chain(&config.u_max).chain(&config.u_d) {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        if let Some(demand) = &config.demand_mw {
-            for v in demand {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        ed_powerflow::fnv1a(bytes)
-    };
-    config.options.warm_basis = entry.sweep_basis_for(sweep_key);
+    let pool = SolutionPool::global();
+    let scenario = scenario_fingerprint(&entry.net, &config);
+    config.options.warm_basis = pool.lookup(scenario).map(|e| e.basis);
     if config.options.warm_basis.is_some() {
         bump(&metrics().sweep_basis_hits);
     }
@@ -544,7 +529,8 @@ fn sweep(state: &AppState, body: &Json, deadline: Instant) -> Response {
     // with no certificates (certify off) is not trusted warm state.
     if let Some(basis) = res.seed_basis.clone() {
         if res.sweep.certified + res.sweep.cert_repaired == res.subproblems.len() {
-            entry.store_sweep_basis(sweep_key, basis);
+            let network = network_fingerprint(&entry.net);
+            pool.store(scenario, PoolEntry { basis, network });
         }
     }
 

@@ -62,12 +62,12 @@ service_metrics! {
     cache_misses,
     /// Cache entries evicted by certified invalidation.
     cache_invalidations,
-    /// `/sweep` requests that started from a stored certified seed basis.
+    /// `/sweep` requests that started from a pooled certified seed basis.
     sweep_basis_hits,
     /// `/atlas` polls (successful or refused).
     atlas_polls,
-    /// Warm sweep bases evicted because the atlas quarantined a cell of
-    /// the same case.
+    /// Cases whose pooled sweep seeds were evicted because the atlas
+    /// quarantined a cell of the case.
     atlas_quarantine_evictions,
     /// Responses the server failed to write (client gone).
     write_failures,

@@ -1,5 +1,5 @@
 //! `/atlas` endpoint tests: the sweep journal's quarantine verdicts must
-//! flow back into the warm cache (evicting only the sweep seed basis of
+//! flow back into the warm cache (evicting only the pooled sweep seeds of
 //! the quarantined case), and an unconfigured or unreadable journal must
 //! be a typed refusal — never a guessed answer.
 
@@ -61,7 +61,9 @@ fn unreadable_journal_is_a_typed_refusal_not_a_guess() {
 
 #[test]
 fn quarantine_events_evict_the_matching_sweep_basis() {
+    use ed_core::pool::{PoolEntry, SolutionPool};
     use ed_optim::lp::{Basis, BasisStatus};
+    use ed_powerflow::network_fingerprint;
 
     // A journal recording a quarantined cell on three_bus.
     let path = temp_journal("evict");
@@ -74,13 +76,17 @@ fn quarantine_events_evict_the_matching_sweep_basis() {
     drop(j);
 
     let server = start(Some(path.to_str().unwrap().to_string()));
-    // Warm two cases with stored sweep bases; only the quarantined case's
-    // basis may be evicted.
+    // Warm two cases with pooled sweep seeds; only the quarantined case's
+    // seed may be evicted.
+    let pool = SolutionPool::global();
     let basis = Basis { statuses: vec![BasisStatus::Basic], art_rows: Vec::new() };
     let tainted = server.state.cache.entry("three_bus").unwrap();
-    tainted.store_sweep_basis(7, basis.clone());
+    let network = network_fingerprint(&tainted.net);
+    pool.store(7, PoolEntry { basis: basis.clone(), network });
     let healthy = server.state.cache.entry("six_bus").unwrap();
-    healthy.store_sweep_basis(9, basis);
+    pool.store(9, PoolEntry { basis, network: network_fingerprint(&healthy.net) });
+    // With ED_POOL=0 nothing was pooled, so nothing can be evicted.
+    let pooling = SolutionPool::enabled();
 
     let (status, v) = get_atlas(&server);
     assert_eq!(status, 200, "{v:?}");
@@ -88,18 +94,17 @@ fn quarantine_events_evict_the_matching_sweep_basis() {
     assert_eq!(v.get("completed").and_then(Json::as_f64), Some(2.0));
     assert_eq!(v.get("quarantine_events").and_then(Json::as_f64), Some(1.0));
     let evicted = str_array(&v, "evicted_bases");
-    assert_eq!(evicted, vec!["three_bus".to_string()], "{v:?}");
+    let expected: Vec<String> = if pooling { vec!["three_bus".to_string()] } else { Vec::new() };
+    assert_eq!(evicted, expected, "{v:?}");
     assert_eq!(str_array(&v, "quarantined_cases"), vec!["three_bus".to_string()]);
 
-    assert!(
-        tainted.sweep_basis_for(7).is_none(),
-        "quarantined case must lose its warm sweep basis"
+    assert!(pool.lookup(7).is_none(), "quarantined case must lose its pooled sweep seed");
+    assert_eq!(
+        pool.lookup(9).is_some(),
+        pooling,
+        "unquarantined case must keep its pooled sweep seed"
     );
-    assert!(
-        healthy.sweep_basis_for(9).is_some(),
-        "unquarantined case must keep its warm sweep basis"
-    );
-    // The entry itself stays warm — only the basis is tainted.
+    // Both entries stay warm — only the seed is tainted.
     assert_eq!(server.state.cache.len(), 2);
 
     // A second poll has nothing left to evict: idempotent.

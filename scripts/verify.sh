@@ -29,32 +29,18 @@ run() {
 # Offline everywhere: the workspace has no external dependencies and the
 # build must not reach for a network that CI may not have.
 run cargo build --release --offline --workspace
-# The suite must pass both sequentially and on a multi-threaded pool —
-# Algorithm 1 and PTDF/LODF assembly promise bit-identical results at any
-# thread count (ED_THREADS is read by ed-par).
-run env ED_THREADS=1 cargo test -q --offline --workspace
-run env ED_THREADS=4 cargo test -q --offline --workspace
-# ... and with the model presolve both off and on (ED_PRESOLVE routes every
-# env-gated solve entry point through presolve/postsolve; results must be
-# indistinguishable either way).
-run env ED_PRESOLVE=0 cargo test -q --offline --workspace
-run env ED_PRESOLVE=1 cargo test -q --offline --workspace
-# ... and with solution certification both off and on (ED_CERTIFY gates the
-# independent certificate audit + repair ladder; default is on, and turning
-# it off must never change any solver *answer* — only whether it is audited).
-run env ED_CERTIFY=0 cargo test -q --offline --workspace
-run env ED_CERTIFY=1 cargo test -q --offline --workspace
-# ... and with the observability recorder both off and on (ED_TRACE gates
-# spans/counters/timings; default off. Recording must never change an
-# answer, and the parallel-determinism fingerprints must hold either way).
-run env ED_TRACE=0 cargo test -q --offline --workspace
-run env ED_TRACE=1 cargo test -q --offline --workspace
-# ... and with the cross-scenario pools (shared factorizations + certified
-# warm-start pool) both off and on (ED_POOL; default on). Pool state is an
-# accelerator, never an input to an answer — every test must pass with
-# pooling disabled and with entries flowing across tests in one process.
-run env ED_POOL=0 cargo test -q --offline --workspace
-run env ED_POOL=1 cargo test -q --offline --workspace
+# The workspace suite runs twice. Leg 1: the defaults (any switch set in
+# the caller's environment is cleared).
+run env -u ED_THREADS -u ED_TRACE -u ED_POOL cargo test -q --offline --workspace
+# Leg 2: every env switch at a non-default value. None may change an answer:
+# - ED_THREADS=4 forces a parallel pool even on a 1-thread host, where the
+#   default leg runs sequentially (Algorithm 1 and PTDF/LODF assembly
+#   promise bit-identical results at any thread count; the tests that pin
+#   `threads: Some(1)` keep the sequential path covered);
+# - ED_TRACE=1 turns the observability recorder on;
+# - ED_POOL=0 disables every cross-scenario reuse path (shared factors, the
+#   KKT presolve patch-cache, serve's sweep-seed pool).
+run env ED_THREADS=4 ED_TRACE=1 ED_POOL=0 cargo test -q --offline --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 # The benchmark package (benchmark/) sits outside the workspace, so none of
 # the runs above build it: smoke-test it here so an API change in crates/*

@@ -72,7 +72,7 @@ fn run(model: &Model, rule: Rule, k: Knobs) -> String {
         Rule::Integers => BranchOptions::integers(),
         Rule::Pairs => BranchOptions::pairs(),
     };
-    opts.presolve = Some(k.presolve);
+    opts.presolve = k.presolve;
     opts.warm = k.warm;
     if let Some(n) = k.max_nodes {
         opts.max_nodes = n;

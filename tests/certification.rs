@@ -1,6 +1,6 @@
 //! End-to-end certification contracts: every exact solve in an Algorithm 1
 //! sweep carries a passing [`Certificate`] at default tolerances, the
-//! `ED_CERTIFY`/`BilevelOptions::certify` gate really gates, and an
+//! `BilevelOptions::certify` gate really gates, and an
 //! injected simplex basis-memory fault on the 118-bus KKT LP is detected
 //! and repaired by the [`CertifiedSolver`] ladder.
 //!

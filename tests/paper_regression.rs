@@ -180,10 +180,9 @@ fn ieee118_node_capped_sweep_matches_certified_golden_violations() {
 /// Runs the 6-bus 4-hour delta-resolve chain (the short form of
 /// `sweep_scaling`'s 24-hour bench chain: diurnal demand profile, certify
 /// on, presolve on, single-threaded hours) and returns the final hour's
-/// result. `delta` engages every delta path — hour-to-hour basis hand-off,
-/// the scenario solution pool, the KKT presolve patch-cache; `!delta`
-/// forces each hour cold (`warm_start = false` disables both the hand-off
-/// and the pool read).
+/// result. `delta` engages every delta path — the hour-to-hour basis
+/// hand-off and the KKT presolve patch-cache; `!delta` forces each hour
+/// cold (`warm_start = false` disables the hand-off).
 fn six_bus_delta_chain(net: &ed_security::powerflow::Network, delta: bool) -> AttackResult {
     const HOURS: usize = 4;
     let mut handoff: Option<ed_security::optim::lp::Basis> = None;
@@ -211,8 +210,8 @@ fn six_bus_delta_chain(net: &ed_security::powerflow::Network, delta: bool) -> At
 
 /// Golden pin for the 6-bus 4-hour delta-resolve chain: the final hour's
 /// exact violations must be **byte-identical** with the delta machinery on
-/// and off — the warm chain's pivot paths, patched presolves, and pool
-/// reads may only change how fast the answer arrives, never which bits it
+/// and off — the warm chain's pivot paths and patched presolves may only
+/// change how fast the answer arrives, never which bits it
 /// carries — and both must sit on the golden values (same ±0.05 pp
 /// tolerance as the sibling pins).
 #[test]

@@ -62,6 +62,15 @@ fn with_warm(config: &AttackConfig, on: bool) -> AttackConfig {
     c
 }
 
+/// The 6-bus cases also run on the presolved KKT model: the sweep then
+/// patches every objective onto the reduced model and hands reduced-space
+/// bases around, and the same invariants must hold there.
+fn with_presolve(config: &AttackConfig, presolve: Option<bool>) -> AttackConfig {
+    let mut c = config.clone();
+    c.options.presolve = presolve;
+    c
+}
+
 /// The basis hand-off must change pivot *paths*, never answers: the sweep
 /// with warm starts forced on and forced off must agree **bit-for-bit** on
 /// every attack-answer field (`ucap`, overload, `u^a`, dispatch, target)
@@ -191,8 +200,10 @@ fn three_bus_sweep_bit_identical_across_thread_counts() {
 #[test]
 fn six_bus_sweep_bit_identical_across_thread_counts() {
     let net = ed_security::cases::six_bus();
-    let config = six_bus_config(&net);
-    assert_thread_invariant(&net, &config, "six_bus", &[2, 4]);
+    for presolve in [None, Some(true)] {
+        let config = with_presolve(&six_bus_config(&net), presolve);
+        assert_thread_invariant(&net, &config, &format!("six_bus presolve {presolve:?}"), &[2, 4]);
+    }
 }
 
 #[test]
@@ -213,8 +224,10 @@ fn three_bus_warm_and_cold_sweeps_bit_identical() {
 #[test]
 fn six_bus_warm_and_cold_sweeps_bit_identical() {
     let net = ed_security::cases::six_bus();
-    let config = six_bus_config(&net);
-    assert_warm_cold_invariant(&net, &config, "six_bus");
+    for presolve in [None, Some(true)] {
+        let config = with_presolve(&six_bus_config(&net), presolve);
+        assert_warm_cold_invariant(&net, &config, &format!("six_bus presolve {presolve:?}"));
+    }
 }
 
 #[test]

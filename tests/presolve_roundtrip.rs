@@ -7,9 +7,7 @@
 //! (after the recorded offset), for LPs, QPs and MILPs alike. These tests
 //! pin that contract on hand-built problems with known optima, then
 //! cross-check the full Algorithm 1 sweep with presolve forced on vs off
-//! (the `AttackConfig.options.presolve` override is the same code path the
-//! `ED_PRESOLVE` environment variable selects; `scripts/verify.sh` runs the
-//! whole suite under both env settings).
+//! through the `AttackConfig.options.presolve` override.
 //!
 //! [`Model`]: ed_security::optim::Model
 //! [`Postsolve`]: ed_security::optim::Postsolve
@@ -110,7 +108,7 @@ fn milp_presolve_matches_unpresolved_optimum() {
     m.set_integer(x);
     m.set_integer(y);
     let solve = |presolve| {
-        let opts = BranchOptions { presolve: Some(presolve), ..BranchOptions::integers() };
+        let opts = BranchOptions { presolve, ..BranchOptions::integers() };
         branch_bound::solve(&m, &opts, &SolveBudget::unlimited()).unwrap().solved().unwrap()
     };
     let (on, off) = (solve(true), solve(false));

@@ -233,11 +233,6 @@ fn random_models_agree_across_presolve_methods_and_certification() {
 #[test]
 fn warm_started_resolves_agree_with_cold_across_seeded_models() {
     let budget = SolveBudget::unlimited();
-    // Under ED_PRESOLVE=1 every model-level solve maps back through
-    // postsolve, which by design drops the reduced-space basis — the
-    // hand-off battery needs the direct path. The presolve-on behavior
-    // (basis absent, warm offer skipped) is itself asserted below.
-    let presolve_on = presolve::env_enabled();
     for i in 0..50u64 {
         let p = GenParams {
             seed: 0xBA51_5000 + i,
@@ -248,14 +243,6 @@ fn warm_started_resolves_agree_with_cold_across_seeded_models() {
         let m = random_model(p);
         if !p.quadratic {
             let cold = m.solve().expect("cold LP solves");
-            if presolve_on {
-                assert!(
-                    cold.basis.is_none(),
-                    "seed {:#x}: a postsolved solution must not leak a reduced-space basis",
-                    p.seed
-                );
-                continue;
-            }
             let basis = cold.basis.clone().expect("direct simplex reports its basis");
             let warm_solve = |warm: Basis| {
                 m.solve_with(&SimplexOptions { warm: Some(warm), ..SimplexOptions::default() })
@@ -325,10 +312,6 @@ fn warm_started_resolves_agree_with_cold_across_seeded_models() {
             let cold = solved(qp.solve(&m, &budget).expect("cold QP solves"));
             let twin = random_model(GenParams { quadratic: false, ..p });
             let twin_basis = twin.solve().expect("twin LP solves").basis;
-            if presolve_on {
-                assert!(twin_basis.is_none());
-                continue;
-            }
             let check = |warm: Option<&Basis>, label: &str| {
                 let w = solved(qp.solve_warm(&m, &budget, warm).expect("warm QP solves"));
                 assert!(
@@ -429,10 +412,6 @@ fn chain_check(p: ChainParams) -> Result<(), String> {
     let tol = Tolerances::default();
     let base = chain_model(p, 0);
     let base_pre = presolve::presolve(&base).map_err(|e| format!("base presolve failed: {e}"))?;
-    // Under ED_PRESOLVE=1 Model::solve_with maps every solve through its
-    // own presolve, which drops the reduced-space basis — the warm
-    // hand-off leg only runs on the direct path.
-    let presolve_on = presolve::env_enabled();
     let mut warm: Option<Basis> = None;
     for step in 1..=p.steps {
         let variant = chain_model(p, step);
@@ -463,9 +442,7 @@ fn chain_check(p: ChainParams) -> Result<(), String> {
             .map_err(|e| format!("step {step}: patched solve failed: {e}"))?;
         let delta_x = patched.postsolve.restore_x(&delta_sol.x);
         let delta_obj = variant.objective_value(&delta_x);
-        if !presolve_on {
-            warm = delta_sol.basis.clone();
-        }
+        warm = delta_sol.basis.clone();
 
         // The two paths must agree within Tolerances on the original model.
         let infeas = variant.infeasibility(&delta_x);
