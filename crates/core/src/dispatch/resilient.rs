@@ -160,7 +160,7 @@ impl ResilientDispatcher {
 
     /// [`dispatch`](ResilientDispatcher::dispatch) with a pre-built shared
     /// factorization for the safety-gate audit, skipping the per-interval
-    /// `O(n³)` refactorization — the warm-cache path for services that
+    /// refactorization — the warm-cache path for services that
     /// dispatch the same topology across many requests.
     ///
     /// # Errors

@@ -129,7 +129,7 @@ pub struct SafetyGate<'a> {
 impl<'a> SafetyGate<'a> {
     /// Builds the gate around the network's shared factorization: repeat
     /// audits of the same topology (EMS case studies, replica checks) reuse
-    /// the pooled factors instead of refactoring `O(n³)` per gate. With
+    /// the pooled factors instead of refactoring per gate. With
     /// `ED_POOL=0` this degrades to a fresh, bit-identical factorization.
     ///
     /// # Errors
@@ -145,7 +145,7 @@ impl<'a> SafetyGate<'a> {
     }
 
     /// Builds the gate around an existing shared factorization of the same
-    /// network, skipping the `O(n³)` refactorization — the warm-cache path
+    /// network, skipping the refactorization — the warm-cache path
     /// for long-running services that audit many dispatches per topology.
     /// The caller is responsible for the cache matching the network.
     pub fn with_factors(net: &'a Network, cache: std::sync::Arc<FactorCache>) -> SafetyGate<'a> {

@@ -1,13 +1,15 @@
-//! Dense linear-algebra substrate for the `ed-security` workspace.
+//! Linear-algebra substrate for the `ed-security` workspace.
 //!
 //! The power-flow and optimization crates in this workspace need a small but
-//! reliable set of dense numerical kernels:
+//! reliable set of numerical kernels:
 //!
 //! - [`Matrix`] — a row-major dense `f64` matrix with the usual arithmetic,
 //!   slicing and assembly helpers.
-//! - [`Lu`] — LU factorization with partial pivoting, used for linear solves
-//!   in the Newton–Raphson AC power flow, PTDF computation, and the
-//!   active-set QP solver.
+//! - [`Lu`] — sparse LU factorization with partial pivoting (only the
+//!   factors' nonzeros are stored, bit-identical to dense elimination),
+//!   used for the simplex basis and for linear solves in the
+//!   Newton–Raphson AC power flow, PTDF computation, and the active-set QP
+//!   solver.
 //! - [`UpdatableLu`] — an [`Lu`] plus a product-form eta file of rank-1
 //!   updates (column replacement and Sherman–Morrison), with a
 //!   stability-triggered refactorization fallback; backs the simplex basis
@@ -15,13 +17,15 @@
 //! - [`Complex`] — complex arithmetic for AC admittance matrices.
 //! - [`CscMatrix`] — compressed sparse column storage for constraint
 //!   matrices, with dense↔sparse conversion and column iteration; the
-//!   interchange format between the optimization model IR and presolve.
+//!   interchange format between the optimization model IR, presolve and
+//!   [`Lu`].
 //!
 //! Everything here is implemented from scratch (no external linear-algebra
 //! crates) and sized for the problems in this workspace: networks with up to
 //! a few hundred buses, and optimization bases with up to a few thousand
-//! rows. All kernels are `O(n^3)` dense algorithms with partial pivoting for
-//! stability.
+//! rows. Dense [`Matrix`] arithmetic is plain `O(n^3)`/`O(n^2)` loops; the
+//! LU factorization and its solves touch only nonzeros, because the KKT
+//! bases and susceptance matrices they factor are well under 1% dense.
 //!
 //! # Example
 //!

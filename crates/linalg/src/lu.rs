@@ -1,13 +1,45 @@
-//! LU factorization with partial pivoting.
+//! Sparse LU factorization with partial pivoting.
+//!
+//! [`Lu`] stores only the nonzeros of its factors: the strict lower part
+//! of `L` by columns, the strict upper part of `U` by rows, and the pivots
+//! apart. It is factored left-looking, one column of a [`CscMatrix`] at a
+//! time, and makes exactly the pivot choices of textbook right-looking
+//! dense elimination with row swaps: at step `k` the pivot is the largest
+//! |value| among the unpivoted rows, ties going to the smallest *current*
+//! row position (the position earlier swaps left the row in, not its
+//! index in `A`), and the step fails as singular under the same
+//! `1e-12 · max|a_ij|` floor.
+//!
+//! # Why the bits match dense elimination
+//!
+//! Dense elimination updates entry `(i, k)` once per earlier pivot `j`
+//! with `l_ij ≠ 0`, in ascending `j`: `a_ik -= l_ij · u_jk`. The
+//! left-looking loop visits the pivots that reach column `k` in ascending
+//! position order (a bitset over positions), so every entry receives the
+//! same nonzero updates in the same order, and the pivot search sees the
+//! same values. The updates it skips are the ones with `u_jk = 0`. The
+//! same holds for the solves: `L` by columns gives the forward
+//! substitution's and `U` by rows the back substitution's ascending-`j`
+//! sums, and the transposed solves read the same arrays the other way
+//! round; they skip only the products of stored zeros.
+//!
+//! Subtracting a zero product leaves every finite value unchanged except
+//! `-0.0`, which it can turn into `+0.0`. So for finite inputs the pivot
+//! sequence, the determinant and every nonzero entry of a factor or a
+//! solution are bit-identical to the dense kernel, and an exact-zero
+//! solution entry can differ only in its sign (no caller branches on the
+//! sign of a zero). `crates/linalg/tests/lu.rs` keeps the dense kernel as
+//! the reference and checks `to_bits` equality.
 
-use crate::{LinalgError, Matrix};
+use crate::{CscMatrix, LinalgError, Matrix};
+use std::cell::RefCell;
 
 /// An LU factorization `P A = L U` of a square matrix with partial pivoting.
 ///
 /// The factorization is computed once and can then solve many right-hand
-/// sides cheaply (`O(n^2)` per solve). This is the backbone of the AC
-/// power-flow Newton iterations, PTDF assembly, and the active-set QP
-/// solver's KKT solves.
+/// sides, each in time proportional to the stored nonzeros. This is the
+/// backbone of the simplex basis, the AC power-flow Newton iterations,
+/// PTDF assembly, and the active-set QP solver's KKT solves.
 ///
 /// # Example
 ///
@@ -26,19 +58,28 @@ use crate::{LinalgError, Matrix};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Lu {
-    /// Combined L (strict lower, unit diagonal implied) and U (upper) factors.
-    lu: Matrix,
     /// Row permutation: row `i` of the factorization is row `perm[i]` of `A`.
     perm: Vec<usize>,
     /// Sign of the permutation (for determinants).
     perm_sign: f64,
+    /// Strict lower part of `L` (unit diagonal implied), by columns: column
+    /// `j` is `l_idx/l_val[l_ptr[j]..l_ptr[j + 1]]`, rows ascending.
+    l_ptr: Vec<usize>,
+    l_idx: Vec<usize>,
+    l_val: Vec<f64>,
+    /// Strict upper part of `U`, by rows, columns ascending.
+    u_ptr: Vec<usize>,
+    u_idx: Vec<usize>,
+    u_val: Vec<f64>,
+    /// Diagonal of `U`: the pivots.
+    diag: Vec<f64>,
 }
 
 /// Pivot threshold below which the matrix is declared singular.
 const PIVOT_TOL: f64 = 1e-12;
 
 impl Lu {
-    /// Factors a square matrix.
+    /// Factors a square dense matrix (its exact zeros are not stored).
     ///
     /// # Errors
     ///
@@ -46,64 +87,145 @@ impl Lu {
     /// - [`LinalgError::Singular`] if a pivot smaller than `1e-12` relative
     ///   to the matrix scale is encountered.
     pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
+        Lu::factor_csc(&CscMatrix::from_dense(a))
+    }
+
+    /// Factors a square sparse matrix.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lu::factor`].
+    pub fn factor_csc(a: &CscMatrix) -> Result<Self, LinalgError> {
         ed_obs::counter("linalg.lu.factors", 1);
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
+        if a.nrows() != a.ncols() {
+            return Err(LinalgError::NotSquare { rows: a.nrows(), cols: a.ncols() });
         }
-        let n = a.rows();
-        let mut lu = a.clone();
+        let lu = SCRATCH.with(|cell| {
+            let mut scratch = cell.take();
+            let lu = Lu::factor_with(a, &mut scratch);
+            cell.replace(scratch);
+            lu
+        })?;
+        ed_obs::counter("linalg.lu.nnz", lu.nnz() as u64);
+        Ok(lu)
+    }
+
+    fn factor_with(a: &CscMatrix, s: &mut Scratch) -> Result<Self, LinalgError> {
+        let n = a.nrows();
+        let floor = PIVOT_TOL * a.norm_inf().max(1.0);
         let mut perm: Vec<usize> = (0..n).collect();
         let mut sign = 1.0;
-        let scale = a.norm_inf().max(1.0);
+        let mut diag = Vec::with_capacity(n);
+        s.reset(n);
+        let Scratch { pinv, w, seen, open, todo, .. } = s;
+        let (l_ptr, l_row, l_val) = &mut s.l;
+        let (uc_ptr, uc_pos, uc_val) = &mut s.u_cols;
 
         for k in 0..n {
-            // Partial pivoting: find the largest |entry| in column k at or below row k.
-            let mut pivot_row = k;
-            let mut pivot_val = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
+            let stamp = k + 1;
+            open.clear();
+            for (r, v) in a.col(k) {
+                seen[r] = stamp;
+                w[r] = v;
+                if pinv[r] < k {
+                    todo[pinv[r] / 64] |= 1u64 << (pinv[r] % 64);
+                } else {
+                    open.push(r);
                 }
             }
-            if pivot_val < PIVOT_TOL * scale {
+            // Apply the earlier pivots in ascending position. L column j only
+            // holds rows pivoted after j, so eliminating j sets bits above j
+            // only and the scan never has to look back.
+            let mut word = 0;
+            while word < k.div_ceil(64) {
+                let bits = todo[word];
+                if bits == 0 {
+                    word += 1;
+                    continue;
+                }
+                todo[word] = bits & (bits - 1);
+                let j = word * 64 + bits.trailing_zeros() as usize;
+                let ujk = w[perm[j]];
+                if ujk == 0.0 {
+                    continue;
+                }
+                uc_pos.push(j);
+                uc_val.push(ujk);
+                for t in l_ptr[j]..l_ptr[j + 1] {
+                    let r = l_row[t];
+                    if seen[r] != stamp {
+                        seen[r] = stamp;
+                        w[r] = 0.0;
+                        if pinv[r] < k {
+                            todo[pinv[r] / 64] |= 1u64 << (pinv[r] % 64);
+                        } else {
+                            open.push(r);
+                        }
+                    }
+                    w[r] -= l_val[t] * ujk;
+                }
+            }
+            uc_ptr.push(uc_pos.len());
+
+            // Dense partial pivoting scans positions k.. with a strict `>`,
+            // starting from position k: the first largest |value| wins.
+            let mut prow = perm[k];
+            let mut ppos = k;
+            let mut pval = if seen[prow] == stamp { w[prow].abs() } else { 0.0 };
+            for &r in open.iter() {
+                let (v, pos) = (w[r].abs(), pinv[r]);
+                if v > pval || (v == pval && pos < ppos) {
+                    (prow, ppos, pval) = (r, pos, v);
+                }
+            }
+            if pval < floor {
                 return Err(LinalgError::Singular { column: k });
             }
-            if pivot_row != k {
-                lu.swap_rows(pivot_row, k);
-                perm.swap(pivot_row, k);
+            if ppos != k {
+                let rk = perm[k];
+                perm.swap(ppos, k);
+                pinv[rk] = ppos;
+                pinv[prow] = k;
                 sign = -sign;
             }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
-                if factor != 0.0 {
-                    for j in (k + 1)..n {
-                        let ukj = lu[(k, j)];
-                        lu[(i, j)] -= factor * ukj;
+            let pivot = w[prow];
+            diag.push(pivot);
+            for &r in open.iter() {
+                if r != prow {
+                    let factor = w[r] / pivot;
+                    if factor != 0.0 {
+                        l_row.push(r);
+                        l_val.push(factor);
                     }
                 }
             }
+            l_ptr.push(l_row.len());
         }
-        Ok(Lu { lu, perm, perm_sign: sign })
+
+        // Rows of A → final positions; two transposes leave each L column
+        // sorted by position, one turns U's columns into sorted rows.
+        for r in l_row.iter_mut() {
+            *r = pinv[*r];
+        }
+        transpose(n, &s.l, &mut s.l_rows);
+        let (mut l, mut u) = <(Compressed, Compressed)>::default();
+        transpose(n, &s.l_rows, &mut l);
+        transpose(n, &s.u_cols, &mut u);
+        let ((l_ptr, l_idx, l_val), (u_ptr, u_idx, u_val)) = (l, u);
+        Ok(Lu { perm, perm_sign: sign, l_ptr, l_idx, l_val, u_ptr, u_idx, u_val, diag })
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.lu.rows()
+        self.perm.len()
     }
 
-    /// Solves `A x = b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != dim()`.
-    // Triangular substitution reads/writes x[j] for j both sides of i; the
-    // indexed form matches the textbook recurrence.
-    #[allow(clippy::needless_range_loop)]
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    /// Stored nonzeros of `L` and `U`, the pivots included.
+    pub fn nnz(&self) -> usize {
+        self.l_val.len() + self.u_val.len() + self.diag.len()
+    }
+
+    fn check_rhs(&self, b: &[f64]) -> Result<(), LinalgError> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -111,21 +233,32 @@ impl Lu {
                 found: format!("length {}", b.len()),
             });
         }
-        // Apply permutation, then forward- and back-substitute.
+        Ok(())
+    }
+
+    /// Solves `A x = b`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != dim()`.
+    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        self.check_rhs(b)?;
+        // Permute, then L y = P b by columns and U x = y by rows.
         let mut x: Vec<f64> = self.perm.iter().map(|&pi| b[pi]).collect();
-        for i in 1..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s -= self.lu[(i, j)] * x[j];
+        for j in 0..self.dim() {
+            let xj = x[j];
+            if xj != 0.0 {
+                for t in self.l_ptr[j]..self.l_ptr[j + 1] {
+                    x[self.l_idx[t]] -= self.l_val[t] * xj;
+                }
             }
-            x[i] = s;
         }
-        for i in (0..n).rev() {
+        for i in (0..self.dim()).rev() {
             let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.lu[(i, j)] * x[j];
+            for t in self.u_ptr[i]..self.u_ptr[i + 1] {
+                s -= self.u_val[t] * x[self.u_idx[t]];
             }
-            x[i] = s / self.lu[(i, i)];
+            x[i] = s / self.diag[i];
         }
         Ok(x)
     }
@@ -135,38 +268,33 @@ impl Lu {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != dim()`.
-    #[allow(clippy::needless_range_loop)]
     pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                found: format!("length {}", b.len()),
-            });
-        }
-        // A^T = U^T L^T P, so solve U^T y = b, then L^T z = y, then x = P^T z.
+        self.check_rhs(b)?;
+        // A^T = U^T L^T P, so solve U^T y = b by U's rows, then L^T z = y by
+        // L's columns, then x = P^T z.
         let mut y = b.to_vec();
-        for i in 0..n {
-            let mut s = y[i];
-            for j in 0..i {
-                s -= self.lu[(j, i)] * y[j];
+        for j in 0..self.dim() {
+            let yj = y[j] / self.diag[j];
+            y[j] = yj;
+            if yj != 0.0 {
+                for t in self.u_ptr[j]..self.u_ptr[j + 1] {
+                    y[self.u_idx[t]] -= self.u_val[t] * yj;
+                }
             }
-            y[i] = s / self.lu[(i, i)];
         }
-        for i in (0..n).rev() {
+        for i in (0..self.dim()).rev() {
             let mut s = y[i];
-            for j in (i + 1)..n {
-                s -= self.lu[(j, i)] * y[j];
+            for t in self.l_ptr[i]..self.l_ptr[i + 1] {
+                s -= self.l_val[t] * y[self.l_idx[t]];
             }
             y[i] = s;
         }
-        let mut x = vec![0.0; n];
+        let mut x = vec![0.0; self.dim()];
         for (i, &pi) in self.perm.iter().enumerate() {
             x[pi] = y[i];
         }
         Ok(x)
     }
-
     /// Solves `A X = B` column by column.
     ///
     /// # Errors
@@ -202,12 +330,88 @@ impl Lu {
 
     /// Determinant of the factored matrix.
     pub fn det(&self) -> f64 {
-        let mut d = self.perm_sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
+        self.diag.iter().fold(self.perm_sign, |d, &p| d * p)
     }
+}
+
+/// Compressed lists: pointers, indices and values.
+type Compressed = (Vec<usize>, Vec<usize>, Vec<f64>);
+
+/// Counting-sort transpose of a compressed `n × n` pattern into `out`
+/// (overwritten): the entries of each output list come out in ascending
+/// order of their input list.
+fn transpose(n: usize, (ptr, idx, val): &Compressed, out: &mut Compressed) {
+    let (out_ptr, out_idx, out_val) = out;
+    // out_ptr[i + 1] first counts list i, then serves as its fill cursor,
+    // ending at the start of list i + 1.
+    out_ptr.clear();
+    out_ptr.resize(n + 1, 0);
+    for &i in idx {
+        out_ptr[i + 1] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut out_ptr[1..] {
+        (start, *slot) = (start + *slot, start);
+    }
+    out_idx.clear();
+    out_idx.resize(idx.len(), 0);
+    out_val.clear();
+    out_val.resize(val.len(), 0.0);
+    for j in 0..n {
+        for t in ptr[j]..ptr[j + 1] {
+            let slot = &mut out_ptr[idx[t] + 1];
+            out_idx[*slot] = j;
+            out_val[*slot] = val[t];
+            *slot += 1;
+        }
+    }
+}
+
+/// Working buffers of a factorization that do not survive it. Each thread
+/// keeps its last set, so the many small factors of a branch-and-bound
+/// tree do not pay one allocation per buffer.
+#[derive(Default)]
+struct Scratch {
+    /// `pinv[r]`: current position of row `r` of `A`; `r` is pivoted at
+    /// step `k` iff `pinv[r] < k`.
+    pinv: Vec<usize>,
+    /// Column `k` being eliminated, by row of `A`; valid where
+    /// `seen[r] == k + 1`.
+    w: Vec<f64>,
+    seen: Vec<usize>,
+    /// Unpivoted rows in column `k`'s pattern.
+    open: Vec<usize>,
+    /// Bitset of the pivot positions still to apply to column `k`.
+    todo: Vec<u64>,
+    /// L by columns, indexed by row of `A` until renumbered at the end.
+    l: Compressed,
+    /// U by columns, indexed by position.
+    u_cols: Compressed,
+    /// L by rows, between the two transposes.
+    l_rows: Compressed,
+}
+
+impl Scratch {
+    fn reset(&mut self, n: usize) {
+        self.pinv.clear();
+        self.pinv.extend(0..n);
+        self.w.clear();
+        self.w.resize(n, 0.0);
+        self.seen.clear();
+        self.seen.resize(n, 0);
+        self.todo.clear();
+        self.todo.resize(n.div_ceil(64), 0);
+        for (ptr, idx, val) in [&mut self.l, &mut self.u_cols] {
+            ptr.clear();
+            ptr.push(0);
+            idx.clear();
+            val.clear();
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 #[cfg(test)]

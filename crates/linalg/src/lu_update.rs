@@ -21,9 +21,12 @@
 //! the factorization unchanged. Callers fall back to a fresh
 //! factorization; they never receive a silently garbage solve.
 //!
-//! The eta application loops are kept operation-for-operation identical to
-//! the historical inline eta file in the simplex tableau so that solve
-//! results are bit-identical to the pre-refactor code path.
+//! A column-replacement eta is stored sparse: its pivot plus the nonzeros
+//! off the pivot row, in ascending row order. Applying it skips only the
+//! products with a zero eta entry, which leave every finite value but
+//! `-0.0` unchanged, so solves keep the bits of a dense eta file that loops
+//! over every row, up to the sign of an exact-zero entry
+//! (`crates/linalg/tests/lu.rs` checks this against such a file).
 
 use crate::error::LinalgError;
 use crate::lu::Lu;
@@ -44,9 +47,10 @@ const SM_DENOM_TOL: f64 = 1e-8;
 /// One recorded multiplicative update.
 #[derive(Debug, Clone)]
 enum Update {
-    /// Column `r` of the current matrix replaced; `w` is the ftran image of
-    /// the new column under the factorization *at push time*.
-    Eta { r: usize, w: Vec<f64> },
+    /// Column `r` of the current matrix replaced by the column whose ftran
+    /// image under the factorization *at push time* is `w`: `pivot = w[r]`,
+    /// and `off` holds the nonzero `(k, w[k])`, `k ≠ r`, by ascending `k`.
+    Eta { r: usize, pivot: f64, off: Vec<(usize, f64)> },
     /// Additive rank-1 update `+ u·vᵀ`; `z` is the solve of `u` under the
     /// factorization at push time and `denom = 1 + vᵀz`.
     RankOne { z: Vec<f64>, v: Vec<f64>, denom: f64 },
@@ -115,12 +119,10 @@ impl UpdatableLu {
         let m = z.len();
         for up in &self.updates {
             match up {
-                Update::Eta { r, w } => {
-                    let zr = z[*r] / w[*r];
-                    for k in 0..m {
-                        if k != *r {
-                            z[k] -= w[k] * zr;
-                        }
+                Update::Eta { r, pivot, off } => {
+                    let zr = z[*r] / pivot;
+                    for &(k, wk) in off {
+                        z[k] -= wk * zr;
                     }
                     z[*r] = zr;
                 }
@@ -139,18 +141,22 @@ impl UpdatableLu {
     /// Updates are un-done in reverse order (each transposed), then the
     /// base transpose solve runs.
     pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let m = b.len();
+        let m = self.dim();
+        if b.len() != m {
+            return Err(LinalgError::ShapeMismatch {
+                expected: format!("rhs of length {m}"),
+                found: format!("length {}", b.len()),
+            });
+        }
         let mut c = b.to_vec();
         for up in self.updates.iter().rev() {
             match up {
-                Update::Eta { r, w } => {
+                Update::Eta { r, pivot, off } => {
                     let mut s = 0.0;
-                    for k in 0..m {
-                        if k != *r {
-                            s += w[k] * c[k];
-                        }
+                    for &(k, wk) in off {
+                        s += wk * c[k];
                     }
-                    c[*r] = (c[*r] - s) / w[*r];
+                    c[*r] = (c[*r] - s) / pivot;
                 }
                 Update::RankOne { z, v, denom } => {
                     let s = dot(z, &c) / denom;
@@ -175,7 +181,7 @@ impl UpdatableLu {
     pub fn replace_column(
         &mut self,
         r: usize,
-        w: Vec<f64>,
+        w: &[f64],
         min_pivot: f64,
     ) -> Result<(), LinalgError> {
         let m = self.dim();
@@ -195,7 +201,13 @@ impl UpdatableLu {
                 ),
             });
         }
-        self.updates.push(Update::Eta { r, w });
+        let mut off = Vec::with_capacity(w.iter().filter(|&&wk| wk != 0.0).count());
+        for (k, &wk) in w.iter().enumerate() {
+            if k != r && wk != 0.0 {
+                off.push((k, wk));
+            }
+        }
+        self.updates.push(Update::Eta { r, pivot, off });
         Ok(())
     }
 

@@ -98,11 +98,6 @@ impl Matrix {
         self.cols
     }
 
-    /// `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics

@@ -2,11 +2,9 @@
 //!
 //! [`CscMatrix`] is the packed interchange format between the optimization
 //! model IR (`ed_optim::model::Model`) and anything that wants to scan a
-//! constraint matrix column-by-column without touching its zeros: presolve,
-//! basis factorization, and benchmarks that report nonzero counts. It is a
-//! *storage* type — the numerical heavy lifting (factorization, solves)
-//! stays in the dense [`Lu`](crate::Lu) kernels, which are the right tool at
-//! the few-thousand-row scale this workspace targets.
+//! matrix column-by-column without touching its zeros: presolve, the
+//! sparse [`Lu`](crate::Lu) factorization (which reads its input as a
+//! `CscMatrix`), and benchmarks that report nonzero counts.
 //!
 //! Entries inside each column are stored sorted by row index with no
 //! duplicates; [`CscMatrix::from_triplets`] sorts and coalesces on the way
@@ -119,6 +117,33 @@ impl CscMatrix {
         CscMatrix { nrows, ncols, col_ptr, row_idx, values }
     }
 
+    /// Builds from columns whose entries are already sorted by row with no
+    /// duplicate rows, copying each column once; explicit zeros are
+    /// dropped. Unlike [`CscMatrix::from_columns`] it neither sorts nor
+    /// sums, so it needs no scratch copy of a column.
+    pub fn from_sorted_columns<'a>(
+        nrows: usize,
+        cols: impl ExactSizeIterator<Item = &'a [(usize, f64)]> + Clone,
+    ) -> CscMatrix {
+        let ncols = cols.len();
+        let nnz = cols.clone().map(<[_]>::len).sum();
+        let mut col_ptr = Vec::with_capacity(ncols + 1);
+        let mut row_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        col_ptr.push(0);
+        for col in cols {
+            debug_assert!(col.windows(2).all(|p| p[0].0 < p[1].0), "unsorted column");
+            for &(r, v) in col {
+                if v != 0.0 {
+                    row_idx.push(r);
+                    values.push(v);
+                }
+            }
+            col_ptr.push(row_idx.len());
+        }
+        CscMatrix { nrows, ncols, col_ptr, row_idx, values }
+    }
+
     /// Converts a dense matrix, dropping exact zeros.
     pub fn from_dense(a: &Matrix) -> CscMatrix {
         let (nrows, ncols) = (a.rows(), a.cols());
@@ -178,6 +203,11 @@ impl CscMatrix {
     /// The stored entry count of column `j`.
     pub fn col_nnz(&self, j: usize) -> usize {
         self.col_ptr[j + 1] - self.col_ptr[j]
+    }
+
+    /// Largest |entry| (`0` when empty), as [`Matrix::norm_inf`].
+    pub fn norm_inf(&self) -> f64 {
+        crate::norm_inf(&self.values)
     }
 
     /// `y = A·x`.

@@ -27,7 +27,7 @@ use crate::lp::basis::{Basis, BasisStatus};
 use crate::lp::pricing::DevexWeights;
 use crate::model::{LpSolution, LpStatus, Model, RowSense, Sense};
 use crate::OptimError;
-use ed_linalg::{Lu, Matrix, UpdatableLu};
+use ed_linalg::{CscMatrix, Lu, UpdatableLu};
 
 /// Pricing rule for selecting the entering variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -259,13 +259,11 @@ impl Tableau {
             self.factors = None;
             return Ok(());
         }
-        let mut bmat = Matrix::zeros(self.m, self.m);
-        for (k, &j) in self.basis.iter().enumerate() {
-            for &(i, c) in &self.cols[j] {
-                bmat[(i, k)] = c;
-            }
-        }
-        let lu = Lu::factor(&bmat).map_err(|e| OptimError::Numerical {
+        let bmat = CscMatrix::from_sorted_columns(
+            self.m,
+            self.basis.iter().map(|&j| self.cols[j].as_slice()),
+        );
+        let lu = Lu::factor_csc(&bmat).map_err(|e| OptimError::Numerical {
             what: format!("basis refactorization failed: {e}"),
         })?;
         match &mut self.factors {
@@ -352,7 +350,7 @@ impl Tableau {
     #[must_use]
     fn push_eta(&mut self, r: usize, w: &[f64]) -> bool {
         let factors = self.factors.as_mut().expect("basis factored before eta push");
-        factors.replace_column(r, w.to_vec(), PIVOT_TOL).is_ok()
+        factors.replace_column(r, w, PIVOT_TOL).is_ok()
     }
 
     /// `B^{-T} e_r` — the `r`-th row of `B^{-1}`, used for pivot-row

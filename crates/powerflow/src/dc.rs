@@ -86,7 +86,7 @@ pub fn solve(net: &Network, injections_mw: &[f64]) -> Result<DcFlow, PowerflowEr
     solve_with(net, &cache, injections_mw)
 }
 
-/// [`solve`] against a pre-built [`FactorCache`], skipping the `O(n³)`
+/// [`solve`] against a pre-built [`FactorCache`], skipping the
 /// factorization. Use this when solving many injection vectors (or mixing
 /// DC solves with PTDF/LODF assembly) on one network topology.
 ///

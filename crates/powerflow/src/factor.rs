@@ -4,9 +4,10 @@
 //! and (through PTDF) LODFs — reduces to solves against the same matrix:
 //! the bus susceptance matrix with the slack row/column removed. The seed
 //! code re-derived it per call site, and the PTDF path even materialized a
-//! full `O(n³)` inverse on top of the `O(n³)` factorization. A
-//! [`FactorCache`] factors the matrix **once** (`P·B_red = L·U`) and serves
-//! `O(n²)` per-column forward/back substitutions to every consumer.
+//! full inverse on top of the factorization. A [`FactorCache`] factors the
+//! matrix **once** (`P·B_red = L·U`, sparse: only the nonzeros of the
+//! factors are stored) and serves per-column forward/back substitutions,
+//! each proportional to the factors' nonzeros, to every consumer.
 //!
 //! The cache is immutable after construction and [`Sync`], so parallel
 //! sweeps (see `ed-par`) borrow one cache from any number of worker
@@ -88,8 +89,7 @@ impl FactorCache {
 
     /// A variant of this factorization with one line removed, computed as
     /// a Sherman–Morrison rank-1 update (`B_red − β·a·aᵀ` with `a` the
-    /// line's reduced incidence vector) instead of a fresh `O(n³)`
-    /// factorization.
+    /// line's reduced incidence vector) instead of a fresh factorization.
     ///
     /// **Stability fallback:** when the update denominator is numerically
     /// zero — removing the line islands the network, so the reduced matrix

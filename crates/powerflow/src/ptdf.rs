@@ -31,7 +31,7 @@ impl Ptdf {
 
     /// Computes the PTDF matrix against a pre-built [`FactorCache`].
     ///
-    /// One `O(n²)` forward/back substitution per non-slack bus replaces the
+    /// One sparse forward/back substitution per non-slack bus replaces the
     /// seed's explicit `B_red⁻¹`; columns are independent, so they are
     /// computed on the `ed-par` worker pool (`ED_THREADS`). Each column
     /// solve is exactly the solve the old inverse performed internally, so
