@@ -1,7 +1,7 @@
 //! Reproduces **Figure 4** (three-bus sweep):
 //!
 //! - `fig4 a` — the DLR and demand pattern over the 24-hour horizon
-//!   (Fig. 4a): double-peak demand, offset sinusoidal DLRs in [100,200].
+//!   (Fig. 4a): double-peak demand, offset sinusoidal DLRs in `[100, 200]`.
 //! - `fig4 b` — "time of attack" (Fig. 4b): the (nonlinear) flows on the
 //!   DLR lines when the attacker's ratings are in effect, against the true
 //!   DLR curves.

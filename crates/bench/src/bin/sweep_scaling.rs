@@ -280,10 +280,10 @@ fn main() {
 
     // ---- Delta re-solve: the incremental engine measured end-to-end on a
     // 24-hour six-bus demand chain. Cold = every delta path disabled
-    // (ED_POOL=0, warm starts off): each hour re-runs the presolve fixpoint,
-    // refactors the susceptance matrix, and recomputes phase 1 from scratch.
-    // Warm = the production path: the shared factor pool, the KKT presolve
-    // patch-cache, and the hour-to-hour basis hand-off all engaged. The
+    // (ED_POOL=0, warm starts off): each hour refactors the susceptance
+    // matrix and recomputes phase 1 from scratch. Warm = the production
+    // path: the shared factor pool and the hour-to-hour basis hand-off
+    // both engaged. Both chains run the full presolve every hour. The
     // chains must agree hour by hour on every
     // answer field (ucap, overload, u^a, dispatch, target) bit-for-bit —
     // the delta machinery is an accelerator, never an input to the
@@ -376,8 +376,8 @@ fn main() {
         }
     }
     // One instrumented (untimed) warm pass for the reuse evidence: how many
-    // hours patched their presolve and shared the factorization. Algorithm 1
-    // reads no solution pool, so `pool_hits` stays 0.
+    // hours shared the factorization. Algorithm 1 reads no solution pool,
+    // so `pool_hits` stays 0.
     ed_obs::set_enabled(true);
     ed_obs::reset();
     {
@@ -415,11 +415,9 @@ fn main() {
          \"median_ratio\": {delta_ratio:.4},\n    \
          \"warm_total_ms\": {:.3},\n    \"cold_total_ms\": {:.3},\n    \
          \"warm_equals_cold\": {warm_equals_cold_chain},\n    \
-         \"presolve_patches\": {},\n    \"pool_hits\": {},\n    \
-         \"factor_pool_hits\": {}\n  }}",
+         \"pool_hits\": {},\n    \"factor_pool_hits\": {}\n  }}",
         warm_walls.iter().sum::<f64>() / REPS as f64,
         cold_walls.iter().sum::<f64>() / REPS as f64,
-        delta_counters.counter("optim.presolve.patches"),
         delta_counters.counter("core.pool.hits"),
         delta_counters.counter("powerflow.factor.pool.hits"),
     );

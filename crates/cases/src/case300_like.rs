@@ -2,7 +2,7 @@
 //!
 //! Dimension-matched to the IEEE 300-bus test case: 300 buses, 411
 //! branches, 69 generators, and ≈23 525 MW of load. Like
-//! [`crate::ieee118_like`], this is a *synthetic stand-in* with matched
+//! [`crate::ieee118_like()`], this is a *synthetic stand-in* with matched
 //! dimensions, not the real case file: it exercises the same code paths
 //! (factorization, PTDF/LODF, the bilevel sweep) at the size where the
 //! atlas engine's checkpointing and fault isolation start to pay for

@@ -1,17 +1,17 @@
 //! Benchmark power-system cases for the `ed-security` workspace.
 //!
-//! - [`three_bus`] — the exact 3-bus system of Section IV-A of the DSN'17
+//! - [`three_bus()`] — the exact 3-bus system of Section IV-A of the DSN'17
 //!   paper (two generators, one 300 MW load, identical 0.002+j0.05 pu lines).
-//! - [`six_bus`] — a small meshed 6-bus system in the style of Wood &
+//! - [`six_bus()`] — a small meshed 6-bus system in the style of Wood &
 //!   Wollenberg, useful as a mid-size test fixture.
-//! - [`synthetic`] — a seeded generator for arbitrary-size meshed networks
+//! - [`synthetic()`] — a seeded generator for arbitrary-size meshed networks
 //!   with realistic parameter ranges.
-//! - [`ieee118_like`] — a deterministic 118-bus-class system (118 buses,
+//! - [`ieee118_like()`] — a deterministic 118-bus-class system (118 buses,
 //!   186 branches, 54 generators, ≈4242 MW load) used for the paper's
 //!   scalability experiments. This is a *synthetic stand-in* for the IEEE
 //!   118-bus test case (see DESIGN.md §5); the [`matpower`] parser lets you
 //!   run the real case file instead if you have one.
-//! - [`case300_like`] — a deterministic 300-bus-class system (300 buses,
+//! - [`case300_like()`] — a deterministic 300-bus-class system (300 buses,
 //!   411 branches, 69 generators, ≈23 525 MW load): the atlas engine's
 //!   scale stressor, same synthetic-stand-in caveat as above.
 //! - [`matpower`] — parser and writer for (a practical subset of) the

@@ -7,7 +7,7 @@
 //! costs, and loads are distributed over the remaining buses.
 //!
 //! With a fixed seed the output is fully deterministic, which is what the
-//! reproduction harness relies on (see [`crate::ieee118_like`]).
+//! reproduction harness relies on (see [`crate::ieee118_like()`]).
 
 use ed_powerflow::{BusKind, CostCurve, Network, NetworkBuilder, PowerflowError};
 use ed_rng::{Rng, SeedableRng, StdRng};

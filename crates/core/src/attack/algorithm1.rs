@@ -69,8 +69,11 @@ pub struct SubproblemOutcome {
     pub direction: i8,
     /// Violation achieved in the configured metric (percent or MW).
     pub violation: f64,
-    /// Whether this value was proved optimal by the solver (`false` when it
-    /// came from the heuristic only).
+    /// Whether this value was proved optimal: the exact solve finished, or
+    /// its tree was exhausted. A certificate is not a proof: a heuristic
+    /// floor promoted to a certified KKT point (counted in
+    /// [`SweepReport::certified`]) keeps `false` under a node or budget
+    /// limit, as the six 118-bus values at `node_limit: 1` do.
     pub proved_optimal: bool,
     /// Branch-and-bound nodes spent.
     pub nodes: usize,
@@ -126,7 +129,11 @@ pub struct SweepReport {
     pub milp_solves: usize,
     /// Candidate dispatches evaluated by the corner/greedy heuristic.
     pub heuristic_evaluations: usize,
-    /// Subproblems whose exact solution certified on the first try.
+    /// Subproblems whose reported value passed its certificate without
+    /// repair: an exact solution, or a heuristic floor promoted to a
+    /// full-space KKT point when the tree was pruned or node-limited
+    /// without an incumbent. A count of certificates, not of proofs:
+    /// [`SubproblemOutcome::proved_optimal`] says which values are proved.
     pub certified: usize,
     /// Subproblems certified only after the alternate-reformulation
     /// repair replaced the primary solution.

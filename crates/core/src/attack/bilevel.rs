@@ -115,7 +115,7 @@ impl Default for BilevelOptions {
 #[derive(Debug, Clone)]
 pub struct SubproblemSolution {
     /// Optimal objective (in the scaled units passed to
-    /// [`KktModel::set_flow_objective`]).
+    /// [`PreparedKkt::subproblem`]).
     pub objective: f64,
     /// Manipulated ratings `u^a` (ordered like the config's DLR lines).
     pub ua_mw: Vec<f64>,

@@ -27,7 +27,6 @@ use ed_optim::lp::{phase1_basis, Basis, Row, Sense, SimplexOptions, VarId};
 use ed_optim::model::presolve;
 use ed_optim::{Model, Postsolve, PresolveStats};
 use ed_powerflow::{LineId, Network};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// The assembled KKT model.
 #[derive(Debug, Clone)]
@@ -251,7 +250,13 @@ impl KktModel {
     /// system infeasible for every manipulation).
     pub fn prepare(self, use_presolve: bool) -> Result<PreparedKkt, CoreError> {
         if use_presolve {
-            let pre = cached_presolve(&self.lp)?;
+            // Scaling is off: the KKT LP is heavily degenerate, and
+            // power-of-two row/column scaling perturbs the simplex pivot path
+            // badly here (~4x the iterations on the 118-bus case) without
+            // improving conditioning — the coefficients are already O(1)
+            // susceptances and unit complementarity rows.
+            let opts = presolve::PresolveOptions { scale: false, ..Default::default() };
+            let pre = presolve::presolve_with(&self.lp, &opts)?;
             Ok(PreparedKkt {
                 reduced: pre.reduced,
                 postsolve: Some(pre.postsolve),
@@ -483,57 +488,6 @@ fn solve_small_spd(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
         z[k] = s / a[k][k];
     }
     Some(z)
-}
-
-/// Presolves a KKT LP, replaying a cached reduction when one exists.
-///
-/// Scaling is off: the KKT LP is heavily degenerate, and power-of-two
-/// row/column scaling perturbs the simplex pivot path badly here (~4x the
-/// iterations on the 118-bus case) without improving conditioning — the
-/// coefficients are already O(1) susceptances and unit complementarity
-/// rows.
-///
-/// A process-wide cache keyed by [`presolve::structure_fingerprint`] keeps
-/// the last few `(base LP, reduction)` pairs. A KKT rebuild for the same
-/// network structure under new bounds/rhs (an hour-chain demand step, a
-/// rating re-band) hits the cache, and [`Presolved::patch`] re-derives the
-/// variant's reduction without re-running the fixpoint search; a rejected
-/// patch falls back to a full presolve, so the cache can only change speed,
-/// never answers. Gated with the rest of the delta-resolve machinery by
-/// `ED_POOL`.
-///
-/// [`Presolved::patch`]: presolve::Presolved::patch
-fn cached_presolve(lp: &Model) -> Result<presolve::Presolved, CoreError> {
-    let opts = presolve::PresolveOptions { scale: false, ..Default::default() };
-    if !ed_powerflow::pool_env_enabled() {
-        return Ok(presolve::presolve_with(lp, &opts)?);
-    }
-    type CacheEntry = (u64, Arc<(Model, presolve::Presolved)>);
-    static CACHE: OnceLock<Mutex<Vec<CacheEntry>>> = OnceLock::new();
-    const CACHE_CAP: usize = 16;
-    let fp = presolve::structure_fingerprint(lp);
-    let cached = {
-        let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-        let cache = cache.lock().expect("kkt presolve cache lock");
-        cache.iter().find(|(k, _)| *k == fp).map(|(_, e)| Arc::clone(e))
-    };
-    if let Some(entry) = cached {
-        let (base, stored) = &*entry;
-        if let Some(patched) = stored.patch(base, lp) {
-            ed_obs::counter("attack.kkt.presolve.patched", 1);
-            return Ok(patched);
-        }
-    }
-    let pre = presolve::presolve_with(lp, &opts)?;
-    ed_obs::counter("attack.kkt.presolve.full", 1);
-    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    let mut cache = cache.lock().expect("kkt presolve cache lock");
-    cache.retain(|(k, _)| *k != fp);
-    cache.push((fp, Arc::new((lp.clone(), pre.clone()))));
-    if cache.len() > CACHE_CAP {
-        cache.remove(0);
-    }
-    Ok(pre)
 }
 
 /// A KKT model frozen for the Algorithm 1 sweep: the invariant blocks are

@@ -9,7 +9,7 @@
 //!   by construction, so the bound check alone provably never fires on it —
 //!   reproducing the paper's stealthiness claim — while the trend check
 //!   catches step changes.
-//! - [`robust_dispatch`] — "algorithmic redundancy": an attack-aware
+//! - [`robust_dispatch()`] — "algorithmic redundancy": an attack-aware
 //!   dispatch that only trusts reported ratings up to a configurable
 //!   margin above the worst-case floor, bounding the violation any
 //!   in-bound manipulation can cause (the paper's future-work item iv).

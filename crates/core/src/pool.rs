@@ -18,10 +18,9 @@
 //! it does not fit, so the pool is a pure accelerator and can never
 //! change an answer.
 //!
-//! The pool (together with the shared factor pool in `ed-powerflow` and
-//! the KKT presolve patch-cache) is gated by `ED_POOL`: on by default,
-//! `ED_POOL=0` disables every cross-scenario reuse path so CI can prove
-//! pooled and unpooled answers identical.
+//! `ED_POOL` gates exactly two stores: this pool and the shared factor pool
+//! in `ed-powerflow`. Both are on by default; `ED_POOL=0` disables them so
+//! CI can prove pooled and unpooled answers identical.
 
 use crate::attack::AttackConfig;
 use ed_optim::lp::Basis;

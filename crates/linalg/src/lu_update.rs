@@ -58,7 +58,7 @@ enum Update {
 
 /// LU factorization plus a product-form file of rank-1 updates.
 ///
-/// Wraps a base [`Lu`] and a sequence of [`Update`]s; `solve` /
+/// Wraps a base [`Lu`] and a sequence of rank-1 updates; `solve` /
 /// `solve_transpose` run the base triangular solves and then apply the
 /// update corrections in the proper order. With an empty update file the
 /// solves are exactly the base [`Lu`] solves.

@@ -4,7 +4,8 @@
 //! The solver handles general bounds `l <= x <= u` (including infinite and
 //! fixed bounds), `<=`/`>=`/`==` rows, minimization and maximization, and
 //! reports primal values, row duals, and reduced costs. The basis is kept as
-//! an LU factorization plus product-form eta updates (see [`simplex`]).
+//! an LU factorization plus product-form eta updates
+//! ([`ed_linalg::UpdatableLu`]).
 //!
 //! The problem type is the workspace-wide [`crate::model::Model`]; solve
 //! it with [`Model::solve`](crate::model::Model::solve). Quadratic terms,

@@ -36,7 +36,7 @@ pub enum Pricing {
     #[default]
     Dantzig,
     /// Devex reference weights (approximate steepest edge, shared with the
-    /// dual simplex's row pricing via [`crate::lp::pricing`]).
+    /// dual simplex's row pricing via the `lp::pricing` module).
     Devex,
     /// Smallest eligible index (anti-cycling; slower).
     Bland,

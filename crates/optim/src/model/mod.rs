@@ -5,7 +5,7 @@
 //!
 //! - **Sparse constraint columns.** The constraint matrix lives
 //!   column-major as jagged `(row, coef)` lists (convertible to a packed
-//!   [`CscMatrix`](ed_linalg::CscMatrix) via [`Model::to_csc`]), shared
+//!   [`CscMatrix`] via [`Model::to_csc`]), shared
 //!   copy-on-write across clones so branch-and-bound nodes and per-subproblem
 //!   objective patches never copy row storage.
 //! - **Variable bounds and row senses/rhs.**

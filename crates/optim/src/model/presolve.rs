@@ -36,57 +36,6 @@ use super::{LpSolution, Model, RowSense, Sense, VarId};
 use crate::OptimError;
 use std::sync::Arc;
 
-/// Fingerprint of a model's **structure** — everything [`Presolved::patch`]
-/// requires to be unchanged: optimization sense, the constraint-matrix
-/// pattern and coefficients, row senses, quadratic terms, complementarity
-/// pairs, and integrality. Bounds, rhs, and linear objective are
-/// deliberately excluded: two models with equal structure fingerprints are
-/// bounds/rhs/objective variants of each other, exactly the inputs `patch`
-/// accepts. FNV-1a over a canonical byte serialization.
-pub fn structure_fingerprint(model: &Model) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(&[match model.sense {
-        Sense::Min => 0,
-        Sense::Max => 1,
-    }]);
-    eat(&(model.num_vars() as u64).to_le_bytes());
-    eat(&(model.num_rows() as u64).to_le_bytes());
-    for col in model.cols.iter() {
-        eat(&(col.len() as u64).to_le_bytes());
-        for &(row, coef) in col {
-            eat(&(row as u64).to_le_bytes());
-            eat(&coef.to_bits().to_le_bytes());
-        }
-    }
-    for sense in &model.row_sense {
-        eat(&[match sense {
-            RowSense::Le => 0,
-            RowSense::Ge => 1,
-            RowSense::Eq => 2,
-        }]);
-    }
-    for &(i, j, v) in &model.quad {
-        eat(&(i as u64).to_le_bytes());
-        eat(&(j as u64).to_le_bytes());
-        eat(&v.to_bits().to_le_bytes());
-    }
-    for &(a, b) in &model.pairs {
-        eat(&(a.index() as u64).to_le_bytes());
-        eat(&(b.index() as u64).to_le_bytes());
-    }
-    for &v in &model.integers {
-        eat(&(v.index() as u64).to_le_bytes());
-    }
-    h
-}
-
 /// Tuning knobs for [`presolve_with`].
 #[derive(Debug, Clone)]
 pub struct PresolveOptions {
@@ -212,9 +161,6 @@ pub struct Presolved {
     pub postsolve: Postsolve,
     /// Size deltas for reporting.
     pub stats: PresolveStats,
-    /// Options the reduction ran with — [`Presolved::patch`] replays with
-    /// the same tolerances.
-    opts: PresolveOptions,
 }
 
 /// Runs presolve with default options. See the [module docs](self).
@@ -615,325 +561,7 @@ fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolve
         orig_obj: model.obj.clone(),
         feas_tol: opts.feas_tol,
     };
-    Ok(Presolved { reduced, postsolve, stats, opts: opts.clone() })
-}
-
-impl Presolved {
-    /// Re-applies this stored reduction to a **bounds/rhs/objective
-    /// variant** of the model it was computed from, skipping the fixpoint
-    /// search entirely.
-    ///
-    /// `base` must be the model this `Presolved` was built from and
-    /// `variant` must share its structure exactly (same columns, senses,
-    /// quadratic terms, pairs, and integers) — only `lb`/`ub`/`rhs`/`obj`
-    /// may differ. The recorded removals are replayed in order against the
-    /// variant's data: singleton rows re-derive their implied bounds from
-    /// the new rhs, eliminated columns re-fix at their new values, and the
-    /// stored power-of-two scaling is reused verbatim (it depends only on
-    /// the coefficient pattern, which is unchanged).
-    ///
-    /// Returns `None` whenever the replay cannot prove it reproduces a
-    /// valid reduction — structure drift, a removal whose precondition no
-    /// longer holds, a domination that no longer holds, or an infeasibility
-    /// signal. Callers then fall back to a full [`presolve_with`]; `None`
-    /// is a performance miss, never a correctness event.
-    pub fn patch(&self, base: &Model, variant: &Model) -> Option<Presolved> {
-        let _t = ed_obs::timer("optim.presolve.patch");
-        let out = self.patch_inner(base, variant);
-        if ed_obs::enabled() {
-            match &out {
-                Some(_) => ed_obs::counter("optim.presolve.patches", 1),
-                None => ed_obs::counter("optim.presolve.patch_rejects", 1),
-            }
-        }
-        out
-    }
-
-    fn patch_inner(&self, base: &Model, variant: &Model) -> Option<Presolved> {
-        let post = &self.postsolve;
-        let (n, m) = (post.n, post.m);
-        // Structural equality: the reduction is only replayable against the
-        // exact coefficient pattern it was derived from.
-        if variant.num_vars() != n
-            || variant.num_rows() != m
-            || base.num_vars() != n
-            || base.num_rows() != m
-            || variant.sense != post.sense
-            || base.sense != variant.sense
-        {
-            return None;
-        }
-        if !Arc::ptr_eq(&base.cols, &post.orig_cols) && *base.cols != *post.orig_cols {
-            return None;
-        }
-        if !Arc::ptr_eq(&base.cols, &variant.cols) && *base.cols != *variant.cols {
-            return None;
-        }
-        if base.row_sense != variant.row_sense
-            || base.quad != variant.quad
-            || base.pairs != variant.pairs
-            || base.integers != variant.integers
-        {
-            return None;
-        }
-
-        let opts = &self.opts;
-
-        // Working state, exactly as the original fixpoint run sets it up.
-        let wcols: Vec<Vec<(usize, f64)>> = variant
-            .cols
-            .iter()
-            .map(|col| {
-                let mut c = col.clone();
-                c.sort_by_key(|&(i, _)| i);
-                coalesce(&mut c);
-                c
-            })
-            .collect();
-        let mut wrows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (j, col) in wcols.iter().enumerate() {
-            for &(i, a) in col {
-                wrows[i].push((j, a));
-            }
-        }
-        let mut wlb = variant.lb.clone();
-        let mut wub = variant.ub.clone();
-        let mut wrhs = variant.rhs.clone();
-        let mut adj_abs = vec![0.0_f64; m];
-        let mut fixed_val = vec![0.0_f64; n];
-        // `flushed[j]`: column j's elimination has been applied to the rhs.
-        let mut flushed = vec![false; n];
-        let mut is_pair = vec![false; n];
-        for &(a, b) in &variant.pairs {
-            is_pair[a.0] = true;
-            is_pair[b.0] = true;
-        }
-        let mut is_int = vec![false; n];
-        for &v in &variant.integers {
-            is_int[v.0] = true;
-        }
-
-        // Flush any originally-eliminated column whose variant bounds have
-        // become equal: substitute it into the live rows. Columns the
-        // original run kept are never eliminated here (keeping them live
-        // is a valid — identical-shape — reduction even if fixed).
-        let flush_ready = |wlb: &[f64],
-                           wub: &[f64],
-                           wrhs: &mut [f64],
-                           adj_abs: &mut [f64],
-                           fixed_val: &mut [f64],
-                           flushed: &mut [bool],
-                           row_alive: &[bool]| {
-            for j in 0..n {
-                if flushed[j] || post.col_map[j].is_some() || is_pair[j] {
-                    continue;
-                }
-                if wlb[j] == wub[j] && wlb[j].is_finite() {
-                    let v = wlb[j];
-                    for &(i, a) in &wcols[j] {
-                        if row_alive[i] {
-                            wrhs[i] -= a * v;
-                            adj_abs[i] += (a * v).abs();
-                        }
-                    }
-                    flushed[j] = true;
-                    fixed_val[j] = v;
-                }
-            }
-        };
-
-        let row_tol =
-            |i: usize, wrhs: &[f64], adj: &[f64]| opts.feas_tol * (1.0 + wrhs[i].abs() + adj[i]);
-
-        let mut row_alive = vec![true; m];
-        let mut new_removed: Vec<RemovedRow> = Vec::with_capacity(post.removed.len());
-        // Lazily-built live-row signature table for dominated-row replay.
-        type LiveSigs = Vec<(usize, Vec<(usize, u64)>)>;
-        let mut live_sigs: Option<LiveSigs> = None;
-
-        for r in &post.removed {
-            flush_ready(
-                &wlb, &wub, &mut wrhs, &mut adj_abs, &mut fixed_val, &mut flushed, &row_alive,
-            );
-            let i = r.row;
-            match r.kind {
-                RemovedKind::Empty => {
-                    // Every entry must already be substituted out.
-                    if wrows[i].iter().any(|&(j, _)| !flushed[j] && post.col_map[j].is_none()) {
-                        return None;
-                    }
-                    if wrows[i].iter().any(|&(j, _)| post.col_map[j].is_some()) {
-                        return None;
-                    }
-                    let tol = row_tol(i, &wrhs, &adj_abs);
-                    let ok = match r.sense {
-                        RowSense::Le => wrhs[i] >= -tol,
-                        RowSense::Ge => wrhs[i] <= tol,
-                        RowSense::Eq => wrhs[i].abs() <= tol,
-                    };
-                    if !ok {
-                        return None; // variant is infeasible here; cold path decides
-                    }
-                    row_alive[i] = false;
-                    new_removed.push(*r);
-                }
-                RemovedKind::Singleton { col: j, coef: a, .. } => {
-                    // Precondition: j is the single unsubstituted entry,
-                    // with the same coefficient as recorded.
-                    let mut live_entry: Option<(usize, f64)> = None;
-                    let mut live_count = 0usize;
-                    for &(jj, aa) in &wrows[i] {
-                        if !flushed[jj] {
-                            live_count += 1;
-                            live_entry = Some((jj, aa));
-                        }
-                    }
-                    let (jj, aa) = live_entry?;
-                    if live_count != 1 || jj != j || aa != a {
-                        return None;
-                    }
-                    let v = wrhs[i] / a;
-                    let upper = match r.sense {
-                        RowSense::Eq => None,
-                        RowSense::Le => Some(a > 0.0),
-                        RowSense::Ge => Some(a < 0.0),
-                    };
-                    let btol = opts.feas_tol * (1.0 + v.abs());
-                    match upper {
-                        None => {
-                            if v < wlb[j] - btol || v > wub[j] + btol {
-                                return None;
-                            }
-                            if is_int[j] && (v - v.round()).abs() > opts.int_tol {
-                                return None;
-                            }
-                            let v = v.clamp(wlb[j], wub[j]);
-                            wlb[j] = v;
-                            wub[j] = v;
-                        }
-                        Some(true) => {
-                            let mut cand = v;
-                            if is_int[j] {
-                                cand = (cand + opts.int_tol).floor();
-                            }
-                            if cand < wub[j] {
-                                if cand < wlb[j] - btol {
-                                    return None;
-                                }
-                                wub[j] = cand.max(wlb[j]);
-                            }
-                        }
-                        Some(false) => {
-                            let mut cand = v;
-                            if is_int[j] {
-                                cand = (cand - opts.int_tol).ceil();
-                            }
-                            if cand > wlb[j] {
-                                if cand > wub[j] + btol {
-                                    return None;
-                                }
-                                wlb[j] = cand.min(wub[j]);
-                            }
-                        }
-                    }
-                    row_alive[i] = false;
-                    new_removed.push(RemovedRow {
-                        row: i,
-                        sense: r.sense,
-                        kind: RemovedKind::Singleton { col: j, coef: a, implied: v },
-                    });
-                }
-                RemovedKind::Dominated => {
-                    // The drop stays valid only if a surviving twin with
-                    // the identical live coefficient vector still implies
-                    // this row under the variant's rhs.
-                    let sig_of = |row: usize| -> Vec<(usize, u64)> {
-                        wrows[row]
-                            .iter()
-                            .filter(|&&(j, _)| post.col_map[j].is_some())
-                            .map(|&(j, a)| (j, a.to_bits()))
-                            .collect()
-                    };
-                    let sigs = live_sigs.get_or_insert_with(|| {
-                        (0..m)
-                            .filter(|&k| post.row_map[k].is_some())
-                            .map(|k| (k, sig_of(k)))
-                            .collect()
-                    });
-                    let my_sig = sig_of(i);
-                    let dominated = sigs.iter().any(|(k, sig)| {
-                        if *sig != my_sig {
-                            return false;
-                        }
-                        match (variant.row_sense[*k], r.sense) {
-                            (RowSense::Eq, RowSense::Eq) => wrhs[*k] == wrhs[i],
-                            (RowSense::Eq, RowSense::Le) => wrhs[*k] <= wrhs[i],
-                            (RowSense::Eq, RowSense::Ge) => wrhs[*k] >= wrhs[i],
-                            (RowSense::Le, RowSense::Le) => wrhs[*k] <= wrhs[i],
-                            (RowSense::Ge, RowSense::Ge) => wrhs[*k] >= wrhs[i],
-                            _ => false,
-                        }
-                    });
-                    if !dominated {
-                        return None;
-                    }
-                    row_alive[i] = false;
-                    new_removed.push(*r);
-                }
-            }
-        }
-        flush_ready(&wlb, &wub, &mut wrhs, &mut adj_abs, &mut fixed_val, &mut flushed, &row_alive);
-
-        // Every originally-eliminated column must have re-fixed; otherwise
-        // the reduced shape would change.
-        for j in 0..n {
-            if post.col_map[j].is_none() && !is_pair[j] && !flushed[j] {
-                return None;
-            }
-        }
-
-        // Rebuild the reduced model on the stored skeleton: coefficient
-        // pattern, scaling, and index maps are unchanged; only bounds, rhs,
-        // and objective data move.
-        let mut reduced = self.reduced.clone();
-        let mut obj_offset = 0.0_f64;
-        let mut obj_adj = variant.obj.clone();
-        for (j, &v) in fixed_val.iter().enumerate() {
-            if post.col_map[j].is_none() {
-                obj_offset += variant.obj[j] * v;
-            }
-        }
-        for &(qi, qj, q) in &variant.quad {
-            match (post.col_map[qi], post.col_map[qj]) {
-                (Some(_), Some(_)) => {}
-                (Some(_), None) => obj_adj[qi] += 0.5 * q * fixed_val[qj],
-                (None, Some(_)) => obj_adj[qj] += 0.5 * q * fixed_val[qi],
-                (None, None) => obj_offset += 0.5 * q * fixed_val[qi] * fixed_val[qj],
-            }
-        }
-        for j in 0..n {
-            let Some(rj) = post.col_map[j] else { continue };
-            let s = post.col_scale[j];
-            reduced.lb[rj] = scale_div(wlb[j], s);
-            reduced.ub[rj] = scale_div(wub[j], s);
-            reduced.obj[rj] = obj_adj[j] * s;
-        }
-        for (i, &w) in wrhs.iter().enumerate() {
-            let Some(ri) = post.row_map[i] else { continue };
-            reduced.rhs[ri] = w * post.row_scale[i];
-        }
-
-        let mut postsolve = post.clone();
-        postsolve.fixed_val = fixed_val;
-        postsolve.tight_lb = wlb;
-        postsolve.tight_ub = wub;
-        postsolve.obj_offset = obj_offset;
-        postsolve.removed = new_removed;
-        postsolve.orig_cols = Arc::clone(&variant.cols);
-        postsolve.orig_obj = variant.obj.clone();
-
-        Some(Presolved { reduced, postsolve, stats: self.stats, opts: self.opts.clone() })
-    }
+    Ok(Presolved { reduced, postsolve, stats })
 }
 
 /// `2^(−round(log2(x)))`, clamped to avoid overflow — the exact power-of-two
@@ -1137,34 +765,6 @@ mod tests {
     use crate::lp::Row;
 
     #[test]
-    fn structure_fingerprint_ignores_data_tracks_structure() {
-        let mut m = Model::minimize();
-        let x = m.add_var(0.0, 10.0, 1.0);
-        let y = m.add_var(0.0, 5.0, 2.0);
-        m.add_row(Row::le(8.0).coef(x, 2.0).coef(y, 1.0));
-        let fp = structure_fingerprint(&m);
-
-        // Bounds/rhs/objective variants share the fingerprint...
-        let mut variant = m.clone();
-        variant.lb[0] = 1.0;
-        variant.ub[1] = 3.0;
-        variant.rhs[0] = 6.0;
-        variant.obj[0] = 9.0;
-        assert_eq!(structure_fingerprint(&variant), fp);
-
-        // ...while any structural drift changes it.
-        let mut coef = m.clone();
-        Arc::make_mut(&mut coef.cols)[0][0].1 = 3.0;
-        assert_ne!(structure_fingerprint(&coef), fp);
-        let mut sense = m.clone();
-        sense.row_sense[0] = RowSense::Ge;
-        assert_ne!(structure_fingerprint(&sense), fp);
-        let mut integral = m.clone();
-        integral.integers.push(x);
-        assert_ne!(structure_fingerprint(&integral), fp);
-    }
-
-    #[test]
     fn reference_row_is_eliminated() {
         // θ-style model: singleton equality fixes t, eliminating its column
         // from the balance row.
@@ -1269,111 +869,6 @@ mod tests {
         assert!(pre.postsolve.map_var(l).is_some(), "pair column must survive");
         assert!(pre.postsolve.map_var(s).is_some());
         assert_eq!(pre.reduced.pairs().len(), 1);
-    }
-
-    #[test]
-    fn patch_matches_fresh_presolve_on_rhs_change() {
-        // Reference-row + balance-row structure (the KKT shape): patching
-        // the balance rhs must reproduce what a fresh presolve computes.
-        let build = |rhs: f64| {
-            let mut m = Model::minimize();
-            let p = m.add_var(0.0, 10.0, 1.0);
-            let t = m.add_var(f64::NEG_INFINITY, f64::INFINITY, 0.0);
-            m.add_row(Row::eq(0.0).coef(t, 1.0));
-            m.add_row(Row::eq(rhs).coef(p, 1.0).coef(t, 2.0));
-            m
-        };
-        let base = build(5.0);
-        let pre = presolve(&base).unwrap();
-        let variant = build(7.5);
-        let patched = pre.patch(&base, &variant).expect("rhs-only change patches");
-        let fresh = presolve(&variant).unwrap();
-
-        assert_eq!(patched.reduced.num_vars(), fresh.reduced.num_vars());
-        assert_eq!(patched.reduced.num_rows(), fresh.reduced.num_rows());
-        // Both reductions postsolve to the same full-space answer.
-        let x_p = patched.postsolve.restore_x(&[]);
-        let x_f = fresh.postsolve.restore_x(&[]);
-        for (a, b) in x_p.iter().zip(&x_f) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        assert!((x_p[0] - 7.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn patch_solution_equals_cold_path() {
-        let build = |cap: f64, lo: f64| {
-            let mut m = Model::minimize();
-            let x = m.add_var(lo, 10.0, -1.0);
-            let y = m.add_var(0.0, 10.0, 2.0);
-            m.add_row(Row::le(cap).coef(x, 2.0));
-            m.add_row(Row::ge(1.0).coef(x, 1.0).coef(y, 1.0));
-            m
-        };
-        let base = build(8.0, 0.0);
-        let pre = presolve(&base).unwrap();
-        for (cap, lo) in [(6.0, 0.5), (12.0, 0.0), (8.0, 1.0)] {
-            let variant = build(cap, lo);
-            let patched = pre.patch(&base, &variant).expect("bound/rhs change patches");
-            let cold = presolve(&variant).unwrap();
-            let warm_sol =
-                patched.postsolve.restore_lp_solution(patched.reduced.solve().unwrap());
-            let cold_sol = cold.postsolve.restore_lp_solution(cold.reduced.solve().unwrap());
-            assert!(
-                (warm_sol.objective - cold_sol.objective).abs() < 1e-9,
-                "cap={cap} lo={lo}: {} vs {}",
-                warm_sol.objective,
-                cold_sol.objective
-            );
-            for (a, b) in warm_sol.x.iter().zip(&cold_sol.x) {
-                assert!((a - b).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn patch_rejects_structure_drift_and_broken_replay() {
-        let mut base = Model::minimize();
-        let x = base.add_var(0.0, 10.0, 1.0);
-        let t = base.add_var(2.0, 2.0, 0.0); // fixed → eliminated
-        base.add_row(Row::ge(1.0).coef(x, 1.0).coef(t, 1.0));
-        let pre = presolve(&base).unwrap();
-
-        // Different coefficient pattern → structural reject.
-        let mut other = Model::minimize();
-        let ox = other.add_var(0.0, 10.0, 1.0);
-        let ot = other.add_var(2.0, 2.0, 0.0);
-        other.add_row(Row::ge(1.0).coef(ox, 2.0).coef(ot, 1.0));
-        assert!(pre.patch(&base, &other).is_none());
-
-        // Un-fixing the eliminated column breaks the replay → reject, and
-        // the cold path still solves the variant.
-        let mut unfixed = Model::minimize();
-        let ux = unfixed.add_var(0.0, 10.0, 1.0);
-        let ut = unfixed.add_var(2.0, 3.0, 0.0);
-        unfixed.add_row(Row::ge(1.0).coef(ux, 1.0).coef(ut, 1.0));
-        assert!(pre.patch(&base, &unfixed).is_none());
-        assert!(presolve(&unfixed).is_ok());
-    }
-
-    #[test]
-    fn patch_preserves_dual_recovery() {
-        // Singleton Le row: after an rhs change the recovered dual must
-        // track the new implied bound.
-        let build = |cap: f64| {
-            let mut m = Model::minimize();
-            let x = m.add_var(0.0, 10.0, -1.0);
-            m.add_row(Row::le(cap).coef(x, 2.0));
-            m
-        };
-        let base = build(8.0);
-        let pre = presolve(&base).unwrap();
-        let variant = build(6.0);
-        let patched = pre.patch(&base, &variant).unwrap();
-        let full = patched.postsolve.restore_lp_solution(patched.reduced.solve().unwrap());
-        assert!((full.x[0] - 3.0).abs() < 1e-9);
-        assert!((full.duals[0] + 0.5).abs() < 1e-9);
-        assert!(full.reduced_costs[0].abs() < 1e-9);
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl std::fmt::Display for ParError {
 impl std::error::Error for ParError {}
 
 /// Parses an `ED_THREADS`-style value: a positive integer, clamped to
-/// [`MAX_THREADS`]. Returns `None` for absent, empty, zero, or unparsable
+/// `MAX_THREADS` (1024). Returns `None` for absent, empty, zero, or unparsable
 /// input (the caller then falls back to the hardware default).
 pub fn parse_threads(raw: Option<&str>) -> Option<usize> {
     let n: usize = raw?.trim().parse().ok()?;

@@ -252,9 +252,10 @@ impl FactorCache {
     }
 }
 
-/// Whether the cross-scenario pools (shared factors, solution pool) are
-/// enabled. On by default; `ED_POOL=0` (or `false`/`off`) disables them so
-/// CI can prove pooled and unpooled answers identical.
+/// Whether the two cross-scenario stores are enabled: the shared factor
+/// pool behind [`FactorCache::shared`] and ed-core's `SolutionPool` of
+/// sweep seeds. On by default; `ED_POOL=0` (or `false`/`off`) disables
+/// both so CI can prove pooled and unpooled answers identical.
 pub fn pool_env_enabled() -> bool {
     match std::env::var("ED_POOL") {
         Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),

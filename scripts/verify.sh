@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo verification gate: release build, full test suite, clippy-clean.
+# Repo verification gate: release build, full test suite, clippy- and rustdoc-clean.
 #
 # Usage: scripts/verify.sh [timeout-seconds]
 #
@@ -38,10 +38,13 @@ run env -u ED_THREADS -u ED_TRACE -u ED_POOL cargo test -q --offline --workspace
 #   promise bit-identical results at any thread count; the tests that pin
 #   `threads: Some(1)` keep the sequential path covered);
 # - ED_TRACE=1 turns the observability recorder on;
-# - ED_POOL=0 disables every cross-scenario reuse path (shared factors, the
-#   KKT presolve patch-cache, serve's sweep-seed pool).
+# - ED_POOL=0 disables the two cross-scenario stores (the shared factor
+#   pool and serve's sweep-seed pool).
 run env ED_THREADS=4 ED_TRACE=1 ED_POOL=0 cargo test -q --offline --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc with warnings as errors: an intra-doc link to a deleted, renamed
+# or private item fails the gate instead of dangling.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 # The benchmark package (benchmark/) sits outside the workspace, so none of
 # the runs above build it: smoke-test it here so an API change in crates/*
 # that breaks it fails the gate. --locked also fails if benchmark/Cargo.lock
@@ -83,8 +86,8 @@ if [ -f BENCH_attack.json ]; then
     echo "==> certified floor guard: heuristic_floor=0, total_nodes=$nodes OK"
 
     # Delta re-solve guard (DESIGN.md §18): the committed hour-chain bench
-    # must show the incremental path (pooled factors + patched presolve +
-    # chained bases) reproducing the cold answers bit-identically while
+    # must show the incremental path (pooled factors + chained bases)
+    # reproducing the cold answers bit-identically while
     # running at most 0.35x the cold per-hour wall. Regenerate with
     # scripts/bench_attack.sh after touching the re-solve engine.
     delta_eq="$(sed -n '/"delta_resolve"/,/}/s/.*"warm_equals_cold": \(true\|false\).*/\1/p' BENCH_attack.json | head -n1)"

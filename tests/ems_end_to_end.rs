@@ -106,7 +106,8 @@ fn corruption_detected_by_trend_check() {
 
 /// Repeated case studies over one topology reuse the pooled susceptance
 /// factorization: the `SafetyGate` inside `run_case_study` routes through
-/// `FactorCache::shared`, so only the first study pays the `O(n³)` factor.
+/// `FactorCache::shared`, so only the first study pays for the sparse
+/// susceptance factorization.
 ///
 /// Counter assertions are one-sided lower bounds (the tallies are
 /// process-global and sibling tests record concurrently); the strict

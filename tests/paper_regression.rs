@@ -13,9 +13,11 @@
 //! for the same (line, direction).
 
 use ed_security::cases;
+use ed_security::core::attack::kkt::KktModel;
 use ed_security::core::attack::{
     corner_heuristic, optimal_attack, AttackConfig, AttackResult, BilevelOptions,
 };
+use ed_security::optim::SolveBudget;
 use ed_security::powerflow::LineId;
 
 /// Exact-sweep config for the paper's 3-bus case (same bounds/ratings as
@@ -164,6 +166,7 @@ fn ieee118_node_capped_sweep_matches_certified_golden_violations() {
             .as_ref()
             .unwrap_or_else(|| panic!("L{line}{dir:+}: value carries no certificate"));
         assert!(cert.passed(), "L{line}{dir:+}: certificate failed");
+        assert!(!s.proved_optimal, "L{line}{dir:+}: a node-capped value claims a proof");
         assert!(
             (s.violation - want).abs() < 0.05,
             "118-bus L{line}{dir:+}: violation {:.9}% drifted from golden {want:.9}%",
@@ -180,9 +183,9 @@ fn ieee118_node_capped_sweep_matches_certified_golden_violations() {
 /// Runs the 6-bus 4-hour delta-resolve chain (the short form of
 /// `sweep_scaling`'s 24-hour bench chain: diurnal demand profile, certify
 /// on, presolve on, single-threaded hours) and returns the final hour's
-/// result. `delta` engages every delta path — the hour-to-hour basis
-/// hand-off and the KKT presolve patch-cache; `!delta` forces each hour
-/// cold (`warm_start = false` disables the hand-off).
+/// result. `delta` engages the hour-to-hour basis hand-off; `!delta`
+/// forces each hour cold (`warm_start = false` disables the hand-off).
+/// Every hour presolves its KKT model afresh either way.
 fn six_bus_delta_chain(net: &ed_security::powerflow::Network, delta: bool) -> AttackResult {
     const HOURS: usize = 4;
     let mut handoff: Option<ed_security::optim::lp::Basis> = None;
@@ -210,8 +213,8 @@ fn six_bus_delta_chain(net: &ed_security::powerflow::Network, delta: bool) -> At
 
 /// Golden pin for the 6-bus 4-hour delta-resolve chain: the final hour's
 /// exact violations must be **byte-identical** with the delta machinery on
-/// and off — the warm chain's pivot paths and patched presolves may only
-/// change how fast the answer arrives, never which bits it
+/// and off — the warm chain's pivot paths may only change how fast the
+/// answer arrives, never which bits it
 /// carries — and both must sit on the golden values (same ±0.05 pp
 /// tolerance as the sibling pins).
 #[test]
@@ -260,6 +263,35 @@ fn six_bus_four_hour_delta_chain_final_hour_is_pool_invariant() {
     }
     assert!(cold.ucap_pct.abs() < 0.05, "best violation: {}", cold.ucap_pct);
     assert_eq!(cold.target, None, "6-bus chain must stay unattackable: {:?}", cold.target);
+}
+
+/// The hour hand-off rests on presolve being deterministic: each hour of
+/// the 6-bus demand chain presolves its own KKT model, and the previous
+/// hour's seed fits the next hour only if both reduce to the same shape.
+/// `set_seed` silently drops a seed of other dimensions, so this pins the
+/// shapes and the acceptance hour by hour.
+#[test]
+fn six_bus_chain_fresh_presolves_keep_the_seed_handoff() {
+    let net = cases::six_bus();
+    let budget = SolveBudget::unlimited();
+    let mut dims = None;
+    let mut handoff: Option<ed_security::optim::lp::Basis> = None;
+    for h in 0..4 {
+        let f = 0.9 + 0.15 * (std::f64::consts::PI * h as f64 / 24.0).sin();
+        let demand: Vec<f64> = net.buses().iter().map(|b| b.demand_mw * f).collect();
+        let cfg = six_bus_config(&net).demand(demand);
+        let mut prepared = KktModel::build(&net, &cfg)
+            .and_then(|kkt| kkt.prepare(true))
+            .expect("hour KKT model builds and presolves");
+        let hour_dims = prepared.reduced_dims();
+        assert_eq!(*dims.get_or_insert(hour_dims), hour_dims, "hour {h}: reduced shape moved");
+        if let Some(seed) = handoff.take() {
+            assert!(prepared.set_seed(seed), "hour {h}: the previous hour's seed was dropped");
+        }
+        prepared.compute_seed(&budget);
+        handoff = prepared.seed().cloned();
+        assert!(handoff.is_some(), "hour {h}: no seed to hand on");
+    }
 }
 
 /// One 6-bus sweep at `factor ×` nominal demand with warm start, presolve
