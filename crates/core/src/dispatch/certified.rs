@@ -12,7 +12,8 @@
 //! [`Certificate`], and every repair rung attempted — and an untrusted
 //! answer carries no dispatch at all (fail closed), never a silent number.
 
-use crate::dispatch::{lp_form, DcOpf, Dispatch};
+use crate::dispatch::model::DispatchModel;
+use crate::dispatch::{DcOpf, Dispatch, Formulation};
 use crate::CoreError;
 use ed_optim::budget::{SolveBudget, SolveOutcome};
 use ed_optim::lp::{Pricing, SimplexOptions};
@@ -70,16 +71,13 @@ impl DcOpf<'_> {
         inject_basis_fault: Option<u64>,
     ) -> Result<CertifiedDispatch, CoreError> {
         self.validate()?;
-        let net = self.network();
-        let all_quadratic = net.gens().iter().all(|g| g.cost.is_strictly_convex());
-        let lin_cost: Option<Vec<f64>> = all_quadratic.then(|| {
-            net.gens()
-                .iter()
-                .map(|g| g.cost.b + 2.0 * g.cost.a * 0.5 * (g.pmin_mw + g.pmax_mw))
-                .collect()
-        });
-        let model =
-            lp_form::build_angle_model(net, self.demand_mw(), self.ratings_mw(), lin_cost.as_deref());
+        let model = DispatchModel::build(
+            self.network(),
+            self.demand_mw(),
+            self.ratings_mw(),
+            Formulation::Angle,
+            true,
+        )?;
 
         let primary = SimplexSolver {
             options: SimplexOptions { inject_basis_fault, ..SimplexOptions::default() },
@@ -97,12 +95,7 @@ impl DcOpf<'_> {
         let out = ladder.solve_certified(&model.lp, budget)?;
         let trusted = matches!(out.trust, Trust::Certified | Trust::Repaired { .. });
         let dispatch = match (trusted, out.outcome) {
-            (true, SolveOutcome::Solved(sol)) => {
-                let p_mw = sol.x[..model.ng].to_vec();
-                let lmp: Vec<f64> =
-                    model.balance_rows.iter().map(|r| sol.row_duals[r.index()]).collect();
-                Some(self.package((p_mw, lmp))?)
-            }
+            (true, SolveOutcome::Solved(sol)) => Some(self.package(model.read(&sol))?),
             // Uncertified and partial answers are never packaged: a
             // corrupted x would flow into the DC recompute and come back
             // as plausible-looking flows.
