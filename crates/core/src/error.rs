@@ -24,6 +24,11 @@ pub enum CoreError {
         /// Node budget that was exhausted.
         nodes: usize,
     },
+    /// The dispatch ladder's budget ran out before any rung answered: the
+    /// last rung tripped its budget or was skipped for the deadline, and
+    /// there was no last-known-good dispatch. Says nothing about
+    /// feasibility.
+    BudgetExhausted(ed_optim::BudgetTripped),
     /// An optimization-layer failure.
     Optim(ed_optim::OptimError),
     /// A power-flow-layer failure.
@@ -45,6 +50,9 @@ impl fmt::Display for CoreError {
             CoreError::InvalidInput { what } => write!(f, "invalid input: {what}"),
             CoreError::AttackSearchExhausted { nodes } => {
                 write!(f, "attack search exhausted {nodes} nodes without proof of optimality")
+            }
+            CoreError::BudgetExhausted(t) => {
+                write!(f, "dispatch budget exhausted ({t}) before any rung answered")
             }
             CoreError::Optim(e) => write!(f, "optimization failure: {e}"),
             CoreError::Powerflow(e) => write!(f, "power flow failure: {e}"),
