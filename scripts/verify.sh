@@ -257,6 +257,25 @@ cleanup_atlas
 trap - EXIT
 echo "==> atlas quarantine-as-row OK"
 
+# Atlas answer pin: a fixed exact-tier sweep of the 3- and 6-bus cases
+# (3456 cells, about 5 s) must reproduce the pinned report byte for byte.
+# A change that legitimately moves atlas answers re-pins the hash and
+# gives its evidence.
+ATLAS_PIN_SHA=d1c203c7d56c1320ca7aa772dc2017e862f22876261fe2d1c4838c79593b658e
+ATLAS_PIN_DIR="$(mktemp -d)"
+trap 'rm -rf "$ATLAS_PIN_DIR"' EXIT
+run ./target/release/ed-atlas --cases three_bus,six_bus --hours 96 --ed-k 3 \
+    --contingencies 4 --tier exact --threads 2 \
+    --journal "$ATLAS_PIN_DIR/pin.journal" --out "$ATLAS_PIN_DIR/pin.json"
+atlas_sha="$(sha256sum "$ATLAS_PIN_DIR/pin.json" | cut -d' ' -f1)"
+rm -rf "$ATLAS_PIN_DIR"
+trap - EXIT
+if [ "$atlas_sha" != "$ATLAS_PIN_SHA" ]; then
+    echo "FAILED: atlas report sha256 $atlas_sha, pinned $ATLAS_PIN_SHA" >&2
+    exit 1
+fi
+echo "==> atlas answer pin: sha256 $atlas_sha OK"
+
 # Atlas-artifact guard: the committed benchmark must record the two
 # crash-tolerance invariants. Regenerate with scripts/bench_atlas.sh
 # after touching the sweep engine.

@@ -3,8 +3,9 @@
 //!
 //! This umbrella crate re-exports the workspace's public API:
 //!
-//! - [`linalg`] / [`optim`] — dense linear algebra and the LP/QP/MILP/MPEC
-//!   solvers everything else is built on.
+//! - [`linalg`] / [`optim`] — dense and sparse linear algebra (sparse LU
+//!   with rank-1 updates) and the LP/QP/MILP/MPEC solvers everything else
+//!   is built on.
 //! - [`obs`] — zero-dependency observability: hierarchical spans,
 //!   counters, timing histograms, and the machine-readable
 //!   [`TraceReport`](obs::TraceReport) export (`ED_TRACE=1` to enable).
