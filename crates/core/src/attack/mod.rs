@@ -28,7 +28,7 @@ pub use algorithm1::{
     optimal_attack, optimal_attack_with, AttackResult, SeedlessCause, SubproblemFault,
     SubproblemOutcome, SweepReport,
 };
-pub use bilevel::{BilevelOptions, BilevelSolver, SubproblemSolution};
+pub use bilevel::{BilevelOptions, BilevelSolver};
 pub use evaluate::{evaluate_attack, run_timeline, AttackOutcome, TimelinePoint};
 pub use outage::{attack_upper_bound, optimal_attack_under_outage, outage_network};
 pub use heuristic::{corner_heuristic, greedy_heuristic, HeuristicResult};
