@@ -14,19 +14,12 @@
 //! # Sharing across worker threads
 //!
 //! A budget upgraded with [`SolveBudget::cancellable`] additionally carries
-//! an atomics-based state block that its clones share. This gives parallel
-//! sweeps two properties:
-//!
-//! - **Cooperative cancellation.** The first worker that observes the
-//!   deadline pass raises a shared flag; every other in-flight solve sees
-//!   the flag at its next budget check (one relaxed atomic load — no extra
-//!   clock reads) and degrades to its incumbent with the usual
-//!   [`BudgetTripped::WallClock`]. [`SolveBudget::cancel`] raises the same
-//!   flag explicitly, reported as [`BudgetTripped::Cancelled`].
-//! - **A shared node tally.** Solvers report explored branch-and-bound
-//!   nodes via [`SolveBudget::record_nodes`]; the sweep can read the
-//!   cross-worker total with [`SolveBudget::nodes_recorded`] without any
-//!   synchronization of its own.
+//! an atomics-based cancel flag that its clones share: the first worker
+//! that observes the deadline pass raises it, and every other in-flight
+//! solve sees it at its next budget check (one relaxed atomic load — no
+//! extra clock reads) and degrades to its incumbent with the usual
+//! [`BudgetTripped::WallClock`]. [`SolveBudget::cancel`] raises the same
+//! flag explicitly, reported as [`BudgetTripped::Cancelled`].
 //!
 //! `SolveBudget` is `Send + Sync`; clones are the sharing mechanism.
 //!
@@ -49,7 +42,7 @@
 //! # }
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -89,8 +82,6 @@ struct BudgetShared {
     /// siblings report [`BudgetTripped::WallClock`] rather than
     /// [`BudgetTripped::Cancelled`].
     wall_observed: AtomicBool,
-    /// Cross-worker branch-and-bound node tally.
-    nodes: AtomicUsize,
 }
 
 /// A cooperative solve budget: wall-clock deadline plus iteration and node
@@ -178,8 +169,7 @@ impl SolveBudget {
     /// Upgrades this budget with shared, atomics-based cancellation state.
     /// Clones of the returned budget observe each other's [`cancel`]
     /// (reported as [`BudgetTripped::Cancelled`]) and deadline trips
-    /// (reported as [`BudgetTripped::WallClock`]), and share one
-    /// cross-worker node tally.
+    /// (reported as [`BudgetTripped::WallClock`]).
     ///
     /// [`cancel`]: SolveBudget::cancel
     pub fn cancellable(mut self) -> SolveBudget {
@@ -209,20 +199,6 @@ impl SolveBudget {
     /// [`cancel`]: SolveBudget::cancel
     pub fn is_cancelled(&self) -> bool {
         self.shared.as_ref().is_some_and(|s| s.cancelled.load(Ordering::Acquire))
-    }
-
-    /// Adds `n` explored branch-and-bound nodes to the shared cross-worker
-    /// tally. A no-op on budgets without shared state.
-    pub fn record_nodes(&self, n: usize) {
-        if let Some(s) = &self.shared {
-            s.nodes.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// The shared node tally accumulated by [`SolveBudget::record_nodes`]
-    /// across all clones (0 without shared state).
-    pub fn nodes_recorded(&self) -> usize {
-        self.shared.as_ref().map_or(0, |s| s.nodes.load(Ordering::Relaxed))
     }
 
     /// Time left before the deadline (`None` when no deadline is set;
@@ -411,22 +387,6 @@ mod tests {
         b.cancel();
         assert!(!b.is_cancelled());
         assert_eq!(b.wall_tripped(), None);
-    }
-
-    #[test]
-    fn node_tally_accumulates_across_clones_and_threads() {
-        let b = SolveBudget::unlimited().cancellable();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = b.clone();
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        c.record_nodes(3);
-                    }
-                });
-            }
-        });
-        assert_eq!(b.nodes_recorded(), 4 * 100 * 3);
     }
 
     /// The budget-cancellation contract the parallel sweep relies on: a
