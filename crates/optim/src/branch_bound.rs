@@ -77,18 +77,6 @@ pub enum Branching {
     Pairs,
 }
 
-impl Branching {
-    /// `(tol, gap_abs)` for this rule from the unified tolerance vocabulary.
-    pub(crate) fn tolerances(self, tol: &Tolerances) -> (f64, f64) {
-        match self {
-            Branching::Integers => (tol.int, tol.gap),
-            // Complementarity incumbents land on LP vertices, so the gap
-            // closes to simplex precision: two orders above `opt`.
-            Branching::Pairs => (tol.feas, 100.0 * tol.opt),
-        }
-    }
-}
-
 /// Options for the branch-and-bound solver.
 #[derive(Debug, Clone)]
 pub struct BranchOptions {
@@ -127,7 +115,13 @@ impl BranchOptions {
     }
 
     fn new(branching: Branching, max_nodes: usize) -> BranchOptions {
-        let (tol, gap_abs) = branching.tolerances(&Tolerances::default());
+        let t = Tolerances::default();
+        let (tol, gap_abs) = match branching {
+            Branching::Integers => (t.int, t.gap),
+            // Complementarity incumbents land on LP vertices, so the gap
+            // closes to simplex precision: two orders above `opt`.
+            Branching::Pairs => (t.feas, 100.0 * t.opt),
+        };
         BranchOptions {
             branching,
             max_nodes,
@@ -168,10 +162,6 @@ pub struct BranchSolution {
     /// Node relaxations that were offered a warm basis but fell back to a
     /// cold two-phase solve.
     pub cold_restarts: usize,
-    /// Optimal basis of the incumbent's relaxation, for hand-off to sibling
-    /// solves; `None` when presolve was active (reduced-space bases do not
-    /// transfer) or no incumbent basis survived.
-    pub basis: Option<Basis>,
 }
 
 /// A bound override `(var, lb, ub)` along the path from the root.
@@ -328,7 +318,6 @@ fn search(
     let mut lp_iterations = 0usize;
     let mut warm_starts = 0usize;
     let mut cold_restarts = 0usize;
-    let mut incumbent_basis: Option<Basis> = None;
     let mut tripped: Option<BudgetTripped> = None;
     // Per-node simplex options: the warm slot is rewritten for every node,
     // everything else is shared. The root inherits any caller-supplied seed.
@@ -419,15 +408,14 @@ fn search(
             continue;
         }
 
-        let child_basis = sol.basis.map(Arc::new);
         match children(options, &lp, &node.overrides, &sol.x) {
             None => {
                 // Feasible for the rule: new incumbent.
                 incumbent_cut = node_obj;
                 incumbent = Some((sol.x, node_obj));
-                incumbent_basis = child_basis.as_deref().cloned();
             }
             Some(kids) => {
+                let child_basis = sol.basis.map(Arc::new);
                 // Pushed in reverse so the first child pops first.
                 for overrides in kids.into_iter().rev() {
                     stack.push(Node { overrides, bound: node_obj, basis: child_basis.clone() });
@@ -469,8 +457,6 @@ fn search(
                 lp_iterations,
                 warm_starts,
                 cold_restarts,
-                // A reduced-space basis does not transfer through postsolve.
-                basis: if options.presolve { None } else { incumbent_basis },
             }))
         }
         None if stack.is_empty() => Err(OptimError::Infeasible),

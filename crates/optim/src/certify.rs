@@ -630,7 +630,6 @@ impl CertifiedSolver {
                         proved_optimal: false,
                         iterations: p.iterations,
                         nodes: p.nodes,
-                        basis: None,
                     };
                     certify(model, &probe, &self.tolerances)
                 });
@@ -774,7 +773,6 @@ mod tests {
             proved_optimal: true,
             iterations: 0,
             nodes: 0,
-            basis: None,
         };
         let cert = certify(&m, &s, &Tolerances::default());
         assert_eq!(cert.status, CertStatus::PrimalInfeasible);
@@ -792,7 +790,6 @@ mod tests {
             proved_optimal: true,
             iterations: 0,
             nodes: 0,
-            basis: None,
         };
         assert_eq!(certify(&m, &s, &Tolerances::default()).status, CertStatus::Malformed);
     }

@@ -60,7 +60,7 @@ pub use certify::{
 };
 pub use error::OptimError;
 pub use model::{
-    ActiveSetSolver, BranchBoundSolver, IpmSolver, Model, Postsolve, PresolveOptions, PresolveStats,
+    ActiveSetSolver, IpmSolver, Model, Postsolve, PresolveOptions, PresolveStats,
     Presolved, QpAutoSolver, SimplexSolver, Solution, Solver,
 };
 

@@ -16,7 +16,7 @@
 //!
 //! The [`presolve`] submodule reduces a model before solving and maps
 //! solutions back exactly; the [`solver`] submodule defines the [`Solver`]
-//! trait implemented by all four solver families.
+//! trait implemented by the continuous solver families.
 //!
 //! [`Solver`]: solver::Solver
 
@@ -24,9 +24,7 @@ pub mod presolve;
 pub mod solver;
 
 pub use presolve::{Postsolve, PresolveOptions, PresolveStats, Presolved};
-pub use solver::{
-    ActiveSetSolver, BranchBoundSolver, IpmSolver, QpAutoSolver, SimplexSolver, Solution, Solver,
-};
+pub use solver::{ActiveSetSolver, IpmSolver, QpAutoSolver, SimplexSolver, Solution, Solver};
 
 use crate::budget::{SolveBudget, SolveOutcome};
 use crate::lp::simplex::{self, SimplexOptions};

@@ -1,21 +1,16 @@
 //! The [`Solver`] trait: one solve interface over the shared [`Model`] IR.
 //!
-//! Every solver family in this crate (simplex LP, active-set QP,
-//! interior-point QP, branch and bound on integrality marks or
-//! complementarity pairs) can be driven through this trait, which is what
-//! the dispatch fallback ladder in `ed-core` uses to treat rungs uniformly.
+//! The continuous solver families in this crate (simplex LP, active-set QP,
+//! interior-point QP, and the active-set-then-IPM escalation) are driven
+//! through this trait, which is what the dispatch fallback ladder in
+//! `ed-core` uses to treat rungs uniformly. Branch and bound on
+//! integrality marks or complementarity pairs has its own entry point,
+//! [`branch_bound::solve`](crate::branch_bound::solve).
 //!
-//! Conventions:
-//!
-//! - `row_duals[i]` is `∂objective/∂rhs_i` **in the model's stated sense**
-//!   (the same convention the LP simplex reports): for a minimization, a
-//!   binding `>=` row has a nonnegative dual.
-//! - Integer/complementarity solvers report empty dual vectors — the
-//!   restricted subproblem duals are not meaningful for the original
-//!   problem and callers that need them (LMP extraction) resolve a fixed
-//!   continuous model instead.
+//! `row_duals[i]` is `∂objective/∂rhs_i` **in the model's stated sense**
+//! (the same convention the LP simplex reports): for a minimization, a
+//! binding `>=` row has a nonnegative dual.
 
-use crate::branch_bound::{self, BranchOptions, Branching};
 use crate::budget::{Partial, SolveBudget, SolveOutcome};
 use crate::certify::Tolerances;
 use crate::lp::{Basis, BasisStatus, SimplexOptions};
@@ -44,11 +39,6 @@ pub struct Solution {
     pub iterations: usize,
     /// Branch-and-bound nodes explored (0 for continuous solvers).
     pub nodes: usize,
-    /// Optimal simplex basis when the solving family produces one (pure
-    /// simplex, or the incumbent relaxation of a branch-and-bound tree);
-    /// `None` for interior methods and postsolved solutions. Callers hand
-    /// this to [`Solver::solve_warm`] of a sibling solve.
-    pub basis: Option<Basis>,
 }
 
 /// A solver family that consumes the shared [`Model`] IR.
@@ -143,7 +133,6 @@ impl Solver for SimplexSolver {
             proved_optimal: true,
             iterations: s.iterations,
             nodes: 0,
-            basis: s.basis,
         }))
     }
 
@@ -198,7 +187,6 @@ fn qp_to_solution(model: &Model, dense: &DenseQp, s: QpSolution) -> Solution {
         proved_optimal: true,
         iterations: s.iterations,
         nodes: 0,
-        basis: None,
     }
 }
 
@@ -388,62 +376,6 @@ impl Solver for QpAutoSolver {
     }
 }
 
-/// Branch and bound on the model's integrality marks
-/// ([`BranchOptions::integers`], the default; a model without marks
-/// degenerates to a single root LP) or its complementarity pairs
-/// ([`BranchOptions::pairs`]).
-#[derive(Debug, Clone, Default)]
-pub struct BranchBoundSolver {
-    /// Branch-and-bound options for each solve.
-    pub options: BranchOptions,
-}
-
-impl Solver for BranchBoundSolver {
-    fn name(&self) -> &'static str {
-        match self.options.branching {
-            Branching::Integers => "branch-and-bound",
-            Branching::Pairs => "mpec",
-        }
-    }
-
-    fn solve(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        let out = branch_bound::solve(model, &self.options, budget)?;
-        Ok(out.map(|s| Solution {
-            x: s.x,
-            objective: s.objective,
-            row_duals: Vec::new(),
-            reduced_costs: Vec::new(),
-            proved_optimal: s.proved_optimal,
-            iterations: s.lp_iterations,
-            nodes: s.nodes,
-            basis: s.basis,
-        }))
-    }
-
-    fn solve_warm(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-        warm: Option<&Basis>,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        let Some(warm) = warm else { return self.solve(model, budget) };
-        let mut warmed = self.clone();
-        warmed.options.simplex.warm = Some(warm.clone());
-        warmed.solve(model, budget)
-    }
-
-    fn with_tolerances(&self, tol: &Tolerances) -> Box<dyn Solver> {
-        let mut options = self.options.clone();
-        (options.tol, options.gap_abs) = options.branching.tolerances(tol);
-        options.simplex = simplex_with(options.simplex, tol);
-        Box::new(BranchBoundSolver { options })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,42 +460,5 @@ mod tests {
         assert!((s.x[0] - 0.5).abs() < 1e-8, "{:?}", s.x);
         assert!((s.objective - 0.75).abs() < 1e-8);
         assert!((s.row_duals[cap.index()] - 1.0).abs() < 1e-6, "{:?}", s.row_duals);
-    }
-
-    #[test]
-    fn branch_bound_solver_honors_integrality_marks() {
-        // max 5x + 4y, 6x + 4y <= 24, x + 2y <= 6: LP relaxation peaks at
-        // (3, 1.5) = 21; the integer optimum is (4, 0) = 20.
-        let mut m = Model::maximize();
-        let x = m.add_var(0.0, 10.0, 5.0);
-        let y = m.add_var(0.0, 10.0, 4.0);
-        m.add_row(Row::le(24.0).coef(x, 6.0).coef(y, 4.0));
-        m.add_row(Row::le(6.0).coef(x, 1.0).coef(y, 2.0));
-        m.set_integer(x);
-        m.set_integer(y);
-        let s = BranchBoundSolver::default()
-            .solve(&m, &SolveBudget::unlimited())
-            .unwrap()
-            .solved()
-            .unwrap();
-        assert!((s.objective - 20.0).abs() < 1e-7, "obj={}", s.objective);
-        assert!(s.proved_optimal);
-        assert!(s.nodes >= 1);
-    }
-
-    #[test]
-    fn branch_bound_solver_honors_pairs() {
-        let mut m = Model::maximize();
-        let x = m.add_var(0.0, 2.0, 1.0);
-        let y = m.add_var(0.0, 2.0, 1.0);
-        m.add_row(Row::le(3.0).coef(x, 1.0).coef(y, 1.0));
-        m.add_pair(x, y);
-        let s = BranchBoundSolver { options: BranchOptions::pairs() }
-            .solve(&m, &SolveBudget::unlimited())
-            .unwrap()
-            .solved()
-            .unwrap();
-        assert!((s.objective - 2.0).abs() < 1e-7, "obj={}", s.objective);
-        assert!((s.x[0] * s.x[1]).abs() < 1e-6);
     }
 }

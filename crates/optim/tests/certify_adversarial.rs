@@ -37,7 +37,6 @@ fn primal_only(x: Vec<f64>, objective: f64) -> Solution {
         proved_optimal: true,
         iterations: 0,
         nodes: 0,
-        basis: None,
     }
 }
 
