@@ -160,6 +160,8 @@ smoke "expired deadline refused at admission" 'deadline_expired_at_admission' \
     -XPOST -H 'x-deadline-ms: 0' -d '{"case":"three_bus"}' "$BASE/dispatch"
 smoke "malformed JSON is typed" '"reason":"bad_request"' \
     -XPOST -d '{"case": nope' "$BASE/dispatch"
+smoke "leading-zero number is malformed JSON" '"reason":"bad_request"' \
+    -XPOST -d '{"case":"three_bus","p_mw":[01,299]}' "$BASE/safety-audit"
 smoke "handler panic contained as typed 500" 'worker_panicked' \
     -XPOST -d '{"case":"three_bus","chaos":"panic"}' "$BASE/dispatch"
 smoke "server alive after panic" '"status":"ok"' "$BASE/healthz"
