@@ -1,4 +1,5 @@
-//! Convex quadratic programming via a primal active-set method.
+//! Convex quadratic programming by active-set methods, with an
+//! interior-point fallback.
 //!
 //! Solves
 //!
@@ -12,11 +13,24 @@
 //! space of the active constraints — true for economic dispatch with strictly
 //! convex generator costs and a fixed reference angle).
 //!
-//! A feasible starting point is obtained from a phase-1 LP solved with the
-//! crate's simplex method; the active-set loop then alternates
-//! equality-constrained QP steps (dense KKT solves) with blocking-constraint
-//! additions and multiplier-driven deletions. A primal-dual interior-point
-//! method is the robust fallback on degenerate instances.
+//! One entry point picks the method by a property of the input:
+//!
+//! - **`H` positive definite** (the PTDF-form dispatch with strictly convex
+//!   costs): the Goldfarb–Idnani dual active-set method starts from the
+//!   unconstrained minimum `−H⁻¹c`, adds violated rows one at a time and
+//!   drops rows whose multipliers would turn negative, keeping a Cholesky
+//!   factor of `H` and Givens-updated factors of the active rows. No
+//!   phase-1 LP runs, and it ends on an exact active set with exact
+//!   multipliers.
+//! - **Any other `H`** (the angle form, where θ carries no cost), and every
+//!   problem the dual method hands over: the primal active-set method. A
+//!   phase-1 LP solved with the crate's simplex finds a feasible start; the
+//!   loop then alternates equality-constrained QP steps (dense KKT solves)
+//!   with blocking-constraint additions and multiplier-driven deletions,
+//!   and every iterate stays feasible.
+//!
+//! A primal-dual interior-point method is the fallback on a primal-method
+//! stall.
 //!
 //! Build the problem as a [`Model`](crate::model::Model) with quadratic
 //! terms and solve it through [`ActiveSetSolver`](crate::ActiveSetSolver),
@@ -25,6 +39,7 @@
 
 pub(crate) mod active_set;
 pub(crate) mod dense;
+pub(crate) mod dual_active_set;
 pub(crate) mod ipm;
 
 pub use active_set::QpOptions;
