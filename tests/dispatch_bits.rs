@@ -7,8 +7,8 @@
 //! - `DcOpf::solve_certified`, with its trust and repair count;
 //! - a fresh `ResilientDispatcher` under an unlimited budget and under
 //!   iteration caps of 0 and 3, with its rung and degradation reasons;
-//! - `case300_like` through the ladder, the one input where the
-//!   interior-point rung answers (the active set hits its iteration limit).
+//! - `case300_like` through the ladder, the largest input, which the
+//!   active-set rung answers with the dual method.
 //!
 //! The three small cases and `ieee118_like` run at static and 0.8× static
 //! ratings. A dispatch hashes the `to_bits()` of `p_mw`, `flows_mw`,
@@ -189,22 +189,22 @@ const DCOPF_SOLVE: &[(&str, u64)] = &[
     ("three_bus/0.8x/ptdf", 0x8d67769b3b2843a3),    // error DispatchInfeasible
     ("three_bus_quadratic/static/auto", 0xa94ec40217d36f51), // ok
     ("three_bus_quadratic/static/angle", 0xa94ec40217d36f51), // ok
-    ("three_bus_quadratic/static/ptdf", 0x89c964b41b61d867), // ok
+    ("three_bus_quadratic/static/ptdf", 0xd47073721018c085), // ok
     ("three_bus_quadratic/0.8x/auto", 0x8d67769b3b2843a3), // error DispatchInfeasible
     ("three_bus_quadratic/0.8x/angle", 0x8d67769b3b2843a3), // error DispatchInfeasible
     ("three_bus_quadratic/0.8x/ptdf", 0x8d67769b3b2843a3), // error DispatchInfeasible
     ("six_bus/static/auto", 0xc9158a853158271e),    // ok
     ("six_bus/static/angle", 0xc9158a853158271e),   // ok
-    ("six_bus/static/ptdf", 0xaa7d8e926ed018aa),    // ok
+    ("six_bus/static/ptdf", 0x67f4a5ca182143d9),    // ok
     ("six_bus/0.8x/auto", 0xc9158a853158271e),      // ok
     ("six_bus/0.8x/angle", 0xc9158a853158271e),     // ok
-    ("six_bus/0.8x/ptdf", 0xaa7d8e926ed018aa),      // ok
-    ("ieee118_like/static/auto", 0xe3fe3384df8c8903), // ok
+    ("six_bus/0.8x/ptdf", 0x67f4a5ca182143d9),      // ok
+    ("ieee118_like/static/auto", 0xf1aa31912f763109), // ok
     ("ieee118_like/static/angle", 0x5c603a396ecb924c), // ok
-    ("ieee118_like/static/ptdf", 0xe3fe3384df8c8903), // ok
-    ("ieee118_like/0.8x/auto", 0x0fe73f5dd0e09191), // ok
+    ("ieee118_like/static/ptdf", 0xf1aa31912f763109), // ok
+    ("ieee118_like/0.8x/auto", 0x54e6f8b8676262c7), // ok
     ("ieee118_like/0.8x/angle", 0x4701755e979e0f6d), // ok
-    ("ieee118_like/0.8x/ptdf", 0x0fe73f5dd0e09191), // ok
+    ("ieee118_like/0.8x/ptdf", 0x54e6f8b8676262c7), // ok
 ];
 
 const SOLVE_CERTIFIED: &[(&str, u64)] = &[
@@ -237,14 +237,14 @@ const LADDER: &[(&str, u64)] = &[
     ("six_bus/0.8x/unlimited", 0x65d9a66031700384),     // ActiveSetQp, 0 degradations
     ("six_bus/0.8x/iter0", 0xa59a2feeada4ab93),         // ActiveSetQp, 1 degradations
     ("six_bus/0.8x/iter3", 0x65d9a66031700384),         // ActiveSetQp, 0 degradations
-    ("ieee118_like/static/unlimited", 0xb36edfa78253e8e1), // ActiveSetQp, 0 degradations
+    ("ieee118_like/static/unlimited", 0xe78b9d1536f9c5d7), // ActiveSetQp, 0 degradations
     ("ieee118_like/static/iter0", 0xcdc65e679b8bbd54),  // ActiveSetQp, 1 degradations
     ("ieee118_like/static/iter3", 0x436eaeae624ecea6),  // ActiveSetQp, 1 degradations
-    ("ieee118_like/0.8x/unlimited", 0x23f4ee46572207bb), // ActiveSetQp, 0 degradations
+    ("ieee118_like/0.8x/unlimited", 0x4d67b8a2a320957d), // ActiveSetQp, 0 degradations
     ("ieee118_like/0.8x/iter0", 0x036ce4cb7bfcd980),    // ActiveSetQp, 1 degradations
     ("ieee118_like/0.8x/iter3", 0xcdb6c9f3424237d4),    // ActiveSetQp, 1 degradations
 ];
 
 const CASE300_LADDER: &[(&str, u64)] = &[
-    ("case300_like/static/unlimited", 0x0572814e24b4f097), // InteriorPoint, 1 degradations
+    ("case300_like/static/unlimited", 0xee27929b98a5577c), // ActiveSetQp, 0 degradations
 ];

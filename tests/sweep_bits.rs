@@ -362,7 +362,7 @@ const SIX_BUS: &[(&str, u64)] = &[
 ];
 
 const IEEE118: &[(&str, u64)] = &[
-    ("ieee118_like/hint", 0xc17c957281a4bb9f), // 6.2583% L159-, 6 nodes, 6 certified, 0 floors, 0 degraded
-    ("ieee118_like/no_hint", 0xc01d8051a1eee209), // 6.2583% L159-, 6 nodes, 6 certified, 0 floors, 0 degraded
-    ("ieee118_like/heuristic_only", 0x13a720e7e978b1d4), // 6.2583% L159-, 0 nodes, 0 certified, 0 floors, 0 degraded
+    ("ieee118_like/hint", 0x96594a3678afd8af), // 6.2583% L159-, 6 nodes, 6 certified, 0 floors, 0 degraded
+    ("ieee118_like/no_hint", 0xb574a244ce5b41cf), // 6.2583% L159-, 6 nodes, 6 certified, 0 floors, 0 degraded
+    ("ieee118_like/heuristic_only", 0x91d56cbac1af8e07), // 6.2583% L159-, 0 nodes, 0 certified, 0 floors, 0 degraded
 ];
