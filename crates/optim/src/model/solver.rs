@@ -13,7 +13,7 @@
 
 use crate::budget::{Partial, SolveBudget, SolveOutcome};
 use crate::certify::Tolerances;
-use crate::lp::{Basis, BasisStatus, SimplexOptions};
+use crate::lp::SimplexOptions;
 use crate::model::Model;
 use crate::qp::dense::{DenseQp, IneqSrc, QpSolution};
 use crate::qp::{active_set, ipm, IpmOptions, QpOptions};
@@ -58,26 +58,6 @@ pub trait Solver {
         model: &Model,
         budget: &SolveBudget,
     ) -> Result<SolveOutcome<Solution>, OptimError>;
-
-    /// Solves `model` with a basis from a previous (sibling or parent)
-    /// solve offered as a warm start. The default ignores the basis —
-    /// families that can exploit one override this. Implementations must
-    /// treat the basis as a *hint only*: a stale or corrupt basis may cost
-    /// iterations but never changes the returned answer (fail-safe install
-    /// falls back to the cold path).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Solver::solve`].
-    fn solve_warm(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-        warm: Option<&Basis>,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        let _ = warm;
-        self.solve(model, budget)
-    }
 
     /// A copy of this solver with its numerical tolerances retargeted to
     /// `tol` (mapping each family's option fields from the unified
@@ -136,18 +116,6 @@ impl Solver for SimplexSolver {
         }))
     }
 
-    fn solve_warm(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-        warm: Option<&Basis>,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        let Some(warm) = warm else { return self.solve(model, budget) };
-        let mut warmed = self.clone();
-        warmed.options.warm = Some(warm.clone());
-        warmed.solve(model, budget)
-    }
-
     fn with_tolerances(&self, tol: &Tolerances) -> Box<dyn Solver> {
         Box::new(SimplexSolver { options: simplex_with(self.options.clone(), tol) })
     }
@@ -190,29 +158,6 @@ fn qp_to_solution(model: &Model, dense: &DenseQp, s: QpSolution) -> Solution {
     }
 }
 
-/// Maps an LP [`Basis`] onto the dense QP view's inequality indices: the
-/// rows and bounds the basis held tight become the warm working-set hint.
-/// Returns `None` when the basis was recorded against different dimensions.
-fn qp_warm_hint(model: &Model, dense: &DenseQp, warm: &Basis) -> Option<Vec<usize>> {
-    if !warm.dims_match(model.num_vars(), model.num_rows()) {
-        return None;
-    }
-    let n = model.num_vars();
-    let mut hint = Vec::new();
-    for (k, src) in dense.ineq_src.iter().enumerate() {
-        let tight = match *src {
-            // A nonbasic slack means the row held with equality.
-            IneqSrc::Row { row, .. } => !matches!(warm.statuses[n + row], BasisStatus::Basic),
-            IneqSrc::Lower(j) => matches!(warm.statuses[j], BasisStatus::AtLower),
-            IneqSrc::Upper(j) => matches!(warm.statuses[j], BasisStatus::AtUpper),
-        };
-        if tight {
-            hint.push(k);
-        }
-    }
-    Some(hint)
-}
-
 /// Re-expresses a QP kernel partial (minimization form) in the model's
 /// stated sense.
 fn qp_reprice_partial(model: &Model, sign: f64, mut p: Partial) -> Partial {
@@ -225,9 +170,13 @@ fn qp_reprice_partial(model: &Model, sign: f64, mut p: Partial) -> Partial {
     p
 }
 
-/// QP via the primal active-set method (integrality marks and
-/// complementarity pairs are relaxed; also solves pure LPs, though the
-/// simplex is the better tool for those).
+/// QP via the active-set methods (integrality marks and complementarity
+/// pairs are relaxed; also solves pure LPs, though the simplex is the
+/// better tool for those). A symmetric positive definite `H` runs the
+/// Goldfarb–Idnani dual method, which needs no phase-1 LP; any other `H`,
+/// and any problem the dual method hands over (budget trip, dependent row,
+/// iteration cap, infeasibility), runs the primal method under the same
+/// budget, so a budget partial still carries a feasible iterate.
 #[derive(Debug, Clone, Default)]
 pub struct ActiveSetSolver {
     /// Active-set options for each solve.
@@ -247,27 +196,6 @@ impl Solver for ActiveSetSolver {
         model.validate()?;
         let dense = DenseQp::from_model(model);
         match active_set::solve_budgeted(&dense, &self.options, budget)? {
-            SolveOutcome::Solved(s) => {
-                Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
-            }
-            SolveOutcome::Partial(p) => {
-                Ok(SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p)))
-            }
-        }
-    }
-
-    fn solve_warm(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-        warm: Option<&Basis>,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        let Some(warm) = warm else { return self.solve(model, budget) };
-        model.validate()?;
-        let dense = DenseQp::from_model(model);
-        let mut options = self.options.clone();
-        options.warm_active = qp_warm_hint(model, &dense, warm);
-        match active_set::solve_budgeted(&dense, &options, budget)? {
             SolveOutcome::Solved(s) => {
                 Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
             }
@@ -319,9 +247,10 @@ impl Solver for IpmSolver {
     }
 }
 
-/// QP by escalation: active set first; degenerate stalls and numerical
-/// breakdowns fall back to the interior-point method, keeping a feasible
-/// active-set partial when the fallback cannot finish either.
+/// QP by escalation: the active-set methods of [`ActiveSetSolver`] first;
+/// a primal-method iteration limit or numerical breakdown falls back to
+/// the interior-point method, keeping a feasible active-set partial when
+/// the fallback cannot finish either.
 #[derive(Debug, Clone, Default)]
 pub struct QpAutoSolver {
     /// Active-set options (the embedded IPM options drive the fallback).
