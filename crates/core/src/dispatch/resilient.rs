@@ -5,10 +5,16 @@
 //! loop down with it. [`ResilientDispatcher`] wraps [`DcOpf`] in a ladder
 //! of progressively cheaper rungs:
 //!
-//! 1. **Active-set QP** — the exact solver for strictly convex costs. A
-//!    budget trip here still yields a *feasible* incumbent (active-set
-//!    iterates stay primal feasible), which is accepted as a degraded
-//!    dispatch rather than discarded.
+//! 1. **Active-set QP** — the exact solver for strictly convex costs, by
+//!    one of two methods. On the PTDF form `H` is positive definite and the
+//!    Goldfarb–Idnani dual method answers from the unconstrained minimum,
+//!    with no phase-1 LP. On the angle form (θ carries no cost), and
+//!    whenever the dual method hands over — a budget trip, a dependent
+//!    row, its iteration cap or an infeasibility verdict — the primal
+//!    method runs under the same budget. Its phase-1 start is unbudgeted
+//!    and its iterates stay primal feasible, so a budget trip still yields
+//!    a *feasible* incumbent, which is accepted as a degraded dispatch
+//!    rather than discarded.
 //! 2. **Interior-point QP** — immune to active-set degeneracy stalls.
 //! 3. **LP approximation** — generation costs linearized at the midpoint
 //!    of each generator's range (marginal cost `b + 2a·(pmin+pmax)/2`).
@@ -532,6 +538,27 @@ mod tests {
         assert_eq!(r.degradations, [Degradation { rung: DispatchRung::LpApprox, reason: skipped }]);
         let total: f64 = r.dispatch.p_mw.iter().sum();
         assert!((total - demand.iter().sum::<f64>()).abs() < 1e-6, "balance violated");
+    }
+
+    /// The 118-bus PTDF model has a positive definite `H`, so rung 1 runs
+    /// the dual method first; a spent budget hands it to the primal
+    /// method, whose unbudgeted phase-1 start becomes the incumbent.
+    #[test]
+    fn expired_deadline_hands_the_dual_method_over_to_a_feasible_start() {
+        let net = ed_cases::ieee118_like();
+        let demand = net.demand_vector_mw();
+        let expired = SolveBudget::with_deadline(std::time::Duration::ZERO);
+        let r = ResilientDispatcher::new()
+            .dispatch(&net, &demand, &net.static_ratings_mva(), &expired)
+            .unwrap();
+        assert_eq!(r.rung, DispatchRung::ActiveSetQp);
+        assert!(matches!(
+            r.degradations[0].reason,
+            DegradationReason::PartialIncumbent(BudgetTripped::WallClock)
+        ));
+        let total: f64 = r.dispatch.p_mw.iter().sum();
+        assert!((total - demand.iter().sum::<f64>()).abs() < 1e-6, "balance violated");
+        assert!(r.dispatch.lmp.iter().all(|v| v.is_nan()), "partial LMPs must be NaN");
     }
 
     #[test]

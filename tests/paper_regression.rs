@@ -41,14 +41,14 @@ fn six_bus_config(net: &ed_security::powerflow::Network) -> AttackConfig {
         .solver_options(BilevelOptions { use_heuristic: false, ..Default::default() })
 }
 
-/// Exact-sweep config for the 118-bus-class network: the three most-loaded
-/// lines under a proportional dispatch get DLR (mirrors
+/// Node-capped sweep config for the 118- and 300-bus-class networks: the
+/// three most-loaded lines under a proportional dispatch get DLR (mirrors
 /// `ed_bench::congested_dlr_lines` and `sweep_scaling`'s widest case),
 /// bounds `[0.8, 1.6] ×` static rating, true rating = static rating. Node
 /// limit 1: each subproblem solves its root relaxation, then promotes the
 /// corner-heuristic incumbent to an independently *certified* KKT point —
 /// the configuration `BENCH_attack.json`'s 118-bus numbers come from.
-fn ieee118_config(net: &ed_security::powerflow::Network) -> AttackConfig {
+fn node_capped_config(net: &ed_security::powerflow::Network) -> AttackConfig {
     let cap: f64 = net.total_pmax_mw();
     let d = net.total_demand_mw();
     let prop: Vec<f64> = net.gens().iter().map(|g| g.pmax_mw / cap * d).collect();
@@ -145,7 +145,7 @@ fn six_bus_exact_sweep_matches_golden_violations() {
 #[test]
 fn ieee118_node_capped_sweep_matches_certified_golden_violations() {
     let net = cases::ieee118_like();
-    let r = optimal_attack(&net, &ieee118_config(&net)).expect("118-bus sweep solves");
+    let r = optimal_attack(&net, &node_capped_config(&net)).expect("118-bus sweep solves");
     const GOLDEN: [(usize, i8, f64); 6] = [
         (159, 1, -180.0),
         (159, -1, 6.258321246073),
@@ -178,6 +178,26 @@ fn ieee118_node_capped_sweep_matches_certified_golden_violations() {
     assert!((r.ucap_pct - 6.258321246073).abs() < 0.05, "best violation: {}", r.ucap_pct);
     assert!((r.overload_mw - 4.247408450386).abs() < 0.05, "overload: {}", r.overload_mw);
     assert_eq!(r.target, Some((LineId(159), -1)), "target subproblem moved: {:?}", r.target);
+}
+
+/// The same node-capped sweep on `case300_like`. The corner heuristic's
+/// dispatches there are exact dual active-set vertices, so every floor
+/// certifies; the best violation is L207−'s, which equals that
+/// subproblem's root bound to 1e-5 pp.
+#[test]
+fn case300_node_capped_sweep_certifies_every_floor() {
+    let net = cases::case300_like();
+    let r = optimal_attack(&net, &node_capped_config(&net)).expect("300-bus sweep solves");
+    for s in &r.subproblems {
+        let (line, dir) = (s.line.0, s.direction);
+        assert!(s.fault.is_none(), "L{line}{dir:+}: sweep degraded ({:?})", s.fault);
+        let cert = s.certificate.as_ref();
+        assert!(cert.is_some_and(|c| c.passed()), "L{line}{dir:+}: value not certified");
+    }
+    assert_eq!(r.sweep.heuristic_floor, 0, "a bare heuristic floor survived");
+    assert_eq!(r.sweep.certified, 6, "not every subproblem certified first-try");
+    assert!((r.ucap_pct - 31.4934).abs() < 0.05, "best violation: {}", r.ucap_pct);
+    assert_eq!(r.target, Some((LineId(207), -1)), "target subproblem moved: {:?}", r.target);
 }
 
 /// Runs the 6-bus 4-hour delta-resolve chain (the short form of
