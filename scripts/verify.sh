@@ -148,6 +148,8 @@ smoke "readyz" '"ready":true' "$BASE/readyz"
 smoke "metrics" '"service"' "$BASE/metrics"
 smoke "clean dispatch passes the gate" '"passed":true' \
     -XPOST -d '{"case":"three_bus"}' "$BASE/dispatch"
+smoke "300-bus dispatch answers on rung 1" '"rung":"active-set QP","degraded":false' \
+    -XPOST -d '{"case":"case300"}' "$BASE/dispatch"
 smoke "fault-injected certify is repaired or refused" '"trust":\|"reason":' \
     -XPOST -H 'x-deadline-ms: 30000' \
     -d '{"case":"three_bus","inject_basis_fault":7}' "$BASE/certify"
