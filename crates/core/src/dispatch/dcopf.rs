@@ -3,7 +3,7 @@
 use crate::dispatch::model::DispatchModel;
 use crate::CoreError;
 use ed_optim::budget::{SolveBudget, SolveOutcome};
-use ed_optim::model::{QpAutoSolver, SimplexSolver, Solver};
+use ed_optim::model::{ActiveSetSolver, SimplexSolver, Solver};
 use ed_powerflow::{dc, Network};
 
 /// Which mathematical formulation of DC-OPF to solve.
@@ -172,7 +172,7 @@ impl<'a> DcOpf<'a> {
         Ok(())
     }
 
-    /// Solves the dispatch: the QP with [`QpAutoSolver`] when every
+    /// Solves the dispatch: the QP with [`ActiveSetSolver`] when every
     /// generator's cost is strictly convex, the LP with [`SimplexSolver`]
     /// otherwise.
     ///
@@ -187,7 +187,7 @@ impl<'a> DcOpf<'a> {
         let (demand, ratings) = (&self.demand_mw, &self.ratings_mw);
         let model = DispatchModel::build(self.net, demand, ratings, self.formulation, false)?;
         let solver: &dyn Solver = if model.lp.is_quadratic() {
-            &QpAutoSolver::default()
+            &ActiveSetSolver::default()
         } else {
             &SimplexSolver::default()
         };

@@ -230,7 +230,7 @@ mod tests {
     use super::DispatchModel;
     use crate::dispatch::{DcOpf, Formulation};
     use ed_optim::budget::{SolveBudget, SolveOutcome};
-    use ed_optim::model::{IpmSolver, QpAutoSolver, Solver};
+    use ed_optim::model::{ActiveSetSolver, IpmSolver, Solver};
     use ed_optim::{certify, OptimError, Tolerances};
     use ed_powerflow::Network;
 
@@ -259,7 +259,7 @@ mod tests {
         net.demand_vector_mw().iter().map(|d| d * f).collect()
     }
 
-    /// `QpAutoSolver`'s answer to the PTDF-form dispatch certifies at the
+    /// `ActiveSetSolver`'s answer to the PTDF-form dispatch certifies at the
     /// default tolerances; with `vs_ipm` its objective also matches
     /// `IpmSolver`'s to 1e-7 relative, and the two agree on infeasibility
     /// (the interior point, which has no infeasibility certificate, then
@@ -269,7 +269,7 @@ mod tests {
         assert!(model.lp.is_quadratic(), "{what}: costs are not strictly convex");
         let unlimited = SolveBudget::unlimited();
         let ipm = vs_ipm.then(|| IpmSolver::default().solve(&model.lp, &unlimited));
-        match QpAutoSolver::default().solve(&model.lp, &unlimited) {
+        match ActiveSetSolver::default().solve(&model.lp, &unlimited) {
             Ok(SolveOutcome::Solved(sol)) => {
                 let cert = certify(&model.lp, &sol, &Tolerances::default());
                 assert!(cert.passed(), "{what}: {:?} {:?}", cert.status, cert.witness);

@@ -15,21 +15,19 @@
 //!    and its iterates stay primal feasible, so a budget trip still yields
 //!    a *feasible* incumbent, which is accepted as a degraded dispatch
 //!    rather than discarded.
-//! 2. **Interior-point QP** — immune to active-set degeneracy stalls.
-//! 3. **LP approximation** — generation costs linearized at the midpoint
+//! 2. **LP approximation** — generation costs linearized at the midpoint
 //!    of each generator's range (marginal cost `b + 2a·(pmin+pmax)/2`).
 //!    A network with any linear cost starts here, and the LP is then
 //!    exact.
-//! 4. **Last-known-good** — the most recent successfully solved dispatch,
+//! 3. **Last-known-good** — the most recent successfully solved dispatch,
 //!    re-issued unchanged. Physically stale but operationally safe: real
 //!    EMSs hold the previous base point when the optimizer misses its
 //!    market-interval deadline.
 //!
-//! Rungs 1–3 are one loop over `(rung, solver, linearize)`. Each builds
+//! Rungs 1–2 are one loop over `(rung, solver, linearize)`. Each builds
 //! the dispatch model in the `Auto` formulation and hands it its own
 //! [`Solver`], so the escalation policy lives here and the model is
-//! written once. Every rung but the active set is skipped once the
-//! deadline has passed.
+//! written once. The LP rung is skipped once the deadline has passed.
 //!
 //! Every input is sanitized before *any* solver sees it (non-finite or
 //! non-positive ratings, non-finite demand), so a NaN injected into the
@@ -42,7 +40,7 @@ use crate::dispatch::model::{BudgetedSolve, DispatchModel};
 use crate::dispatch::{DcOpf, Dispatch, Formulation, SafetyGate, SafetyReport};
 use crate::CoreError;
 use ed_optim::budget::{BudgetTripped, SolveBudget, SolveOutcome};
-use ed_optim::model::{ActiveSetSolver, IpmSolver, SimplexSolver, Solver};
+use ed_optim::model::{ActiveSetSolver, SimplexSolver, Solver};
 use ed_powerflow::Network;
 
 /// Which rung of the fallback ladder produced a dispatch.
@@ -50,8 +48,6 @@ use ed_powerflow::Network;
 pub enum DispatchRung {
     /// Exact active-set QP (possibly a feasible budget-partial incumbent).
     ActiveSetQp,
-    /// Interior-point QP fallback.
-    InteriorPoint,
     /// LP with linearized costs (exact when all costs are linear).
     LpApprox,
     /// Re-issued last successfully solved dispatch.
@@ -63,7 +59,6 @@ impl DispatchRung {
     fn counter(self) -> &'static str {
         match self {
             DispatchRung::ActiveSetQp => "dispatch.rung.active_set_qp",
-            DispatchRung::InteriorPoint => "dispatch.rung.interior_point",
             DispatchRung::LpApprox => "dispatch.rung.lp_approx",
             DispatchRung::LastKnownGood => "dispatch.rung.last_known_good",
         }
@@ -74,7 +69,6 @@ impl std::fmt::Display for DispatchRung {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DispatchRung::ActiveSetQp => write!(f, "active-set QP"),
-            DispatchRung::InteriorPoint => write!(f, "interior-point QP"),
             DispatchRung::LpApprox => write!(f, "LP approximation"),
             DispatchRung::LastKnownGood => write!(f, "last-known-good"),
         }
@@ -214,15 +208,14 @@ impl ResilientDispatcher {
         budget: &SolveBudget,
         factors: Option<std::sync::Arc<ed_powerflow::FactorCache>>,
     ) -> Result<ResilientDispatch, CoreError> {
-        // Rungs 1-3 as (rung, solver, linearize). Linear costs start at the
+        // Rungs 1-2 as (rung, solver, linearize). Linear costs start at the
         // LP, which is then exact.
-        let rungs: [(DispatchRung, &dyn Solver, bool); 3] = [
+        let rungs: [(DispatchRung, &dyn Solver, bool); 2] = [
             (DispatchRung::ActiveSetQp, &ActiveSetSolver::default(), false),
-            (DispatchRung::InteriorPoint, &IpmSolver::default(), false),
             (DispatchRung::LpApprox, &SimplexSolver::default(), true),
         ];
         let quadratic = net.gens().iter().all(|g| g.cost.is_strictly_convex());
-        let rungs = if quadratic { &rungs[..] } else { &rungs[2..] };
+        let rungs = if quadratic { &rungs[..] } else { &rungs[1..] };
 
         let problem = DcOpf::new(net).demand(demand_mw).ratings(ratings_mw);
         let mut degradations = Vec::new();
@@ -286,7 +279,7 @@ impl ResilientDispatcher {
             }
         }
 
-        // Rung 4: last-known-good.
+        // Rung 3: last-known-good.
         let last_err = last_err.expect("a rung that does not answer records an error");
         self.fall_to_last_known_good(degradations, last_err, Some(&audit))
     }

@@ -579,9 +579,7 @@ pub struct CertifiedOutcome {
 /// 4. if nothing certifies, return the primary answer flagged
 ///    [`Trust::Uncertified`].
 ///
-/// Also usable *as* a [`Solver`]: the trait path runs the same ladder and
-/// reports an uncertified answer with `proved_optimal = false`, so ladder
-/// callers that only see [`Solution`] still observe the downgrade.
+/// [`solve_certified`](CertifiedSolver::solve_certified) runs the ladder.
 pub struct CertifiedSolver {
     /// The backend whose answers are audited.
     pub primary: Box<dyn Solver>,
@@ -700,36 +698,6 @@ impl CertifiedSolver {
             certificate: Some(cert),
             repairs,
             trust: Trust::Uncertified,
-        })
-    }
-}
-
-impl Solver for CertifiedSolver {
-    fn name(&self) -> &'static str {
-        "certified"
-    }
-
-    fn solve(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        let certified = self.solve_certified(model, budget)?;
-        Ok(match (certified.outcome, &certified.trust) {
-            (SolveOutcome::Solved(mut s), Trust::Uncertified) => {
-                // An uncertified answer must not claim proof of optimality.
-                s.proved_optimal = false;
-                SolveOutcome::Solved(s)
-            }
-            (out, _) => out,
-        })
-    }
-
-    fn with_tolerances(&self, tol: &Tolerances) -> Box<dyn Solver> {
-        Box::new(CertifiedSolver {
-            primary: self.primary.with_tolerances(tol),
-            alternates: self.alternates.iter().map(|a| a.with_tolerances(tol)).collect(),
-            tolerances: *tol,
         })
     }
 }

@@ -7,9 +7,11 @@
 //!   simplex method with an LU-factored basis, product-form eta updates,
 //!   and periodic refactorization. Used for economic dispatch with linear
 //!   generation costs and as the relaxation engine inside branch and bound.
-//! - [`qp`] — convex quadratic programming via a primal active-set method
-//!   with an interior-point fallback. Used for economic dispatch with the
-//!   paper's convex quadratic costs (Eq. 3).
+//! - [`qp`] — convex quadratic programming by active-set methods: the
+//!   Goldfarb–Idnani dual method for positive definite `H`, the primal
+//!   method for the rest. Used for economic dispatch with the paper's
+//!   convex quadratic costs (Eq. 3). An interior-point method serves as an
+//!   independent reference and as a certification repair backend.
 //! - [`branch_bound`] — depth-first branch and bound over simplex
 //!   relaxations, branching either on integrality marks (the paper-faithful
 //!   big-M KKT reformulation of the bilevel attack problem, Eq. 16–17) or
@@ -61,6 +63,6 @@ pub use certify::{
 pub use error::OptimError;
 pub use model::{
     ActiveSetSolver, IpmSolver, Model, Postsolve, PresolveOptions, PresolveStats,
-    Presolved, QpAutoSolver, SimplexSolver, Solution, Solver,
+    Presolved, SimplexSolver, Solution, Solver,
 };
 

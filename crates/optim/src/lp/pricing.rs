@@ -1,18 +1,16 @@
-//! Reference-weight (devex) pricing shared by the primal and dual simplex.
+//! Reference-weight (devex) row pricing for the dual simplex.
 //!
 //! Devex (Harris 1973) approximates steepest-edge pricing without the
 //! per-iteration norm recomputation: each candidate keeps a reference
 //! weight `w_i >= 1` approximating the squared norm of its edge direction,
-//! and selection maximizes `g_i^2 / w_i` for gradient `g_i` (a reduced cost
-//! in the primal, a primal infeasibility in the dual). After a pivot the
-//! weights of the touched candidates are raised by the standard devex
-//! recurrence `w_i = max(w_i, (alpha_i / alpha_p)^2 * w_p)` — the same
-//! update serves the primal (over columns, using the pivot row) and the
-//! dual (over basis rows, using the entering column), which is what lets
-//! one module price both methods.
+//! and selection maximizes `g_i^2 / w_i` for gradient `g_i` (a basic
+//! variable's bound violation). After a pivot the weights of the touched
+//! basis rows are raised by the standard devex recurrence
+//! `w_i = max(w_i, (alpha_i / alpha_p)^2 * w_p)`, read off the entering
+//! column. The primal simplex prices by Dantzig's rule, falling back to
+//! Bland's on a degenerate run.
 
-/// Devex reference weights over one candidate index space (columns for the
-/// primal, basis positions for the dual).
+/// Devex reference weights over the basis positions.
 #[derive(Debug, Clone)]
 pub(crate) struct DevexWeights {
     w: Vec<f64>,
@@ -54,13 +52,6 @@ impl DevexWeights {
             }
         }
         self.w[p] = (wp * inv2).max(1.0);
-    }
-
-    /// Copies the weight of `src` onto `dst` (primal pricing hands the
-    /// entering column's refreshed weight to the leaving column, which
-    /// inherits its nonbasic slot in the frame).
-    pub(crate) fn set_from(&mut self, dst: usize, src: usize) {
-        self.w[dst] = self.w[src];
     }
 }
 

@@ -35,9 +35,6 @@ pub enum Pricing {
     /// Most negative reduced cost (fast in practice).
     #[default]
     Dantzig,
-    /// Devex reference weights (approximate steepest edge, shared with the
-    /// dual simplex's row pricing via the `lp::pricing` module).
-    Devex,
     /// Smallest eligible index (anti-cycling; slower).
     Bland,
 }
@@ -45,8 +42,6 @@ pub enum Pricing {
 /// Options controlling the simplex method.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
-    /// Maximum total pivots across both phases.
-    pub max_iterations: usize,
     /// Pivots between basis refactorizations.
     pub refactor_interval: usize,
     /// Reduced-cost optimality tolerance.
@@ -80,7 +75,6 @@ impl Default for SimplexOptions {
     fn default() -> Self {
         let tol = crate::certify::Tolerances::default();
         SimplexOptions {
-            max_iterations: 50_000,
             refactor_interval: 128,
             opt_tol: tol.opt,
             feas_tol: tol.feas,
@@ -101,6 +95,8 @@ enum VarState {
     FreeZero,
 }
 
+/// Maximum total pivots across both phases (primal and dual).
+const MAX_ITERATIONS: usize = 50_000;
 /// Number of consecutive degenerate pivots before switching to Bland's rule.
 const DEGENERATE_SWITCH: usize = 60;
 /// Pivot magnitude floor for the ratio test and basis updates.
@@ -354,7 +350,7 @@ impl Tableau {
     }
 
     /// `B^{-T} e_r` — the `r`-th row of `B^{-1}`, used for pivot-row
-    /// extraction in the dual ratio test and the devex frame updates.
+    /// extraction in the dual ratio test.
     fn btran_unit(&self, r: usize) -> Result<Vec<f64>, OptimError> {
         if self.m == 0 {
             return Ok(Vec::new());
@@ -544,11 +540,8 @@ impl Tableau {
                     return Ok(Some(tripped));
                 }
             }
-            if self.iterations >= options.max_iterations {
-                return Err(OptimError::IterationLimit {
-                    limit: options.max_iterations,
-                    incumbent: None,
-                });
+            if self.iterations >= MAX_ITERATIONS {
+                return Err(OptimError::IterationLimit { limit: MAX_ITERATIONS, incumbent: None });
             }
             if since_refactor >= options.refactor_interval {
                 self.refactor()?;
@@ -753,8 +746,6 @@ impl Tableau {
         let mut pricing = options.pricing;
         let mut degenerate_run = 0usize;
         let mut since_refactor = 0usize;
-        // Devex column weights (only consulted under `Pricing::Devex`).
-        let mut weights = DevexWeights::new(self.ncols);
 
         loop {
             if !budget.is_unlimited() {
@@ -762,14 +753,11 @@ impl Tableau {
                     return Ok(Some(tripped));
                 }
             }
-            if self.iterations >= options.max_iterations {
+            if self.iterations >= MAX_ITERATIONS {
                 // Phase-2 iterates are primal feasible, so the current point
                 // is a usable incumbent; phase-1 iterates are not.
                 let incumbent = allow_unbounded.then(|| self.x[..self.n_structural].to_vec());
-                return Err(OptimError::IterationLimit {
-                    limit: options.max_iterations,
-                    incumbent,
-                });
+                return Err(OptimError::IterationLimit { limit: MAX_ITERATIONS, incumbent });
             }
             if since_refactor >= options.refactor_interval {
                 self.refactor()?;
@@ -823,12 +811,6 @@ impl Tableau {
                         Pricing::Dantzig => {
                             if entering.is_none_or(|(_, best, _)| mag > best) {
                                 entering = Some((j, mag, sig));
-                            }
-                        }
-                        Pricing::Devex => {
-                            let score = weights.score(j, mag);
-                            if entering.is_none_or(|(_, best, _)| score > best) {
-                                entering = Some((j, score, sig));
                             }
                         }
                     }
@@ -914,26 +896,6 @@ impl Tableau {
                 }
                 Some((r, hit)) => {
                     let leaving = self.basis[r];
-                    if pricing == Pricing::Devex && w[r].abs() > PIVOT_TOL {
-                        // Devex frame update over columns needs the pivot
-                        // row: one extra btran, only under devex pricing.
-                        let rho = self.btran_unit(r)?;
-                        let touched: Vec<(usize, f64)> = (0..self.ncols)
-                            .filter(|&j| !matches!(self.state[j], VarState::Basic(_)))
-                            .map(|j| {
-                                let mut a = 0.0;
-                                for &(i, c) in &self.cols[j] {
-                                    a += rho[i] * c;
-                                }
-                                (j, a)
-                            })
-                            .filter(|&(_, a)| a != 0.0)
-                            .collect();
-                        weights.pivot_update(q, w[r], touched.into_iter());
-                        // The entering column's refreshed weight belongs to
-                        // the leaving column, which takes its nonbasic slot.
-                        weights.set_from(leaving, q);
-                    }
                     self.state[leaving] = hit;
                     self.x[leaving] = match hit {
                         VarState::AtLower => self.lb[leaving],

@@ -24,7 +24,7 @@ pub mod presolve;
 pub mod solver;
 
 pub use presolve::{Postsolve, PresolveOptions, PresolveStats, Presolved};
-pub use solver::{ActiveSetSolver, IpmSolver, QpAutoSolver, SimplexSolver, Solution, Solver};
+pub use solver::{ActiveSetSolver, IpmSolver, SimplexSolver, Solution, Solver};
 
 use crate::budget::{SolveBudget, SolveOutcome};
 use crate::lp::simplex::{self, SimplexOptions};

@@ -1,9 +1,9 @@
 //! The [`Solver`] trait: one solve interface over the shared [`Model`] IR.
 //!
-//! The continuous solver families in this crate (simplex LP, active-set QP,
-//! interior-point QP, and the active-set-then-IPM escalation) are driven
-//! through this trait, which is what the dispatch fallback ladder in
-//! `ed-core` uses to treat rungs uniformly. Branch and bound on
+//! The continuous solver families in this crate (simplex LP, active-set QP
+//! and interior-point QP) are driven through this trait, which is what the
+//! dispatch fallback ladder in `ed-core` uses to treat rungs uniformly and
+//! the certification repair ladder uses to re-solve. Branch and bound on
 //! integrality marks or complementarity pairs has its own entry point,
 //! [`branch_bound::solve`](crate::branch_bound::solve).
 //!
@@ -73,11 +73,10 @@ fn simplex_with(mut options: SimplexOptions, tol: &Tolerances) -> SimplexOptions
     options
 }
 
-/// Maps the unified tolerance vocabulary onto active-set/IPM QP options.
+/// Maps the unified tolerance vocabulary onto active-set QP options.
 fn qp_with(mut options: QpOptions, tol: &Tolerances) -> QpOptions {
     options.feas_tol = tol.feas;
     options.step_tol = tol.opt;
-    options.ipm.tol = tol.opt;
     options
 }
 
@@ -244,64 +243,6 @@ impl Solver for IpmSolver {
         let mut options = self.options.clone();
         options.tol = tol.opt;
         Box::new(IpmSolver { options })
-    }
-}
-
-/// QP by escalation: the active-set methods of [`ActiveSetSolver`] first;
-/// a primal-method iteration limit or numerical breakdown falls back to
-/// the interior-point method, keeping a feasible active-set partial when
-/// the fallback cannot finish either.
-#[derive(Debug, Clone, Default)]
-pub struct QpAutoSolver {
-    /// Active-set options (the embedded IPM options drive the fallback).
-    pub options: QpOptions,
-}
-
-impl Solver for QpAutoSolver {
-    fn name(&self) -> &'static str {
-        "qp-auto"
-    }
-
-    fn solve(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        model.validate()?;
-        let dense = DenseQp::from_model(model);
-        match active_set::solve_budgeted(&dense, &self.options, budget) {
-            Ok(SolveOutcome::Solved(s)) => {
-                Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
-            }
-            Ok(SolveOutcome::Partial(p)) => {
-                if budget.wall_tripped().is_some() {
-                    return Ok(SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p)));
-                }
-                match ipm::solve_budgeted(&dense, &self.options.ipm, budget) {
-                    Ok(SolveOutcome::Solved(s)) => {
-                        Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
-                    }
-                    // The active-set partial carries a feasible iterate;
-                    // prefer it over an infeasible interior partial.
-                    _ => Ok(SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p))),
-                }
-            }
-            Err(OptimError::IterationLimit { .. }) | Err(OptimError::Numerical { .. }) => {
-                match ipm::solve_budgeted(&dense, &self.options.ipm, budget)? {
-                    SolveOutcome::Solved(s) => {
-                        Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
-                    }
-                    SolveOutcome::Partial(p) => {
-                        Ok(SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p)))
-                    }
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn with_tolerances(&self, tol: &Tolerances) -> Box<dyn Solver> {
-        Box::new(QpAutoSolver { options: qp_with(self.options.clone(), tol) })
     }
 }
 

@@ -15,34 +15,28 @@ use crate::qp::dual_active_set;
 use crate::OptimError;
 use ed_linalg::{dot, Lu, Matrix};
 
-/// Options for the QP solvers.
+/// Maximum primal active-set iterations. The dual method's cap is at least
+/// this and grows with the problem size.
+pub(crate) const MAX_ITERATIONS: usize = 200;
+/// Dual regularization added to the primal method's KKT system's
+/// lower-right block to survive (near-)dependent working sets.
+const KKT_REGULARIZATION: f64 = 1e-12;
+
+/// Options for the active-set QP solver: the two tolerances
+/// [`Solver::with_tolerances`](crate::Solver::with_tolerances) retargets.
 #[derive(Debug, Clone)]
 pub struct QpOptions {
-    /// Maximum primal active-set iterations. The dual method's cap is at
-    /// least this and grows with the problem size.
-    pub max_iterations: usize,
     /// Constraint feasibility / activity tolerance. The dual method counts
     /// row `i` as violated beyond `feas_tol·(1 + |b_i|)`.
     pub feas_tol: f64,
     /// Step-size tolerance below which a primal step is considered zero.
     pub step_tol: f64,
-    /// Dual regularization added to the primal method's KKT system's
-    /// lower-right block to survive (near-)dependent working sets.
-    pub kkt_regularization: f64,
-    /// Interior-point fallback options.
-    pub ipm: crate::qp::IpmOptions,
 }
 
 impl Default for QpOptions {
     fn default() -> Self {
         let tol = crate::certify::Tolerances::default();
-        QpOptions {
-            max_iterations: 200,
-            feas_tol: tol.feas,
-            step_tol: tol.opt,
-            kkt_regularization: 1e-12,
-            ipm: crate::qp::IpmOptions::default(),
-        }
+        QpOptions { feas_tol: tol.feas, step_tol: tol.opt }
     }
 }
 
@@ -98,7 +92,7 @@ type EqpStep = (Vec<f64>, Vec<f64>, Vec<f64>);
 ///
 /// Returns `(p, eq_duals, w_duals)` where `p` minimizes the quadratic model
 /// subject to `A_eq p = 0` and `a_i' p = 0` for `i` in `w`.
-fn eqp_step(qp: &DenseQp, x: &[f64], w: &[usize], reg: f64) -> Result<EqpStep, OptimError> {
+fn eqp_step(qp: &DenseQp, x: &[f64], w: &[usize]) -> Result<EqpStep, OptimError> {
     let n = qp.n;
     let me = qp.a_eq.len();
     let mw = w.len();
@@ -123,7 +117,7 @@ fn eqp_step(qp: &DenseQp, x: &[f64], w: &[usize], reg: f64) -> Result<EqpStep, O
         }
     }
     for r in 0..(me + mw) {
-        kkt[(n + r, n + r)] = -reg;
+        kkt[(n + r, n + r)] = -KKT_REGULARIZATION;
     }
     // Gradient g = Hx + c.
     let hx = qp.h.matvec(x)?;
@@ -214,15 +208,12 @@ fn solve_primal(
                 }));
             }
         }
-        if iterations >= options.max_iterations {
-            return Err(OptimError::IterationLimit {
-                limit: options.max_iterations,
-                incumbent: Some(x),
-            });
+        if iterations >= MAX_ITERATIONS {
+            return Err(OptimError::IterationLimit { limit: MAX_ITERATIONS, incumbent: Some(x) });
         }
         iterations += 1;
 
-        let (p, eq_duals, w_duals) = match eqp_step(qp, &x, &w, options.kkt_regularization) {
+        let (p, eq_duals, w_duals) = match eqp_step(qp, &x, &w) {
             Ok(v) => v,
             Err(OptimError::Numerical { .. }) if !w.is_empty() => {
                 // Dependent working set: drop the most recently added row

@@ -25,7 +25,7 @@
 
 use crate::budget::SolveBudget;
 use crate::qp::dense::{DenseQp, QpSolution};
-use crate::qp::QpOptions;
+use crate::qp::{active_set, QpOptions};
 use ed_linalg::dot;
 
 /// Solves `qp` by the dual method, or returns `None` for the primal path.
@@ -209,9 +209,9 @@ fn run(
 ) -> Option<QpSolution> {
     let n = qp.n;
     let (me, mi) = (qp.a_eq.len(), qp.a_in.len());
-    // `QpOptions::max_iterations` is sized for the primal method; the dual
+    // `active_set::MAX_ITERATIONS` is sized for the primal method; the dual
     // one adds and drops rows one at a time, so its cap grows with them.
-    let cap = options.max_iterations.max(3 * (n + me + mi));
+    let cap = active_set::MAX_ITERATIONS.max(3 * (n + me + mi));
     let mut f = Factors::new(l, n);
 
     // Unconstrained minimum x = −H⁻¹c = −JJᵀc.

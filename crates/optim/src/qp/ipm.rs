@@ -1,11 +1,9 @@
 //! Primal-dual interior-point method for convex QP.
 //!
-//! Complements the active-set solver: interior-point iterations are immune
-//! to the combinatorial stalling that active-set methods suffer on heavily
-//! degenerate polytopes (thousands of near-ties at a congested dispatch
-//! vertex), at the price of slightly less crisp active-set identification.
-//! The dispatch layer uses active-set first and falls back here
-//! ([`crate::QpAutoSolver`]).
+//! Shares no code with the active-set methods, which answer every dispatch:
+//! the reference tests check the active set against it, and
+//! `ed-core`'s certified dispatch tries it last when an answer fails its
+//! certificate. It is reached through [`IpmSolver`](crate::IpmSolver).
 //!
 //! Standard infeasible-start formulation with slacks `s ≥ 0` on the
 //! inequalities, Newton steps on the perturbed KKT system reduced to the
@@ -17,25 +15,23 @@ use crate::qp::dense::{DenseQp, QpSolution};
 use crate::OptimError;
 use ed_linalg::{dot, Lu, Matrix};
 
-/// Options for the interior-point solver.
+/// Maximum Newton iterations.
+const MAX_ITERATIONS: usize = 120;
+/// Centering parameter `σ ∈ (0,1)`.
+const SIGMA: f64 = 0.15;
+
+/// Options for the interior-point solver: the tolerance
+/// [`Solver::with_tolerances`](crate::Solver::with_tolerances) retargets.
 #[derive(Debug, Clone)]
 pub struct IpmOptions {
-    /// Maximum Newton iterations.
-    pub max_iterations: usize,
     /// Convergence tolerance on residuals and the complementarity gap
     /// (relative to problem scale).
     pub tol: f64,
-    /// Centering parameter `σ ∈ (0,1)`.
-    pub sigma: f64,
 }
 
 impl Default for IpmOptions {
     fn default() -> Self {
-        IpmOptions {
-            max_iterations: 120,
-            tol: crate::certify::Tolerances::default().opt,
-            sigma: 0.15,
-        }
+        IpmOptions { tol: crate::certify::Tolerances::default().opt }
     }
 }
 
@@ -105,7 +101,7 @@ fn solve_budgeted_inner(
         .collect();
     let mut lam = vec![1.0; mi];
 
-    for iter in 0..options.max_iterations {
+    for iter in 0..MAX_ITERATIONS {
         if !budget.is_unlimited() {
             if let Some(tripped) = budget.iter_tripped(iter) {
                 return Ok(SolveOutcome::Partial(Partial {
@@ -171,7 +167,7 @@ fn solve_budgeted_inner(
         //   [H + Σ (λ_i/s_i) a_i a_i',  A_e'] [Δx]   [-r_d - Σ a_i (λ_i r_i^c)/s_i]
         //   [A_e,                        0  ] [Δy] = [-r_e]
         // where r_i^c folds the complementarity target μσ.
-        let mu_target = options.sigma * gap;
+        let mu_target = SIGMA * gap;
         let dim = n + me;
         let mut kkt = Matrix::zeros(dim, dim);
         for i in 0..n {
@@ -247,13 +243,13 @@ fn solve_budgeted_inner(
     }
     // No feasible incumbent to attach: interior iterates violate the
     // constraints until convergence.
-    Err(OptimError::IterationLimit { limit: options.max_iterations, incumbent: None })
+    Err(OptimError::IterationLimit { limit: MAX_ITERATIONS, incumbent: None })
 }
 
 #[cfg(test)]
 mod tests {
     use crate::model::{Model, Row, Solution};
-    use crate::{IpmSolver, OptimError, QpAutoSolver, SolveBudget, Solver};
+    use crate::{ActiveSetSolver, IpmSolver, OptimError, SolveBudget, Solver};
 
     fn solve_ipm(m: &Model) -> Result<Solution, OptimError> {
         Ok(IpmSolver::default().solve(m, &SolveBudget::unlimited())?.solved().unwrap())
@@ -319,12 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_solver_agrees_with_interior_point() {
+    fn active_set_agrees_with_interior_point() {
         let mut m = qp(&[2.0, 2.0], &[-2.0, -2.0]);
         le(&mut m, &[1.0, 0.0], 0.5);
         for s in [
             solve_ipm(&m).unwrap(),
-            QpAutoSolver::default().solve(&m, &SolveBudget::unlimited()).unwrap().solved().unwrap(),
+            ActiveSetSolver::default().solve(&m, &SolveBudget::unlimited()).unwrap().solved().unwrap(),
         ] {
             assert!((s.x[0] - 0.5).abs() < 1e-6 && (s.x[1] - 1.0).abs() < 1e-6, "{:?}", s.x);
         }

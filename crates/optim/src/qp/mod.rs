@@ -1,5 +1,4 @@
-//! Convex quadratic programming by active-set methods, with an
-//! interior-point fallback.
+//! Convex quadratic programming by active-set methods.
 //!
 //! Solves
 //!
@@ -29,13 +28,13 @@
 //!   with blocking-constraint additions and multiplier-driven deletions,
 //!   and every iterate stays feasible.
 //!
-//! A primal-dual interior-point method is the fallback on a primal-method
-//! stall.
+//! A primal-dual interior-point method shares no code with either: the
+//! reference tests check the active set against it, and the certified
+//! dispatch tries it last when an answer fails its certificate.
 //!
 //! Build the problem as a [`Model`](crate::model::Model) with quadratic
-//! terms and solve it through [`ActiveSetSolver`](crate::ActiveSetSolver),
-//! [`IpmSolver`](crate::IpmSolver), or [`QpAutoSolver`](crate::QpAutoSolver)
-//! (active set first, interior point on a stall).
+//! terms and solve it through [`ActiveSetSolver`](crate::ActiveSetSolver)
+//! or [`IpmSolver`](crate::IpmSolver).
 
 pub(crate) mod active_set;
 pub(crate) mod dense;

@@ -6,7 +6,7 @@ use ed_security::cases::{synthetic, SyntheticConfig};
 use ed_security::core::attack::{optimal_attack_with, AttackConfig};
 use ed_security::core::dispatch::{loss_adjusted_dispatch, DcOpf, Formulation};
 use ed_security::optim::lp::Row;
-use ed_security::optim::{ActiveSetSolver, IpmSolver, Model, QpAutoSolver, SolveBudget, Solver};
+use ed_security::optim::{ActiveSetSolver, IpmSolver, Model, SolveBudget, Solver};
 use ed_security::powerflow::{ac, contingency, dc, lodf::Lodf, ptdf::Ptdf, LineId};
 
 /// A QP with a vanishing quadratic term converges to the LP solution.
@@ -22,7 +22,7 @@ fn qp_degenerates_to_lp() {
     let mut qp = lp.clone();
     qp.add_quad(x, x, 1e-7);
     qp.add_quad(y, y, 1e-7);
-    let qp_sol = QpAutoSolver::default().solve(&qp, &SolveBudget::unlimited()).unwrap();
+    let qp_sol = ActiveSetSolver::default().solve(&qp, &SolveBudget::unlimited()).unwrap();
     let qp_sol = qp_sol.solved().unwrap();
     assert!((lp_sol.objective - qp_sol.objective).abs() < 1e-3);
     assert!((lp_sol.x[0] - qp_sol.x[0]).abs() < 1e-2);
