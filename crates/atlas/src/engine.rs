@@ -176,8 +176,6 @@ pub fn run_atlas(opts: &AtlasOptions) -> Result<AtlasReport, AtlasError> {
     } else {
         (Journal::create(&opts.journal, &fingerprint, total)?, BTreeMap::new())
     };
-    let recovered_cells = recovered.len();
-    ed_obs::counter("atlas.cells_recovered", recovered_cells as u64);
 
     let ctx = Ctx {
         opts,
@@ -201,7 +199,9 @@ pub fn run_atlas(opts: &AtlasOptions) -> Result<AtlasReport, AtlasError> {
     for chain_rows in per_chain {
         rows.extend(chain_rows.map_err(|what| AtlasError::Worker { what })?);
     }
-    AtlasReport::assemble(&opts.spec, &fingerprint, rows, recovered_cells)
+    let report = AtlasReport::assemble(&opts.spec, &fingerprint, rows)?;
+    ed_obs::counter("atlas.cells_recovered", report.recovered_cells as u64);
+    Ok(report)
 }
 
 fn run_chain(ctx: &Ctx<'_>, ch: &Chain) -> Result<Vec<CellRecord>, String> {

@@ -281,7 +281,8 @@ pub struct AtlasReport {
     pub rows: Vec<CellRecord>,
     /// Rows replayed from the journal in this run (run-local; not
     /// serialized — a resumed and an uninterrupted run must produce the
-    /// same bytes).
+    /// same bytes). Counted from the rows, so a journaled result for a
+    /// cell outside the grid is not counted.
     pub recovered_cells: usize,
 }
 
@@ -297,7 +298,6 @@ impl AtlasReport {
         spec: &AtlasSpec,
         fingerprint: &str,
         rows: Vec<CellRecord>,
-        recovered_cells: usize,
     ) -> Result<AtlasReport, AtlasError> {
         for (i, r) in rows.iter().enumerate() {
             if r.cell != i {
@@ -309,8 +309,8 @@ impl AtlasReport {
         Ok(AtlasReport {
             spec_fingerprint: fingerprint.to_string(),
             spec: spec.clone(),
+            recovered_cells: rows.iter().filter(|r| r.recovered).count(),
             rows,
-            recovered_cells,
         })
     }
 
@@ -467,7 +467,7 @@ mod tests {
         let spec = AtlasSpec::default();
         let r0 = completed_record(0, &coords(), &solved(), 0);
         let r2 = completed_record(2, &coords(), &solved(), 0);
-        let err = AtlasReport::assemble(&spec, "f", vec![r0, r2], 0).unwrap_err();
+        let err = AtlasReport::assemble(&spec, "f", vec![r0, r2]).unwrap_err();
         assert!(err.to_string().contains("silent hole"), "{err}");
     }
 
@@ -479,8 +479,10 @@ mod tests {
             infeasible_record(1, &coords(), 0),
             untestable_record(2, &coords(), UntestableReason::Islanded),
         ];
-        let a = AtlasReport::assemble(&spec, "fp", rows.clone(), 0).unwrap();
-        let b = AtlasReport::assemble(&spec, "fp", rows, 3).unwrap();
+        let a = AtlasReport::assemble(&spec, "fp", rows.clone()).unwrap();
+        let replayed = rows.into_iter().map(|r| CellRecord { recovered: true, ..r }).collect();
+        let b = AtlasReport::assemble(&spec, "fp", replayed).unwrap();
+        assert_eq!((a.recovered_cells, b.recovered_cells), (0, 3));
         // recovered_cells is run-local: it must not leak into the bytes.
         assert_eq!(a.to_json(), b.to_json());
         for banned in ["_ms", "wall", "elapsed", "duration"] {
