@@ -1,23 +1,29 @@
 //! Append-only JSONL write-ahead journal.
 //!
 //! Every record is one line, written with a single `write_all` and
-//! `fsync`'d before the engine proceeds — the classic WAL discipline:
+//! `fsync`'d before the engine proceeds — the classic WAL discipline. Each
+//! line ends in `"sum"`: the [`fnv1a`] checksum, in 16 hex digits, of the
+//! line's bytes before `,"sum"`:
 //!
 //! ```text
-//! {"ev":"header","version":1,"spec":"<fingerprint>","cells":18}
-//! {"ev":"claim","cell":3}
-//! {"ev":"result","cell":3,"row":{...}}          ← the report row, verbatim
-//! {"ev":"quarantine","cell":7,"case":"six_bus"}
+//! {"ev":"header","version":2,"spec":"<fingerprint>","cells":18,"sum":"…"}
+//! {"ev":"claim","cell":3,"sum":"…"}
+//! {"ev":"result","cell":3,"row":{...},"sum":"…"}   ← the report row, verbatim
+//! {"ev":"quarantine","cell":7,"case":"six_bus","sum":"…"}
 //! ```
 //!
 //! A `kill -9` can lose at most claims without results (in-flight cells)
-//! plus one torn trailing line, which the scanner discards. Because the
-//! `result` record carries the *serialized report row itself*, a resumed
-//! run re-emits recovered cells byte-for-byte — the mechanism behind the
+//! plus one torn trailing line. The scanner counts every line whose
+//! checksum does not match as torn and discards it, so a corrupted record
+//! costs a recomputed cell, never a corrupted row. Because the `result`
+//! record carries the *serialized report row itself*, a resumed run
+//! re-emits recovered cells byte-for-byte — the mechanism behind the
 //! atlas's byte-identical resume guarantee. The header pins the spec
-//! fingerprint and cell count so a resume against a different grid is
-//! refused instead of silently mixing two sweeps.
+//! fingerprint and cell count so a resume against a different grid, or
+//! with a corrupted header, is refused instead of silently mixing two
+//! sweeps.
 
+use ed_powerflow::fnv1a;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -41,7 +47,7 @@ impl Journal {
         let file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
         let j = Journal { file: Mutex::new(file) };
         j.append(&format!(
-            "{{\"ev\":\"header\",\"version\":1,\"spec\":\"{fingerprint}\",\"cells\":{cells}}}"
+            "{{\"ev\":\"header\",\"version\":2,\"spec\":\"{fingerprint}\",\"cells\":{cells}"
         ))?;
         Ok(j)
     }
@@ -62,7 +68,7 @@ impl Journal {
     ///
     /// Any I/O failure.
     pub fn claim(&self, cell: usize) -> io::Result<()> {
-        self.append(&format!("{{\"ev\":\"claim\",\"cell\":{cell}}}"))
+        self.append(&format!("{{\"ev\":\"claim\",\"cell\":{cell}"))
     }
 
     /// Records `cell`'s finished report row, verbatim.
@@ -72,7 +78,7 @@ impl Journal {
     /// Any I/O failure.
     pub fn result(&self, cell: usize, row_json: &str) -> io::Result<()> {
         debug_assert!(row_json.starts_with('{') && row_json.ends_with('}'));
-        self.append(&format!("{{\"ev\":\"result\",\"cell\":{cell},\"row\":{row_json}}}"))
+        self.append(&format!("{{\"ev\":\"result\",\"cell\":{cell},\"row\":{row_json}"))
     }
 
     /// Records that `cell` (of case `case`) was quarantined — the event
@@ -83,13 +89,13 @@ impl Journal {
     ///
     /// Any I/O failure.
     pub fn quarantine(&self, cell: usize, case: &str) -> io::Result<()> {
-        self.append(&format!("{{\"ev\":\"quarantine\",\"cell\":{cell},\"case\":\"{case}\"}}"))
+        self.append(&format!("{{\"ev\":\"quarantine\",\"cell\":{cell},\"case\":\"{case}\""))
     }
 
-    fn append(&self, line: &str) -> io::Result<()> {
-        let mut record = String::with_capacity(line.len() + 1);
-        record.push_str(line);
-        record.push('\n');
+    /// Appends the record whose bytes before the closing brace are `body`,
+    /// sealed with its checksum.
+    fn append(&self, body: &str) -> io::Result<()> {
+        let record = format!("{body},\"sum\":\"{:016x}\"}}\n", fnv1a(body.bytes()));
         let mut f = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         f.write_all(record.as_bytes())?;
         f.sync_data()
@@ -109,8 +115,8 @@ pub struct JournalScan {
     pub claims: BTreeSet<usize>,
     /// Quarantine events `(cell, case)` in journal order.
     pub quarantines: Vec<(usize, String)>,
-    /// Lines that did not parse (at most the torn tail of a killed run,
-    /// unless the file is corrupt).
+    /// Lines that did not parse or whose checksum did not match (at most
+    /// the torn tail of a killed run, unless the file is corrupt).
     pub torn_lines: usize,
 }
 
@@ -151,7 +157,14 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&line[start..start + end])
 }
 
-/// Scans a journal file, tolerating a torn trailing line.
+/// The record body — the line's bytes before `,"sum"` — when the line's
+/// checksum matches it.
+fn verified(line: &str) -> Option<&str> {
+    let (body, sum) = line.strip_suffix("\"}")?.rsplit_once(",\"sum\":\"")?;
+    (sum == format!("{:016x}", fnv1a(body.bytes()))).then_some(body)
+}
+
+/// Scans a journal file, discarding torn and corrupted lines.
 ///
 /// # Errors
 ///
@@ -165,10 +178,10 @@ pub fn scan(path: &Path) -> io::Result<JournalScan> {
         if line.is_empty() {
             continue;
         }
-        if !(line.starts_with("{\"ev\":\"") && line.ends_with('}')) {
+        let Some(line) = verified(line) else {
             s.torn_lines += 1;
             continue;
-        }
+        };
         if line.starts_with("{\"ev\":\"header\"") {
             s.fingerprint = field_str(line, "spec").map(str::to_string);
             s.cells = field_usize(line, "cells");
@@ -181,7 +194,7 @@ pub fn scan(path: &Path) -> io::Result<JournalScan> {
             }
         } else if line.starts_with("{\"ev\":\"result\"") {
             let cell = field_usize(line, "cell");
-            let row = line.find(",\"row\":").map(|i| &line[i + 7..line.len() - 1]);
+            let row = line.find(",\"row\":").map(|i| &line[i + 7..]);
             match (cell, row) {
                 (Some(c), Some(r)) if r.starts_with('{') && r.ends_with('}') => {
                     s.claims.insert(c);
@@ -257,6 +270,25 @@ mod tests {
 
         let s = scan(&path).unwrap();
         assert_eq!(s.completed(), 1);
+        assert_eq!(s.torn_lines, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupted_record_is_torn_not_replayed() {
+        let path = temp_path("corrupt");
+        let j = Journal::create(&path, "c0ffee0000000000", 2).unwrap();
+        j.result(0, "{\"cell\":0,\"outcome\":\"completed\",\"violation_pct\":8.25}").unwrap();
+        j.result(1, "{\"cell\":1,\"outcome\":\"infeasible\"}").unwrap();
+        drop(j);
+        // One digit of cell 0's row changes: the line still parses, but
+        // its checksum no longer matches.
+        let text = std::fs::read_to_string(&path).unwrap().replacen("8.25", "8.35", 1);
+        std::fs::write(&path, text).unwrap();
+
+        let s = scan(&path).unwrap();
+        assert_eq!(s.fingerprint.as_deref(), Some("c0ffee0000000000"));
+        assert_eq!(s.results.keys().copied().collect::<Vec<_>>(), vec![1]);
         assert_eq!(s.torn_lines, 1);
         std::fs::remove_file(&path).ok();
     }
