@@ -29,6 +29,35 @@ run() {
 # Offline everywhere: the workspace has no external dependencies and the
 # build must not reach for a network that CI may not have.
 run cargo build --release --offline --workspace
+
+# Every example runs to completion: `cargo test` only compiles them. Each
+# gets 120 s and must exit 0. fault_drill is seeded, so a second run must
+# print the same bytes.
+run cargo build --release --offline --examples
+EXAMPLES_DIR="$(mktemp -d)"
+trap 'rm -rf "$EXAMPLES_DIR"' EXIT
+run_example() { # run_example <name> <output file>
+    echo "==> example $1"
+    local status=0
+    timeout --signal=TERM --kill-after=10 120 "./target/release/examples/$1" > "$2" || status=$?
+    if [ "$status" -ne 0 ]; then
+        echo "FAILED: example $1 exited with status $status (124 and up: over 120 s)" >&2
+        exit 1
+    fi
+}
+for src in examples/*.rs; do
+    ex="$(basename "$src" .rs)"
+    run_example "$ex" "$EXAMPLES_DIR/$ex.out"
+done
+run_example fault_drill "$EXAMPLES_DIR/fault_drill.again.out"
+cmp "$EXAMPLES_DIR/fault_drill.out" "$EXAMPLES_DIR/fault_drill.again.out" || {
+    echo "FAILED: two fault_drill runs printed different output" >&2
+    exit 1
+}
+rm -rf "$EXAMPLES_DIR"
+trap - EXIT
+echo "==> examples OK (fault_drill output repeats byte for byte)"
+
 # The workspace suite runs twice. Leg 1: the defaults (any switch set in
 # the caller's environment is cleared).
 run env -u ED_THREADS -u ED_TRACE -u ED_POOL cargo test -q --offline --workspace
