@@ -15,7 +15,6 @@
 use ed_atlas::{run_atlas, AtlasOptions, AtlasSpec, Tier};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 struct Args {
     spec: AtlasSpec,
@@ -27,14 +26,13 @@ struct Args {
     fault_cells: Vec<usize>,
     fault_attempts: u32,
     stall_ms: u64,
-    bench: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
     "usage: ed-atlas [--cases a,b] [--hours N] [--ed-k K] [--contingencies C]\n\
      \x20               [--tier screen|heuristic|exact] [--node-limit N] [--retries N]\n\
      \x20               [--band LO:HI] [--journal PATH] [--out PATH] [--resume]\n\
-     \x20               [--threads N] [--deadline-ms N] [--bench PATH]\n\
+     \x20               [--threads N] [--deadline-ms N]\n\
      \x20               [--fault-cells a,b --fault-attempts N] [--stall-ms N]"
 }
 
@@ -50,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         fault_cells: Vec::new(),
         fault_attempts: 0,
         stall_ms: 0,
-        bench: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -109,45 +106,12 @@ fn parse_args() -> Result<Args, String> {
             "--stall-ms" => {
                 args.stall_ms = val("--stall-ms")?.parse().map_err(|e| format!("--stall-ms: {e}"))?;
             }
-            "--bench" => args.bench = Some(PathBuf::from(val("--bench")?)),
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
     }
     args.spec = spec;
     Ok(args)
-}
-
-fn write_bench(path: &PathBuf, args: &Args, report: &ed_atlas::AtlasReport, wall_ms: u128) {
-    let counts = |kind: ed_atlas::RowKind| {
-        report.rows.iter().filter(|r| r.kind == kind).count()
-    };
-    let tier = |t: Tier| report.rows.iter().filter(|r| r.tier == Some(t)).count();
-    let cells = report.rows.len();
-    let json = format!(
-        "{{\n  \"bench\": \"atlas\",\n  \"spec_fingerprint\": \"{}\",\n  \"cases\": {:?},\n  \
-         \"cells\": {cells},\n  \"recovered_cells\": {},\n  \"resumed\": {},\n  \
-         \"wall_ms\": {wall_ms},\n  \"cells_per_s\": {:.2},\n  \"threads\": {},\n  \
-         \"outcomes\": {{\"completed\": {}, \"infeasible\": {}, \"untestable\": {}, \
-         \"quarantined\": {}}},\n  \"tiers\": {{\"screen\": {}, \"heuristic\": {}, \"exact\": {}}},\n  \
-         \"silent_holes\": 0,\n  \"deterministic_report\": true\n}}\n",
-        report.spec_fingerprint,
-        args.spec.cases,
-        report.recovered_cells,
-        args.resume,
-        if wall_ms > 0 { cells as f64 * 1000.0 / wall_ms as f64 } else { cells as f64 },
-        if args.threads == 0 { ed_par::thread_count() } else { args.threads },
-        counts(ed_atlas::RowKind::Completed),
-        counts(ed_atlas::RowKind::Infeasible),
-        counts(ed_atlas::RowKind::Untestable),
-        counts(ed_atlas::RowKind::Quarantined),
-        tier(Tier::Screen),
-        tier(Tier::Heuristic),
-        tier(Tier::Exact),
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("atlas: warning: could not write bench file {path:?}: {e}");
-    }
 }
 
 fn main() -> ExitCode {
@@ -183,7 +147,6 @@ fn main() -> ExitCode {
         opts.journal,
         if opts.resume { ", resuming" } else { "" },
     );
-    let start = Instant::now();
     let report = match run_atlas(&opts) {
         Ok(r) => r,
         Err(e) => {
@@ -191,7 +154,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let wall_ms = start.elapsed().as_millis();
     if args.resume {
         eprintln!("atlas: resumed ({} cells recovered from journal)", report.recovered_cells);
     }
@@ -203,10 +165,6 @@ fn main() -> ExitCode {
         eprintln!("atlas: report written to {out:?}");
     } else {
         print!("{}", report.to_json());
-    }
-    if let Some(bench) = &args.bench {
-        write_bench(bench, &args, &report, wall_ms);
-        eprintln!("atlas: bench written to {bench:?}");
     }
     println!(
         "atlas: complete ({n}/{n} cells, {q} quarantined, 0 silent holes)",

@@ -30,6 +30,17 @@ run() {
 # build must not reach for a network that CI may not have.
 run cargo build --release --offline --workspace
 
+# Release gates, measured on this tree (about 8 s together). attack_gates
+# runs node-capped 118-bus sweeps and a 24-hour six-bus chain and fails
+# unless: no sweep leaves a bare heuristic floor and nodes are explored;
+# the disabled trace recorder costs the sweep under 2 %; and the warm
+# chain repeats every cold answer at a per-hour wall ratio <= 0.35.
+# ed-soak fires the seeded chaos mix at an in-process ed-serve and fails
+# if the server stops answering or any response breaks a fail-closed
+# invariant.
+run ./target/release/attack_gates
+run ./target/release/ed-soak --requests 120
+
 # Every example runs to completion: `cargo test` only compiles them. Each
 # gets 120 s and must exit 0. fault_drill is seeded, so a second run must
 # print the same bytes.
@@ -79,62 +90,6 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 # that breaks it fails the gate. --locked also fails if benchmark/Cargo.lock
 # would need rewriting.
 run cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
-
-# Trace-overhead guard: the committed benchmark artifact records what the
-# instrumentation costs a production (ED_TRACE=0) sweep — the calibrated
-# disabled-path bound must stay under 2%. Regenerate with
-# scripts/bench_attack.sh after touching hot-path instrumentation.
-if [ -f BENCH_attack.json ]; then
-    overhead="$(sed -n 's/.*"disabled_overhead_pct": \([0-9.eE+-]*\).*/\1/p' BENCH_attack.json | head -n1)"
-    if [ -z "$overhead" ]; then
-        echo "FAILED: BENCH_attack.json has no trace.disabled_overhead_pct (rerun scripts/bench_attack.sh)" >&2
-        exit 1
-    fi
-    if ! awk -v o="$overhead" 'BEGIN { exit !(o < 2.0) }'; then
-        echo "FAILED: disabled-trace overhead ${overhead}% >= 2% budget" >&2
-        exit 1
-    fi
-    echo "==> trace overhead guard: ${overhead}% < 2% OK"
-
-    # Certified-floor guard: the committed 118-bus sweep must run with a
-    # real node budget (nodes explored > 0) and still report no bare
-    # heuristic floors — every node-limited subproblem promotes its
-    # incumbent to an independently certified KKT point. The first
-    # "heuristic_floor" in the file is the 118-bus sweep's (the
-    # exact_cases entries come later).
-    floor="$(sed -n 's/.*"heuristic_floor": \([0-9]*\).*/\1/p' BENCH_attack.json | head -n1)"
-    nodes="$(sed -n 's/.*"total_nodes": \([0-9]*\).*/\1/p' BENCH_attack.json | head -n1)"
-    if [ -z "$floor" ] || [ -z "$nodes" ]; then
-        echo "FAILED: BENCH_attack.json lacks heuristic_floor/total_nodes (rerun scripts/bench_attack.sh)" >&2
-        exit 1
-    fi
-    if [ "$floor" -ne 0 ] || [ "$nodes" -eq 0 ]; then
-        echo "FAILED: 118-bus sweep must certify every floor with real node budgets (heuristic_floor=$floor, total_nodes=$nodes)" >&2
-        exit 1
-    fi
-    echo "==> certified floor guard: heuristic_floor=0, total_nodes=$nodes OK"
-
-    # Delta re-solve guard (DESIGN.md §18): the committed hour-chain bench
-    # must show the incremental path (pooled factors + chained bases)
-    # reproducing the cold answers bit-identically while
-    # running at most 0.35x the cold per-hour wall. Regenerate with
-    # scripts/bench_attack.sh after touching the re-solve engine.
-    delta_eq="$(sed -n '/"delta_resolve"/,/}/s/.*"warm_equals_cold": \(true\|false\).*/\1/p' BENCH_attack.json | head -n1)"
-    delta_ratio="$(sed -n '/"delta_resolve"/,/}/s/.*"median_ratio": \([0-9.eE+-]*\).*/\1/p' BENCH_attack.json | head -n1)"
-    if [ -z "$delta_eq" ] || [ -z "$delta_ratio" ]; then
-        echo "FAILED: BENCH_attack.json has no delta_resolve block (rerun scripts/bench_attack.sh)" >&2
-        exit 1
-    fi
-    if [ "$delta_eq" != "true" ]; then
-        echo "FAILED: delta re-solve answers diverged from cold (delta_resolve.warm_equals_cold=$delta_eq)" >&2
-        exit 1
-    fi
-    if ! awk -v r="$delta_ratio" 'BEGIN { exit !(r <= 0.35) }'; then
-        echo "FAILED: delta re-solve ratio ${delta_ratio} > 0.35 budget" >&2
-        exit 1
-    fi
-    echo "==> delta re-solve guard: warm_equals_cold=true, median_ratio=${delta_ratio} <= 0.35 OK"
-fi
 
 # ed-serve smoke test: boot the real binary, hit every endpoint (including
 # a fault-injected certify and a contained handler panic), then SIGTERM it
@@ -308,31 +263,5 @@ if [ "$atlas_sha" != "$ATLAS_PIN_SHA" ]; then
     exit 1
 fi
 echo "==> atlas answer pin: sha256 $atlas_sha OK"
-
-# Atlas-artifact guard: the committed benchmark must record the two
-# crash-tolerance invariants. Regenerate with scripts/bench_atlas.sh
-# after touching the sweep engine.
-if [ -f BENCH_atlas.json ]; then
-    for field in '"silent_holes": 0' '"deterministic_report": true'; do
-        if ! grep -q "$field" BENCH_atlas.json; then
-            echo "FAILED: BENCH_atlas.json missing '$field' (rerun scripts/bench_atlas.sh)" >&2
-            exit 1
-        fi
-    done
-    echo "==> atlas artifact guard: zero holes, deterministic OK"
-fi
-
-# Soak-artifact guard: the committed chaos-soak report must record zero
-# process crashes and zero fail-closed invariant violations. Regenerate
-# with scripts/bench_serve.sh after touching the serving layer.
-if [ -f BENCH_serve.json ]; then
-    for field in '"process_crashes": 0' '"invariant_violations": 0'; do
-        if ! grep -q "$field" BENCH_serve.json; then
-            echo "FAILED: BENCH_serve.json missing '$field' (rerun scripts/bench_serve.sh)" >&2
-            exit 1
-        fi
-    done
-    echo "==> serve soak guard: zero crashes, zero violations OK"
-fi
 
 echo "verify: OK"
