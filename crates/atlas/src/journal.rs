@@ -13,9 +13,11 @@
 //! ```
 //!
 //! A `kill -9` can lose at most claims without results (in-flight cells)
-//! plus one torn trailing line. The scanner counts every line whose
+//! plus one torn trailing line. The scanner reads the file as bytes,
+//! splits it on `\n`, and counts every line that is not UTF-8 or whose
 //! checksum does not match as torn and discards it, so a corrupted record
-//! costs a recomputed cell, never a corrupted row. Because the `result`
+//! (a kill inside a multi-byte character included) costs a recomputed
+//! cell, never a corrupted row or a refused resume. Because the `result`
 //! record carries the *serialized report row itself*, a resumed run
 //! re-emits recovered cells byte-for-byte — the mechanism behind the
 //! atlas's byte-identical resume guarantee. The header pins the spec
@@ -115,8 +117,8 @@ pub struct JournalScan {
     pub claims: BTreeSet<usize>,
     /// Quarantine events `(cell, case)` in journal order.
     pub quarantines: Vec<(usize, String)>,
-    /// Lines that did not parse or whose checksum did not match (at most
-    /// the torn tail of a killed run, unless the file is corrupt).
+    /// Lines that were not UTF-8, did not parse or failed their checksum
+    /// (at most the torn tail of a killed run, unless the file is corrupt).
     pub torn_lines: usize,
 }
 
@@ -171,10 +173,15 @@ fn verified(line: &str) -> Option<&str> {
 /// Any I/O failure reading the file (a missing journal is an error — the
 /// caller decides whether that means "fresh run" or "refuse").
 pub fn scan(path: &Path) -> io::Result<JournalScan> {
-    let text = std::fs::read_to_string(path)?;
+    let bytes = std::fs::read(path)?;
     let mut s = JournalScan::default();
-    for raw in text.split('\n') {
-        let line = raw.trim_end_matches('\r');
+    for raw in bytes.split(|&b| b == b'\n') {
+        // A line that is not UTF-8 is torn, like one that fails its checksum.
+        let Ok(line) = std::str::from_utf8(raw) else {
+            s.torn_lines += 1;
+            continue;
+        };
+        let line = line.trim_end_matches('\r');
         if line.is_empty() {
             continue;
         }
@@ -288,6 +295,26 @@ mod tests {
 
         let s = scan(&path).unwrap();
         assert_eq!(s.fingerprint.as_deref(), Some("c0ffee0000000000"));
+        assert_eq!(s.results.keys().copied().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(s.torn_lines, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_utf8_line_is_torn_not_fatal() {
+        let path = temp_path("non-utf8");
+        let j = Journal::create(&path, "beef000000000000", 2).unwrap();
+        j.result(0, "{\"cell\":0,\"outcome\":\"completed\",\"case\":\"six_bus\"}").unwrap();
+        j.result(1, "{\"cell\":1,\"outcome\":\"infeasible\"}").unwrap();
+        drop(j);
+        // One byte of cell 0's record becomes a lone continuation byte.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.windows(7).position(|w| w == b"six_bus").unwrap();
+        bytes[at] = 0x80;
+        std::fs::write(&path, bytes).unwrap();
+
+        let s = scan(&path).unwrap();
+        assert_eq!(s.fingerprint.as_deref(), Some("beef000000000000"));
         assert_eq!(s.results.keys().copied().collect::<Vec<_>>(), vec![1]);
         assert_eq!(s.torn_lines, 1);
         std::fs::remove_file(&path).ok();
