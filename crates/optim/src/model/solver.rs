@@ -169,6 +169,21 @@ fn qp_reprice_partial(model: &Model, sign: f64, mut p: Partial) -> Partial {
     p
 }
 
+/// The solve body of every QP family: validates `model`, runs `kernel` on
+/// its dense minimization view, and maps the outcome back to the model's
+/// stated sense.
+fn solve_qp(
+    model: &Model,
+    kernel: impl FnOnce(&DenseQp) -> Result<SolveOutcome<QpSolution>, OptimError>,
+) -> Result<SolveOutcome<Solution>, OptimError> {
+    model.validate()?;
+    let dense = DenseQp::from_model(model);
+    Ok(match kernel(&dense)? {
+        SolveOutcome::Solved(s) => SolveOutcome::Solved(qp_to_solution(model, &dense, s)),
+        SolveOutcome::Partial(p) => SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p)),
+    })
+}
+
 /// QP via the active-set methods (integrality marks and complementarity
 /// pairs are relaxed; also solves pure LPs, though the simplex is the
 /// better tool for those). A symmetric positive definite `H` runs the
@@ -192,16 +207,7 @@ impl Solver for ActiveSetSolver {
         model: &Model,
         budget: &SolveBudget,
     ) -> Result<SolveOutcome<Solution>, OptimError> {
-        model.validate()?;
-        let dense = DenseQp::from_model(model);
-        match active_set::solve_budgeted(&dense, &self.options, budget)? {
-            SolveOutcome::Solved(s) => {
-                Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
-            }
-            SolveOutcome::Partial(p) => {
-                Ok(SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p)))
-            }
-        }
+        solve_qp(model, |dense| active_set::solve_budgeted(dense, &self.options, budget))
     }
 
     fn with_tolerances(&self, tol: &Tolerances) -> Box<dyn Solver> {
@@ -227,16 +233,7 @@ impl Solver for IpmSolver {
         model: &Model,
         budget: &SolveBudget,
     ) -> Result<SolveOutcome<Solution>, OptimError> {
-        model.validate()?;
-        let dense = DenseQp::from_model(model);
-        match ipm::solve_budgeted(&dense, &self.options, budget)? {
-            SolveOutcome::Solved(s) => {
-                Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
-            }
-            SolveOutcome::Partial(p) => {
-                Ok(SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p)))
-            }
-        }
+        solve_qp(model, |dense| ipm::solve_budgeted(dense, &self.options, budget))
     }
 
     fn with_tolerances(&self, tol: &Tolerances) -> Box<dyn Solver> {
