@@ -24,4 +24,4 @@ pub use loss::loss_adjusted_dispatch;
 pub use resilient::{
     Degradation, DegradationReason, DispatchRung, ResilientDispatch, ResilientDispatcher,
 };
-pub use safety::{SafetyGate, SafetyLimits, SafetyReport, SafetyViolation};
+pub use safety::{SafetyGate, SafetyReport, SafetyViolation};

@@ -14,31 +14,16 @@
 use crate::dispatch::Dispatch;
 use ed_powerflow::{dc, FactorCache, Network, PowerflowError};
 
-/// Tolerances for the dispatch safety checks, in physical units.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SafetyLimits {
-    /// Allowed |total generation − total demand| in MW.
-    pub balance_mw: f64,
-    /// Allowed generator bound violation in MW.
-    pub gen_bound_mw: f64,
-    /// Allowed disagreement between the optimizer's reported line flows
-    /// and the independently recomputed DC flows, in MW.
-    pub flow_mismatch_mw: f64,
-    /// Fractional rating headroom treated as still-safe (`0.001` accepts
-    /// loadings up to 100.1% — solver-tolerance noise, not an overload).
-    pub rating_margin: f64,
-}
-
-impl Default for SafetyLimits {
-    fn default() -> Self {
-        SafetyLimits {
-            balance_mw: 1e-4,
-            gen_bound_mw: 1e-4,
-            flow_mismatch_mw: 1e-3,
-            rating_margin: 1e-3,
-        }
-    }
-}
+/// Allowed |total generation − total demand| in MW.
+const BALANCE_MW: f64 = 1e-4;
+/// Allowed generator bound violation in MW.
+const GEN_BOUND_MW: f64 = 1e-4;
+/// Allowed disagreement between the optimizer's reported line flows and
+/// the independently recomputed DC flows, in MW.
+const FLOW_MISMATCH_MW: f64 = 1e-3;
+/// Fractional rating headroom treated as still-safe (`0.001` accepts
+/// loadings up to 100.1% — solver-tolerance noise, not an overload).
+const RATING_MARGIN: f64 = 1e-3;
 
 /// One violated safety check.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,8 +107,6 @@ impl SafetyReport {
 pub struct SafetyGate<'a> {
     net: &'a Network,
     cache: std::sync::Arc<FactorCache>,
-    /// Check tolerances.
-    pub limits: SafetyLimits,
 }
 
 impl<'a> SafetyGate<'a> {
@@ -137,11 +120,7 @@ impl<'a> SafetyGate<'a> {
     /// [`PowerflowError`] if the reduced susceptance matrix is singular —
     /// impossible for a builder-validated connected network.
     pub fn new(net: &'a Network) -> Result<SafetyGate<'a>, PowerflowError> {
-        Ok(SafetyGate {
-            net,
-            cache: FactorCache::shared(net)?,
-            limits: SafetyLimits::default(),
-        })
+        Ok(SafetyGate { net, cache: FactorCache::shared(net)? })
     }
 
     /// Builds the gate around an existing shared factorization of the same
@@ -149,14 +128,7 @@ impl<'a> SafetyGate<'a> {
     /// for long-running services that audit many dispatches per topology.
     /// The caller is responsible for the cache matching the network.
     pub fn with_factors(net: &'a Network, cache: std::sync::Arc<FactorCache>) -> SafetyGate<'a> {
-        SafetyGate { net, cache, limits: SafetyLimits::default() }
-    }
-
-    /// Replaces the default tolerances.
-    #[must_use]
-    pub fn with_limits(mut self, limits: SafetyLimits) -> SafetyGate<'a> {
-        self.limits = limits;
-        self
+        SafetyGate { net, cache }
     }
 
     /// Audits one dispatch against demand and the given line ratings
@@ -224,19 +196,19 @@ impl<'a> SafetyGate<'a> {
         let generation: f64 = dispatch.p_mw.iter().sum();
         let demand_total: f64 = demand_mw.iter().sum();
         let surplus = generation - demand_total;
-        if surplus.abs() > self.limits.balance_mw {
+        if surplus.abs() > BALANCE_MW {
             violations.push(SafetyViolation::PowerImbalance { surplus_mw: surplus });
         }
 
         // --- Generator limits (Eq. 1). ---
         for (g, (gen, &p)) in self.net.gens().iter().zip(&dispatch.p_mw).enumerate() {
-            if p < gen.pmin_mw - self.limits.gen_bound_mw {
+            if p < gen.pmin_mw - GEN_BOUND_MW {
                 violations.push(SafetyViolation::GeneratorLimit {
                     gen: g,
                     p_mw: p,
                     bound_mw: gen.pmin_mw,
                 });
-            } else if p > gen.pmax_mw + self.limits.gen_bound_mw {
+            } else if p > gen.pmax_mw + GEN_BOUND_MW {
                 violations.push(SafetyViolation::GeneratorLimit {
                     gen: g,
                     p_mw: p,
@@ -270,9 +242,7 @@ impl<'a> SafetyGate<'a> {
             for (l, (&reported, &recomputed)) in
                 dispatch.flows_mw.iter().zip(&flow.flow_mw).enumerate()
             {
-                if !reported.is_finite()
-                    || (reported - recomputed).abs() > self.limits.flow_mismatch_mw
-                {
+                if !reported.is_finite() || (reported - recomputed).abs() > FLOW_MISMATCH_MW {
                     violations.push(SafetyViolation::FlowMismatch {
                         line: l,
                         reported_mw: reported,
@@ -287,7 +257,7 @@ impl<'a> SafetyGate<'a> {
         for (l, (&f, &u)) in flow.flow_mw.iter().zip(ratings_mw).enumerate() {
             if u.is_finite() && u > 0.0 {
                 max_loading = max_loading.max(100.0 * f.abs() / u);
-                if f.abs() > u * (1.0 + self.limits.rating_margin) {
+                if f.abs() > u * (1.0 + RATING_MARGIN) {
                     violations.push(SafetyViolation::Overload {
                         line: l,
                         flow_mw: f.abs(),
