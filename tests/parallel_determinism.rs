@@ -158,17 +158,15 @@ fn six_bus_config(net: &ed_security::powerflow::Network) -> AttackConfig {
     AttackConfig::new(dlr).bounds_per_line(lo, hi).true_ratings(u_d)
 }
 
-/// The two most-loaded lines under a proportional dispatch (same selection
-/// the scalability example uses). Every branch-and-bound node pays a full
-/// simplex solve of the 118-bus KKT LP, so the node limit is 1 — the root
-/// relaxation only. A node-capped subproblem is counted locally by the
-/// solver and is exactly as deterministic as a completed one, which is
-/// precisely what the capped-sweep tests must prove. (A `SolveBudget`
-/// iteration cap would NOT work here — the MPEC node loop deliberately
-/// strips it via `wall_only()` before each LP solve. Full-depth 118-bus
-/// determinism is additionally checked in release by the `sweep_scaling`
-/// bench.)
-fn ieee118_config(net: &ed_security::powerflow::Network) -> AttackConfig {
+/// The `lines` most-loaded lines under a proportional dispatch (same
+/// selection the scalability example uses). Every branch-and-bound node
+/// pays a full simplex solve of the 118-bus KKT LP, so the node limit is
+/// 1 — the root relaxation only. A node-capped subproblem is counted
+/// locally by the solver and is exactly as deterministic as a completed
+/// one, which is precisely what the capped-sweep tests must prove. (A
+/// `SolveBudget` iteration cap would NOT work here — the MPEC node loop
+/// deliberately strips it via `wall_only()` before each LP solve.)
+fn ieee118_config(net: &ed_security::powerflow::Network, lines: usize) -> AttackConfig {
     let cap: f64 = net.total_pmax_mw();
     let d = net.total_demand_mw();
     let prop: Vec<f64> = net.gens().iter().map(|g| g.pmax_mw / cap * d).collect();
@@ -181,7 +179,7 @@ fn ieee118_config(net: &ed_security::powerflow::Network) -> AttackConfig {
         .map(|(i, &f)| (i, f.abs() / net.lines()[i].rating_mva))
         .collect();
     loading.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let dlr: Vec<LineId> = loading.iter().take(2).map(|&(i, _)| LineId(i)).collect();
+    let dlr: Vec<LineId> = loading.iter().take(lines).map(|&(i, _)| LineId(i)).collect();
     let u_d: Vec<f64> = dlr.iter().map(|l| net.lines()[l.0].rating_mva).collect();
     let lo: Vec<f64> = u_d.iter().map(|u| 0.8 * u).collect();
     let hi: Vec<f64> = u_d.iter().map(|u| 1.6 * u).collect();
@@ -211,8 +209,19 @@ fn ieee118_sweep_bit_identical_across_thread_counts() {
     let net = ed_security::cases::ieee118_like();
     // Compared at 4 threads only — each 118-bus LP solve is expensive in
     // the dev profile (see [`ieee118_config`]).
-    let config = ieee118_config(&net);
-    assert_thread_invariant(&net, &config, "ieee118_like", &[4]);
+    assert_thread_invariant(&net, &ieee118_config(&net, 2), "ieee118_like", &[4]);
+
+    // The sweep `attack_gates` gates: 3 lines, presolve on. Its attached
+    // trace must repeat byte for byte at 1 thread and match at 4.
+    let mut config = ieee118_config(&net, 3);
+    config.options.presolve = Some(true);
+    config.options.trace = Some(true);
+    let run = |threads| optimal_attack_with(&net, &with_threads(&config, threads), true).unwrap();
+    let (seq, again, par) = (run(1), run(1), run(4));
+    let trace = |r: &AttackResult| r.trace.as_ref().expect("trace forced on").deterministic_json();
+    assert_eq!(fingerprint(&seq), fingerprint(&par), "3-line sweep diverged at 4 threads");
+    assert_eq!(trace(&seq), trace(&again), "repeat run at 1 thread changed the trace");
+    assert_eq!(trace(&seq), trace(&par), "trace counters diverged at 4 threads");
 }
 
 #[test]
@@ -236,7 +245,7 @@ fn ieee118_warm_and_cold_sweeps_bit_identical() {
     // 4 workers, node limit 1 (see [`ieee118_config`]): the warm sweep
     // reuses the shared phase-1 seed at every subproblem root, the cold
     // sweep re-derives each basis from scratch — same answers required.
-    let config = with_threads(&ieee118_config(&net), 4);
+    let config = with_threads(&ieee118_config(&net, 2), 4);
     assert_warm_cold_invariant(&net, &config, "ieee118_like");
 }
 
