@@ -4,7 +4,7 @@
 //!
 //! - Rows carry only solver-invariant content: violation, tier reached,
 //!   certificate tallies, retries. **No wall-clock anywhere** (timing
-//!   lives in `BENCH_atlas.json` and the journal only).
+//!   lives in the ed-obs `atlas.run` and `atlas.cell` spans only).
 //! - A row is serialized exactly once, when the cell completes; the
 //!   journal stores that string verbatim and a resumed run re-emits it
 //!   byte-for-byte instead of re-serializing.

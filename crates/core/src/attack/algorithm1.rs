@@ -108,8 +108,8 @@ pub struct SubproblemOutcome {
 
 /// Model-size and solver accounting for one Algorithm 1 sweep: how big the
 /// shared KKT model was, how much presolve shrank it, and how many exact
-/// solves of each family actually ran. Written into `BENCH_attack.json` by
-/// the bench harness.
+/// solves of each family actually ran. The benchmark reports its presolve
+/// counts, and `attack_gates` reads its `heuristic_floor`.
 #[derive(Debug, Clone, Default)]
 pub struct SweepReport {
     /// `(vars, rows, nonzeros)` of the full KKT model.

@@ -41,8 +41,8 @@
 //!
 //! [`TraceReport`] is the machine-readable snapshot: [`mark`] +
 //! [`report_since`] give a delta over any region, [`TraceReport::to_json`]
-//! writes the schema consumed by `scripts/trace_report.sh` and
-//! `BENCH_attack.json`, and [`TraceReport::deterministic_json`] is the
+//! writes the schema consumed by `scripts/trace_report.sh` (the benchmark's
+//! `--trace 1` files), and [`TraceReport::deterministic_json`] is the
 //! counters-only projection that must be byte-identical across repeated
 //! runs (wall-clock fields are excluded by construction).
 

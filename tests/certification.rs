@@ -4,10 +4,9 @@
 //! injected simplex basis-memory fault on the 118-bus KKT LP is detected
 //! and repaired by the [`CertifiedSolver`] ladder.
 //!
-//! (Full-depth exact sweeps on the 118-bus class run in release via the
-//! `sweep_scaling` bench, which records the same certificate counters and
-//! the certify overhead into `BENCH_attack.json`; the 118-bus sweep here
-//! is node-capped like the determinism test to stay dev-profile-fast.)
+//! (The 118-bus sweep here is node-capped like the determinism test, to
+//! stay dev-profile-fast; `attack_gates` gates the same certified floors
+//! on the 3-line node-capped sweep in release.)
 //!
 //! [`Certificate`]: ed_security::optim::Certificate
 //! [`CertifiedSolver`]: ed_security::optim::CertifiedSolver

@@ -1,11 +1,10 @@
 //! Golden regression pins for the paper's exact sweep results.
 //!
-//! `scripts/bench_attack.sh` reports the 3-bus and 6-bus exact sweeps in
-//! `BENCH_attack.json`'s `exact_cases`; these tests pin the *numbers behind
-//! those reports* — the maximum % capacity violation per (line, direction)
-//! subproblem — as golden values with explicit tolerances, so a solver or
-//! presolve change that silently shifts the attack's reproduced results
-//! fails CI instead of drifting the benchmark artifact.
+//! These tests pin the exact sweeps' results on the 3-bus, 6-bus and
+//! node-capped 118- and 300-bus cases — the maximum % capacity violation
+//! per (line, direction) subproblem — as golden values with explicit
+//! tolerances, so a solver or presolve change that silently shifts the
+//! attack's reproduced results fails CI.
 //!
 //! The second family pins the *lower-bound invariant*: the corner
 //! heuristic evaluates genuine attack candidates, so the violation it
@@ -21,7 +20,7 @@ use ed_security::optim::SolveBudget;
 use ed_security::powerflow::LineId;
 
 /// Exact-sweep config for the paper's 3-bus case (same bounds/ratings as
-/// the quickstart and `sweep_scaling`'s exact-case reporting).
+/// the quickstart: Table I, row 1).
 fn three_bus_config() -> AttackConfig {
     AttackConfig::new(cases::three_bus::dlr_lines())
         .bounds(100.0, 200.0)
@@ -29,7 +28,8 @@ fn three_bus_config() -> AttackConfig {
         .solver_options(BilevelOptions { use_heuristic: false, ..Default::default() })
 }
 
-/// Exact-sweep config for the 6-bus fixture (mirrors `sweep_scaling`).
+/// Exact-sweep config for the 6-bus fixture (mirrors `attack_gates`'
+/// delta re-solve chain).
 fn six_bus_config(net: &ed_security::powerflow::Network) -> AttackConfig {
     let dlr = vec![LineId(4), LineId(8)];
     let u_d: Vec<f64> = dlr.iter().map(|l| 0.9 * net.lines()[l.0].rating_mva).collect();
@@ -43,11 +43,10 @@ fn six_bus_config(net: &ed_security::powerflow::Network) -> AttackConfig {
 
 /// Node-capped sweep config for the 118- and 300-bus-class networks: the
 /// three most-loaded lines under a proportional dispatch get DLR (mirrors
-/// `ed_bench::congested_dlr_lines` and `sweep_scaling`'s widest case),
-/// bounds `[0.8, 1.6] ×` static rating, true rating = static rating. Node
-/// limit 1: each subproblem solves its root relaxation, then promotes the
-/// corner-heuristic incumbent to an independently *certified* KKT point —
-/// the configuration `BENCH_attack.json`'s 118-bus numbers come from.
+/// `ed_bench::congested_dlr_lines`), bounds `[0.8, 1.6] ×` static rating,
+/// true rating = static rating. Node limit 1: each subproblem solves its
+/// root relaxation, then promotes the corner-heuristic incumbent to an
+/// independently *certified* KKT point — the sweep `attack_gates` gates.
 fn node_capped_config(net: &ed_security::powerflow::Network) -> AttackConfig {
     let cap: f64 = net.total_pmax_mw();
     let d = net.total_demand_mw();
@@ -201,7 +200,7 @@ fn case300_node_capped_sweep_certifies_every_floor() {
 }
 
 /// Runs the 6-bus 4-hour delta-resolve chain (the short form of
-/// `sweep_scaling`'s 24-hour bench chain: diurnal demand profile, certify
+/// `attack_gates`' 24-hour chain: diurnal demand profile, certify
 /// on, presolve on, single-threaded hours) and returns the final hour's
 /// result. `delta` engages the hour-to-hour basis hand-off; `!delta`
 /// forces each hour cold (`warm_start = false` disables the hand-off).
