@@ -11,6 +11,9 @@
 //!
 //! Solver refactors must leave every pinned value unchanged: these runs
 //! are deterministic, so any drift means the search itself changed.
+//!
+//! One more case reads the recorder's spans: a one-thread Algorithm 1
+//! sweep runs every stage on its own thread.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -444,5 +447,37 @@ fn budget_tripped_subproblems_keep_warm_tallies() {
         sweep.warm_starts + sweep.cold_restarts,
         result.subproblems.len(),
         "every subproblem root was offered the seed: {sweep:?}"
+    );
+}
+
+/// At one thread the sweep starts no thread: the heuristic, the KKT build,
+/// the phase-1 seed and every subproblem record spans whose parent is the
+/// sweep's own `attack.sweep` span. Parents are tracked per thread, so a
+/// stage run on any other thread would have no parent there.
+#[test]
+fn single_thread_sweep_runs_every_stage_on_the_sweep_thread() {
+    let _g = recorder();
+    let net = ed_security::cases::three_bus();
+    let mut config = AttackConfig::new(vec![LineId(1), LineId(2)])
+        .bounds(100.0, 200.0)
+        .true_ratings(vec![130.0, 120.0]);
+    config.options.threads = Some(1);
+    let mark = obs::mark();
+    let result = optimal_attack(&net, &config).unwrap();
+    let report = obs::report_since(&mark);
+    let named = |name: &str| -> Vec<_> { report.spans.iter().filter(|s| s.name == name).collect() };
+    let sweeps = named("attack.sweep");
+    assert_eq!(sweeps.len(), 1, "one sweep ran: {sweeps:?}");
+    let sweep = Some(sweeps[0].id);
+    for stage in ["attack.heuristic", "attack.kkt", "attack.seed"] {
+        let spans = named(stage);
+        assert_eq!(spans.len(), 1, "{stage}: {spans:?}");
+        assert_eq!(spans[0].parent, sweep, "{stage} ran off the sweep's thread");
+    }
+    let subproblems = named("attack.subproblem");
+    assert_eq!(subproblems.len(), result.subproblems.len());
+    assert!(
+        subproblems.iter().all(|s| s.parent == sweep),
+        "{subproblems:?}"
     );
 }
