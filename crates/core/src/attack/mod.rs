@@ -36,16 +36,6 @@ pub use heuristic::{corner_heuristic, greedy_heuristic, HeuristicResult};
 use crate::CoreError;
 use ed_powerflow::{LineId, Network};
 
-/// How the attacker measures rating violations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ViolationMetric {
-    /// Percentage of the true rating, `100·(|f|/u^d − 1)` — Eq. (14a).
-    #[default]
-    PercentOfTrue,
-    /// Absolute overload in MW, `|f| − u^d` — the measure Table I reports.
-    AbsoluteMw,
-}
-
 /// Configuration of one attack instance.
 #[derive(Debug, Clone)]
 pub struct AttackConfig {
@@ -61,8 +51,6 @@ pub struct AttackConfig {
     pub demand_mw: Option<Vec<f64>>,
     /// Bilevel solver selection and budgets.
     pub options: BilevelOptions,
-    /// Violation metric for the objective.
-    pub metric: ViolationMetric,
 }
 
 impl AttackConfig {
@@ -77,7 +65,6 @@ impl AttackConfig {
             u_d: vec![0.0; n],
             demand_mw: None,
             options: BilevelOptions::default(),
-            metric: ViolationMetric::default(),
         }
     }
 
@@ -123,12 +110,6 @@ impl AttackConfig {
     /// Overrides solver options.
     pub fn solver_options(mut self, options: BilevelOptions) -> AttackConfig {
         self.options = options;
-        self
-    }
-
-    /// Sets the violation metric.
-    pub fn violation_metric(mut self, metric: ViolationMetric) -> AttackConfig {
-        self.metric = metric;
         self
     }
 

@@ -8,7 +8,7 @@
 //! connectivity check), never a panic — the atlas records them as
 //! first-class "untestable" rows.
 
-use super::{optimal_attack_with, AttackConfig, AttackResult, ViolationMetric};
+use super::{optimal_attack_with, AttackConfig, AttackResult};
 use crate::CoreError;
 use ed_powerflow::{LineId, Network, NetworkBuilder};
 
@@ -54,8 +54,7 @@ pub fn outage_network(net: &Network, outage: usize) -> Result<Network, CoreError
 ///
 /// The operator's dispatch enforces `|f_l| ≤ u^a_l ≤ u^max_l` on every
 /// DLR line, so no stealthy manipulation can push the violation above
-/// `max_l 100·(u^max_l/u^d_l − 1)` (percent metric) or
-/// `max_l (u^max_l − u^d_l)` (absolute metric). A non-positive bound
+/// `max_l 100·(u^max_l/u^d_l − 1)` percent (Eq. 14a). A non-positive bound
 /// therefore *proves* the cell unattackable without touching a solver —
 /// the atlas's cheapest degradation tier.
 pub fn attack_upper_bound(config: &AttackConfig) -> f64 {
@@ -63,10 +62,7 @@ pub fn attack_upper_bound(config: &AttackConfig) -> f64 {
         .u_max
         .iter()
         .zip(&config.u_d)
-        .map(|(&hi, &ud)| match config.metric {
-            ViolationMetric::PercentOfTrue => 100.0 * (hi / ud - 1.0),
-            ViolationMetric::AbsoluteMw => hi - ud,
-        })
+        .map(|(&hi, &ud)| 100.0 * (hi / ud - 1.0))
         .fold(f64::NEG_INFINITY, f64::max)
 }
 

@@ -175,10 +175,6 @@ pub fn scenario_fingerprint(net: &Network, config: &AttackConfig) -> u64 {
         }
         None => bytes.push(0),
     }
-    bytes.push(match config.metric {
-        crate::attack::ViolationMetric::PercentOfTrue => 0,
-        crate::attack::ViolationMetric::AbsoluteMw => 1,
-    });
     fnv1a(bytes)
 }
 

@@ -28,7 +28,6 @@
 use ed_security::cases;
 use ed_security::core::attack::{
     optimal_attack_with, AttackConfig, AttackResult, BilevelOptions, BilevelSolver,
-    ViolationMetric,
 };
 use ed_security::core::CoreError;
 use ed_security::optim::SolveBudget;
@@ -72,11 +71,6 @@ fn three_bus_runs(ud: [f64; 2]) -> Vec<Run> {
         (
             "bigm".to_string(),
             with(&base, |c| c.options.solver = BilevelSolver::BigM { big_m: 1e5 }),
-            true,
-        ),
-        (
-            "absolute_mw".to_string(),
-            with(&base, |c| c.metric = ViolationMetric::AbsoluteMw),
             true,
         ),
         ("certify_off".to_string(), with(&base, |c| c.options.certify = Some(false)), true),
@@ -304,7 +298,6 @@ const THREE_BUS: &[(&str, u64)] = &[
     ("three_bus/130x120/defaults", 0x3a1cc96f5932ff98), // 66.6667% L2+, 12 nodes, 4 certified, 0 floors, 0 degraded
     ("three_bus/130x120/no_hint", 0xdad3426e8ef08daa), // 66.6667% L2+, 12 nodes, 4 certified, 0 floors, 0 degraded
     ("three_bus/130x120/bigm", 0x5714f5f6579518b6), // 66.6667% L2+, 61 nodes, 4 certified, 0 floors, 0 degraded
-    ("three_bus/130x120/absolute_mw", 0x1f083af4392920f1), // 66.6667% L2+, 12 nodes, 4 certified, 0 floors, 0 degraded
     ("three_bus/130x120/certify_off", 0x75d1c46d01572afe), // 66.6667% L2+, 12 nodes, 0 certified, 0 floors, 0 degraded
     ("three_bus/130x120/no_hint/max_nodes1", 0x3003d4a9781c9d4b), // 66.6667% L2+, 4 nodes, 4 certified, 0 floors, 2 degraded
     ("three_bus/130x120/no_hint/max_nodes2", 0x2e8254f477cdb043), // 66.6667% L2+, 6 nodes, 4 certified, 0 floors, 2 degraded
@@ -319,7 +312,6 @@ const THREE_BUS: &[(&str, u64)] = &[
     ("three_bus/160x180/defaults", 0xdaa4beb54b9997cb), // 25.0000% L1+, 12 nodes, 4 certified, 0 floors, 0 degraded
     ("three_bus/160x180/no_hint", 0x260706c26799f2c3), // 25.0000% L1+, 12 nodes, 4 certified, 0 floors, 0 degraded
     ("three_bus/160x180/bigm", 0x174962c420fb2102), // 25.0000% L1+, 60 nodes, 4 certified, 0 floors, 0 degraded
-    ("three_bus/160x180/absolute_mw", 0xa052558edb029fd2), // 25.0000% L1+, 12 nodes, 4 certified, 0 floors, 0 degraded
     ("three_bus/160x180/certify_off", 0x8613ece9b2fe4c25), // 25.0000% L1+, 12 nodes, 0 certified, 0 floors, 0 degraded
     ("three_bus/160x180/no_hint/max_nodes1", 0x6538515186f55ce7), // 25.0000% L1+, 4 nodes, 4 certified, 0 floors, 2 degraded
     ("three_bus/160x180/no_hint/max_nodes2", 0x19a24e24904d0857), // 25.0000% L1+, 6 nodes, 4 certified, 0 floors, 2 degraded
@@ -334,7 +326,6 @@ const THREE_BUS: &[(&str, u64)] = &[
     ("three_bus/300x300/defaults", 0x85915cea2ae86414), // 0.0000% none, 12 nodes, 4 certified, 0 floors, 0 degraded
     ("three_bus/300x300/no_hint", 0x0a7eefe761158eea), // 0.0000% none, 12 nodes, 4 certified, 0 floors, 0 degraded
     ("three_bus/300x300/bigm", 0x337264144d264d7d), // 0.0000% none, 60 nodes, 4 certified, 0 floors, 0 degraded
-    ("three_bus/300x300/absolute_mw", 0xa2f54b343958b9f0), // 0.0000% none, 12 nodes, 4 certified, 0 floors, 0 degraded
     ("three_bus/300x300/certify_off", 0x240bd941bc6b289a), // 0.0000% none, 12 nodes, 0 certified, 0 floors, 0 degraded
     ("three_bus/300x300/no_hint/max_nodes1", 0x126806d8a539c7a5), // 0.0000% none, 4 nodes, 4 certified, 0 floors, 2 degraded
     ("three_bus/300x300/no_hint/max_nodes2", 0x33a15a19a3e84781), // 0.0000% none, 6 nodes, 4 certified, 0 floors, 2 degraded
