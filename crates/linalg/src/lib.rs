@@ -10,10 +10,9 @@
 //!   used for the simplex basis and for linear solves in the
 //!   Newton–Raphson AC power flow, PTDF computation, and the active-set QP
 //!   solver.
-//! - [`UpdatableLu`] — an [`Lu`] plus a product-form eta file of rank-1
-//!   updates (column replacement and Sherman–Morrison), with a
-//!   stability-triggered refactorization fallback; backs the simplex basis
-//!   and incremental power-flow factor updates.
+//! - [`UpdatableLu`] — an [`Lu`] plus a product-form eta file of column
+//!   replacements, each stability guarded so the caller refactorizes
+//!   instead; backs the simplex basis.
 //! - [`Complex`] — complex arithmetic for AC admittance matrices.
 //! - [`CscMatrix`] — compressed sparse column storage for constraint
 //!   matrices, with dense↔sparse conversion and column iteration; the

@@ -1,37 +1,27 @@
-//! Rank-1 updatable LU factorization: a product-form eta file layered on
-//! top of [`Lu`].
+//! Updatable LU factorization: a product-form eta file of column
+//! replacements layered on top of [`Lu`].
 //!
-//! Two update kinds are supported, both expressed as a multiplicative
-//! correction applied after the base factorization:
+//! [`UpdatableLu::replace_column`] records the Forrest–Tomlin-style eta
+//! used by the revised simplex. Replacing basis column `r` with a column
+//! whose ftran image is `w` turns the basis into `B' = B·E` where `E` is
+//! the identity with column `r` overwritten by `w`; solving against `B'`
+//! applies `E⁻¹` after the base solve.
 //!
-//! - **Column replacement** ([`UpdatableLu::replace_column`]): the
-//!   Forrest–Tomlin-style eta used by the revised simplex. Replacing basis
-//!   column `r` with a column whose ftran image is `w` turns the basis into
-//!   `B' = B·E` where `E` is the identity with column `r` overwritten by
-//!   `w`; solving against `B'` applies `E⁻¹` after the base solve.
-//! - **Rank-1 additive update** ([`UpdatableLu::rank_one_update`]): the
-//!   Sherman–Morrison form for `B' = B + u·vᵀ`, used for single-line
-//!   outage / rating deltas on the reduced susceptance matrix where the
-//!   delta is an outer product of incidence vectors.
+//! Every eta is **stability guarded**: one whose pivot entry is too small
+//! is rejected with [`LinalgError::UpdateRejected`] and leaves the
+//! factorization unchanged. The simplex then refactorizes; it never
+//! receives a silently garbage solve.
 //!
-//! Both updates are **stability guarded**: an eta whose pivot entry is too
-//! small, or a Sherman–Morrison denominator too close to zero (the
-//! near-singular update — e.g. removing a bridge line and islanding the
-//! network), is rejected with [`LinalgError::UpdateRejected`] and leaves
-//! the factorization unchanged. Callers fall back to a fresh
-//! factorization; they never receive a silently garbage solve.
-//!
-//! A column-replacement eta is stored sparse: its pivot plus the nonzeros
-//! off the pivot row, in ascending row order. Applying it skips only the
-//! products with a zero eta entry, which leave every finite value but
-//! `-0.0` unchanged, so solves keep the bits of a dense eta file that loops
-//! over every row, up to the sign of an exact-zero entry
-//! (`crates/linalg/tests/lu.rs` checks this against such a file).
+//! An eta is stored sparse: its pivot plus the nonzeros off the pivot
+//! row, in ascending row order. Applying it skips only the products with
+//! a zero eta entry, which leave every finite value but `-0.0` unchanged,
+//! so solves keep the bits of a dense eta file that loops over every row,
+//! up to the sign of an exact-zero entry (`crates/linalg/tests/lu.rs`
+//! checks this against such a file).
 
 use crate::error::LinalgError;
 use crate::lu::Lu;
 use crate::matrix::Matrix;
-use crate::vector::dot;
 
 /// Relative stability floor for eta pivots: an eta pivot smaller than this
 /// fraction of the eta column's magnitude would amplify rounding error by
@@ -39,33 +29,27 @@ use crate::vector::dot;
 /// refactorization.
 const ETA_REL_TOL: f64 = 1e-12;
 
-/// Stability floor for the Sherman–Morrison denominator `1 + vᵀB⁻¹u`,
-/// relative to the magnitude of the correction term. A denominator this
-/// small means the update drives the matrix (numerically) singular.
-const SM_DENOM_TOL: f64 = 1e-8;
-
-/// One recorded multiplicative update.
+/// One column-replacement eta: column `r` of the current matrix replaced
+/// by the column whose ftran image under the factorization *at push time*
+/// is `w`: `pivot = w[r]`, and `off` holds the nonzero `(k, w[k])`,
+/// `k ≠ r`, by ascending `k`.
 #[derive(Debug, Clone)]
-enum Update {
-    /// Column `r` of the current matrix replaced by the column whose ftran
-    /// image under the factorization *at push time* is `w`: `pivot = w[r]`,
-    /// and `off` holds the nonzero `(k, w[k])`, `k ≠ r`, by ascending `k`.
-    Eta { r: usize, pivot: f64, off: Vec<(usize, f64)> },
-    /// Additive rank-1 update `+ u·vᵀ`; `z` is the solve of `u` under the
-    /// factorization at push time and `denom = 1 + vᵀz`.
-    RankOne { z: Vec<f64>, v: Vec<f64>, denom: f64 },
+struct Eta {
+    r: usize,
+    pivot: f64,
+    off: Vec<(usize, f64)>,
 }
 
-/// LU factorization plus a product-form file of rank-1 updates.
+/// LU factorization plus a product-form file of column-replacement etas.
 ///
-/// Wraps a base [`Lu`] and a sequence of rank-1 updates; `solve` /
-/// `solve_transpose` run the base triangular solves and then apply the
-/// update corrections in the proper order. With an empty update file the
-/// solves are exactly the base [`Lu`] solves.
+/// Wraps a base [`Lu`] and a sequence of etas; `solve` / `solve_transpose`
+/// run the base triangular solves and then apply the etas in the proper
+/// order. With an empty eta file the solves are exactly the base [`Lu`]
+/// solves.
 #[derive(Debug, Clone)]
 pub struct UpdatableLu {
     lu: Lu,
-    updates: Vec<Update>,
+    updates: Vec<Eta>,
 }
 
 impl UpdatableLu {
@@ -84,19 +68,9 @@ impl UpdatableLu {
         self.lu.dim()
     }
 
-    /// Borrow of the base factorization (ignores pending updates).
-    pub fn base(&self) -> &Lu {
-        &self.lu
-    }
-
-    /// Number of updates currently stacked on the base factorization.
+    /// Number of etas currently stacked on the base factorization.
     pub fn num_updates(&self) -> usize {
         self.updates.len()
-    }
-
-    /// Drops every stacked update, reverting to the base factorization.
-    pub fn clear_updates(&mut self) {
-        self.updates.clear();
     }
 
     /// Replaces the base factorization and clears the update file.
@@ -113,26 +87,15 @@ impl UpdatableLu {
         Ok(z)
     }
 
-    /// Applies the update corrections to a vector that has already been
-    /// solved against the base factorization.
+    /// Applies the etas to a vector that has already been solved against
+    /// the base factorization.
     fn apply_updates(&self, z: &mut [f64]) {
-        let m = z.len();
-        for up in &self.updates {
-            match up {
-                Update::Eta { r, pivot, off } => {
-                    let zr = z[*r] / pivot;
-                    for &(k, wk) in off {
-                        z[k] -= wk * zr;
-                    }
-                    z[*r] = zr;
-                }
-                Update::RankOne { z: zu, v, denom } => {
-                    let s = dot(v, z) / denom;
-                    for k in 0..m {
-                        z[k] -= zu[k] * s;
-                    }
-                }
+        for Eta { r, pivot, off } in &self.updates {
+            let zr = z[*r] / pivot;
+            for &(k, wk) in off {
+                z[k] -= wk * zr;
             }
+            z[*r] = zr;
         }
     }
 
@@ -149,22 +112,12 @@ impl UpdatableLu {
             });
         }
         let mut c = b.to_vec();
-        for up in self.updates.iter().rev() {
-            match up {
-                Update::Eta { r, pivot, off } => {
-                    let mut s = 0.0;
-                    for &(k, wk) in off {
-                        s += wk * c[k];
-                    }
-                    c[*r] = (c[*r] - s) / pivot;
-                }
-                Update::RankOne { z, v, denom } => {
-                    let s = dot(z, &c) / denom;
-                    for k in 0..m {
-                        c[k] -= v[k] * s;
-                    }
-                }
+        for Eta { r, pivot, off } in self.updates.iter().rev() {
+            let mut s = 0.0;
+            for &(k, wk) in off {
+                s += wk * c[k];
             }
+            c[*r] = (c[*r] - s) / pivot;
         }
         self.lu.solve_transpose(&c)
     }
@@ -207,34 +160,7 @@ impl UpdatableLu {
                 off.push((k, wk));
             }
         }
-        self.updates.push(Update::Eta { r, pivot, off });
-        Ok(())
-    }
-
-    /// Records the additive rank-1 update `B ← B + u·vᵀ` via
-    /// Sherman–Morrison.
-    ///
-    /// Rejects the update (leaving the factorization untouched) when the
-    /// denominator `1 + vᵀB⁻¹u` is too close to zero — the updated matrix
-    /// would be numerically singular, e.g. a line removal that islands the
-    /// network.
-    pub fn rank_one_update(&mut self, u: &[f64], v: &[f64]) -> Result<(), LinalgError> {
-        let m = self.dim();
-        if u.len() != m || v.len() != m {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("update vectors of length {m}"),
-                found: format!("lengths {} and {}", u.len(), v.len()),
-            });
-        }
-        let z = self.solve(u)?;
-        let vz = dot(v, &z);
-        let denom = 1.0 + vz;
-        if !denom.is_finite() || denom.abs() <= SM_DENOM_TOL * (1.0 + vz.abs()) {
-            return Err(LinalgError::UpdateRejected {
-                what: format!("Sherman-Morrison denominator {denom:.3e} too close to zero"),
-            });
-        }
-        self.updates.push(Update::RankOne { z, v: v.to_vec(), denom });
+        self.updates.push(Eta { r, pivot, off });
         Ok(())
     }
 }

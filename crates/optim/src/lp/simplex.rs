@@ -118,8 +118,7 @@ struct Tableau {
     basis: Vec<usize>,
     /// LU factors of the basis matrix at the last refactorization plus the
     /// product-form eta file of pivots since then (`None` until the first
-    /// factorization, or when `m == 0`). Lives in `ed-linalg` as
-    /// [`UpdatableLu`] so `FactorCache` shares the same update machinery.
+    /// factorization, or when `m == 0`), as an [`UpdatableLu`].
     factors: Option<UpdatableLu>,
     iterations: usize,
 }

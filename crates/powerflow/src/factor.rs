@@ -15,8 +15,8 @@
 //! factor-then-solve path: the factored matrix and the substitution
 //! recurrences are unchanged.
 
-use crate::{dc, LineId, Network, PowerflowError};
-use ed_linalg::{LinalgError, Lu, UpdatableLu};
+use crate::{dc, Network, PowerflowError};
+use ed_linalg::Lu;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// index bookkeeping needed to map between full and reduced vectors.
 #[derive(Debug, Clone)]
 pub struct FactorCache {
-    factors: UpdatableLu,
+    factors: Lu,
     /// Kept (non-slack) bus indices, in ascending order; `keep[k]` is the
     /// full bus index of reduced row/column `k`.
     keep: Vec<usize>,
@@ -49,12 +49,12 @@ impl FactorCache {
         let slack = net.slack().0;
         let keep: Vec<usize> = (0..n).filter(|&i| i != slack).collect();
         let b_red = dc::bus_susceptance(net).submatrix(&keep, &keep);
-        let lu = Lu::factor(&b_red)?;
+        let factors = Lu::factor(&b_red)?;
         let mut red = vec![None; n];
         for (k, &bus) in keep.iter().enumerate() {
             red[bus] = Some(k);
         }
-        Ok(FactorCache { factors: UpdatableLu::from_lu(lu), keep, red, slack })
+        Ok(FactorCache { factors, keep, red, slack })
     }
 
     /// Fetches (or builds and caches) the shared factorization for a
@@ -85,79 +85,6 @@ impl FactorCache {
         let built = Arc::new(FactorCache::build(net)?);
         pool.lock().expect("factor pool lock").insert(key, Arc::clone(&built));
         Ok(built)
-    }
-
-    /// A variant of this factorization with one line removed, computed as
-    /// a Sherman–Morrison rank-1 update (`B_red − β·a·aᵀ` with `a` the
-    /// line's reduced incidence vector) instead of a fresh factorization.
-    ///
-    /// **Stability fallback:** when the update denominator is numerically
-    /// zero — removing the line islands the network, so the reduced matrix
-    /// is genuinely singular — the rank-1 form is rejected and this falls
-    /// back to factoring the explicitly modified matrix, which then
-    /// reports [`PowerflowError::Linalg`] on true singularity rather than
-    /// returning garbage solves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerflowError::DimensionMismatch`] when `net` does not
-    /// match the cache, and [`PowerflowError::Linalg`] when the outage
-    /// matrix is singular (bridge removal).
-    pub fn outage_variant(
-        &self,
-        net: &Network,
-        line: LineId,
-    ) -> Result<FactorCache, PowerflowError> {
-        if net.num_buses() != self.keep.len() + 1 || line.0 >= net.num_lines() {
-            return Err(PowerflowError::DimensionMismatch {
-                expected: format!("network with {} buses and line < {}", self.keep.len() + 1, net.num_lines()),
-                found: format!("{} buses, line {}", net.num_buses(), line.0),
-            });
-        }
-        let l = net.line(line);
-        let beta = l.susceptance_pu();
-        let m = self.keep.len();
-        // Reduced incidence vector of the line (slack endpoint drops out).
-        let mut a = vec![0.0; m];
-        if let Some(k) = self.red[l.from.0] {
-            a[k] = 1.0;
-        }
-        if let Some(k) = self.red[l.to.0] {
-            a[k] = -1.0;
-        }
-        // Removal contribution: B' = B − β a aᵀ, i.e. u = −β a, v = a.
-        let u: Vec<f64> = a.iter().map(|&x| -beta * x).collect();
-        let mut variant = self.clone();
-        match variant.factors.rank_one_update(&u, &a) {
-            Ok(()) => {
-                ed_obs::counter("powerflow.factor.rank1.updates", 1);
-                Ok(variant)
-            }
-            Err(LinalgError::UpdateRejected { .. }) => {
-                // Near-singular update: rebuild the outage matrix
-                // explicitly so genuine islanding surfaces as Singular.
-                ed_obs::counter("powerflow.factor.rank1.fallbacks", 1);
-                let mut b_red = dc::bus_susceptance(net).submatrix(&self.keep, &self.keep);
-                for i in 0..m {
-                    if a[i] == 0.0 {
-                        continue;
-                    }
-                    for j in 0..m {
-                        b_red[(i, j)] -= beta * a[i] * a[j];
-                    }
-                }
-                let lu = Lu::factor(&b_red)?;
-                let mut fresh = self.clone();
-                fresh.factors = UpdatableLu::from_lu(lu);
-                Ok(fresh)
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Number of rank-1 updates stacked on the base factorization.
-    pub fn num_updates(&self) -> usize {
-        self.factors.num_updates()
     }
 
     /// The slack bus index the reduction is referenced to.
@@ -386,51 +313,6 @@ mod tests {
         let cache = FactorCache::build(&net).unwrap();
         let col = cache.unit_injection_angles(cache.slack()).unwrap();
         assert!(col.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn outage_variant_matches_rebuilt_network() {
-        let net = paper_three_bus();
-        let cache = FactorCache::build(&net).unwrap();
-        // Rank-1 variant vs. a from-scratch cache of the physically
-        // modified network (line 2 removed from the triangle).
-        let variant = cache.outage_variant(&net, LineId(2)).unwrap();
-        assert_eq!(variant.num_updates(), 1);
-
-        let mut b = NetworkBuilder::new(100.0);
-        let b1 = b.add_bus("B1", BusKind::Slack, 0.0);
-        let b2 = b.add_bus("B2", BusKind::Pv, 0.0);
-        let b3 = b.add_bus("B3", BusKind::Pq, 300.0);
-        b.add_line(b1, b2, 0.002, 0.05, 160.0);
-        b.add_line(b1, b3, 0.002, 0.05, 160.0);
-        b.add_gen(b1, 0.0, 300.0, CostCurve::linear(2.0));
-        b.add_gen(b2, 0.0, 300.0, CostCurve::linear(1.0));
-        let reduced_net = b.build().unwrap();
-        let rebuilt = FactorCache::build(&reduced_net).unwrap();
-
-        let rhs = [1.25, -0.75];
-        let x1 = variant.solve_reduced(&rhs).unwrap();
-        let x2 = rebuilt.solve_reduced(&rhs).unwrap();
-        for (a, b) in x1.iter().zip(&x2) {
-            assert!((a - b).abs() < 1e-10, "outage variant diverges: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn islanding_outage_is_rejected_not_garbage() {
-        // A 3-bus chain: removing the middle of either line islands a bus,
-        // so the rank-1 update must fall back and report singularity.
-        let mut b = NetworkBuilder::new(100.0);
-        let b1 = b.add_bus("B1", BusKind::Slack, 0.0);
-        let b2 = b.add_bus("B2", BusKind::Pv, 0.0);
-        let b3 = b.add_bus("B3", BusKind::Pq, 100.0);
-        b.add_line(b1, b2, 0.002, 0.05, 160.0);
-        b.add_line(b2, b3, 0.002, 0.05, 160.0);
-        b.add_gen(b1, 0.0, 300.0, CostCurve::linear(2.0));
-        let net = b.build().unwrap();
-        let cache = FactorCache::build(&net).unwrap();
-        let err = cache.outage_variant(&net, LineId(1)).expect_err("bridge removal must fail");
-        assert!(matches!(err, PowerflowError::Linalg(_)), "got {err:?}");
     }
 
     #[test]
