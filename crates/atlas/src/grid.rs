@@ -9,21 +9,9 @@
 use crate::cell::Tier;
 use crate::engine::AtlasError;
 use ed_core::dispatch::DcOpf;
+use ed_cases::KNOWN_CASES;
 use ed_dlr::{DemandProfile, DlrProfile, Scenario, ScenarioBuilder};
 use ed_powerflow::{LineId, Network};
-
-/// The case families the atlas can enumerate.
-pub const KNOWN_CASES: &[&str] = &["three_bus", "six_bus", "ieee118", "case300"];
-
-fn build_case(name: &str) -> Option<Network> {
-    match name {
-        "three_bus" => Some(ed_cases::three_bus()),
-        "six_bus" => Some(ed_cases::six_bus()),
-        "ieee118" => Some(ed_cases::ieee118_like()),
-        "case300" => Some(ed_cases::case300_like()),
-        _ => None,
-    }
-}
 
 /// The full specification of one atlas grid. Two runs with equal specs
 /// enumerate exactly the same cells in the same order.
@@ -147,7 +135,7 @@ impl CaseGrid {
     /// dispatch (used for candidate ranking) fails.
     pub fn build(case: &str, spec: &AtlasSpec) -> Result<CaseGrid, AtlasError> {
         let _t = ed_obs::timer("atlas.grid.build");
-        let net = build_case(case)
+        let net = ed_cases::by_name(case)
             .ok_or_else(|| AtlasError::Grid { what: format!("unknown case '{case}'") })?;
         let base = DcOpf::new(&net)
             .solve()

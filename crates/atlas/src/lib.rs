@@ -41,6 +41,6 @@ pub mod report;
 
 pub use cell::{CellFault, CellOutcome, Solved, Tier, UntestableReason};
 pub use engine::{run_atlas, AtlasError, AtlasOptions};
-pub use grid::{AtlasSpec, CaseGrid, KNOWN_CASES};
+pub use grid::{AtlasSpec, CaseGrid};
 pub use journal::{scan, Journal, JournalScan};
 pub use report::{AtlasReport, CellRecord, RowKind};

@@ -32,3 +32,21 @@ pub use ieee118_like::ieee118_like;
 pub use six_bus::six_bus;
 pub use synthetic::{synthetic, SyntheticConfig};
 pub use three_bus::{three_bus, three_bus_with, ThreeBusConfig};
+
+use ed_powerflow::Network;
+
+/// The names [`by_name`] builds: the cases ed-atlas sweeps and ed-serve
+/// answers for.
+pub const KNOWN_CASES: &[&str] = &["three_bus", "six_bus", "ieee118", "case300"];
+
+/// Builds the named case (one of [`KNOWN_CASES`]); `None` for any other
+/// name.
+pub fn by_name(name: &str) -> Option<Network> {
+    match name {
+        "three_bus" => Some(three_bus()),
+        "six_bus" => Some(six_bus()),
+        "ieee118" => Some(ieee118_like()),
+        "case300" => Some(case300_like()),
+        _ => None,
+    }
+}

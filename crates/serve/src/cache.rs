@@ -1,4 +1,4 @@
-//! Keyed warm cache: case fingerprint → network + shared factorization +
+//! Keyed warm cache: case name → network + shared factorization +
 //! resilient-dispatcher state (which holds the last-known-good dispatch).
 //!
 //! Entries sit behind `Arc`s so request handlers share them copy-on-write
@@ -13,16 +13,15 @@
 //! certificate does not implicate it.
 
 use crate::metrics::{bump, metrics};
+use ed_cases::KNOWN_CASES;
 use ed_core::dispatch::ResilientDispatcher;
 use ed_core::pool::SolutionPool;
-use ed_powerflow::{fnv1a, network_fingerprint, FactorCache, Network};
+use ed_powerflow::{network_fingerprint, FactorCache, Network};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One warm case entry.
 pub struct CaseEntry {
-    /// Stable fingerprint of the case definition.
-    pub fingerprint: u64,
     /// The network topology.
     pub net: Arc<Network>,
     /// Shared susceptance factorization (safety-gate audits, DC solves).
@@ -33,23 +32,10 @@ pub struct CaseEntry {
     pub dispatcher: Mutex<ResilientDispatcher>,
 }
 
-/// The set of named cases the service will build.
-pub const KNOWN_CASES: &[&str] = &["three_bus", "six_bus", "ieee118", "case300"];
-
-fn build_network(case: &str) -> Option<Network> {
-    match case {
-        "three_bus" => Some(ed_cases::three_bus()),
-        "six_bus" => Some(ed_cases::six_bus()),
-        "ieee118" => Some(ed_cases::ieee118_like()),
-        "case300" => Some(ed_cases::case300_like()),
-        _ => None,
-    }
-}
-
-/// Keyed warm cache over the known cases.
+/// Warm cache over the known cases, keyed by case name.
 #[derive(Default)]
 pub struct WarmCache {
-    entries: Mutex<HashMap<u64, Arc<CaseEntry>>>,
+    entries: Mutex<HashMap<String, Arc<CaseEntry>>>,
 }
 
 impl WarmCache {
@@ -70,29 +56,27 @@ impl WarmCache {
             return Ok(e);
         }
         bump(&metrics().cache_misses);
-        let net = build_network(case)
+        let net = ed_cases::by_name(case)
             .ok_or_else(|| format!("unknown case '{case}' (known: {KNOWN_CASES:?})"))?;
         // Joins the process-wide factor pool (`ED_POOL`): a case already
         // factored by the attack layer — or by a previous incarnation of
         // this entry — is shared instead of refactored.
         let factors = FactorCache::shared(&net)
             .map_err(|e| format!("case '{case}' cannot be factored: {e}"))?;
-        let key = fnv1a(case.bytes());
         let entry = Arc::new(CaseEntry {
-            fingerprint: key,
             net: Arc::new(net),
             factors,
             dispatcher: Mutex::new(ResilientDispatcher::new()),
         });
         // Double-build race on a cold miss is harmless: last writer wins
         // and the loser's Arc drops when its requests finish.
-        self.lock().insert(key, Arc::clone(&entry));
+        self.lock().insert(case.to_string(), Arc::clone(&entry));
         Ok(entry)
     }
 
     /// The warm entry for `case`, if one is cached. Never builds one.
     pub fn warm(&self, case: &str) -> Option<Arc<CaseEntry>> {
-        self.lock().get(&fnv1a(case.bytes())).cloned()
+        self.lock().get(case).cloned()
     }
 
     /// Certified invalidation: drops the entry and every pooled sweep seed
@@ -102,8 +86,7 @@ impl WarmCache {
     /// back from the factor pool, since they depend only on the network
     /// and a failed certificate does not implicate them.
     pub fn invalidate(&self, case: &str) -> bool {
-        let key = fnv1a(case.bytes());
-        let removed = self.lock().remove(&key);
+        let removed = self.lock().remove(case);
         if let Some(entry) = &removed {
             bump(&metrics().cache_invalidations);
             SolutionPool::global().invalidate_network(network_fingerprint(&entry.net));
@@ -121,7 +104,7 @@ impl WarmCache {
         self.len() == 0
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<CaseEntry>>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<CaseEntry>>> {
         self.entries
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
