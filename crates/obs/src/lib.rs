@@ -143,15 +143,6 @@ impl TimingStat {
         }
         self.buckets[b] += 1;
     }
-
-    /// Mean sample in milliseconds (`0.0` when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ms / self.count as f64
-        }
-    }
 }
 
 /// One finished span (or zero-duration event) as exported in a

@@ -132,16 +132,6 @@ impl SolveBudget {
         self.deadline
     }
 
-    /// The iteration cap, if any.
-    pub fn iteration_cap(&self) -> Option<usize> {
-        self.max_iterations
-    }
-
-    /// The node cap, if any.
-    pub fn node_cap(&self) -> Option<usize> {
-        self.max_nodes
-    }
-
     /// `true` when no limit is set — solvers skip the per-iteration clock
     /// read entirely in that case. A cancellable budget is never unlimited:
     /// its cancel flag must stay observable inside solver loops.
@@ -177,11 +167,6 @@ impl SolveBudget {
             self.shared = Some(Arc::new(BudgetShared::default()));
         }
         self
-    }
-
-    /// `true` when this budget carries shared cancellation state.
-    pub fn is_cancellable(&self) -> bool {
-        self.shared.is_some()
     }
 
     /// Raises the shared cancel flag: every clone of this budget trips with
@@ -298,11 +283,6 @@ impl<S> SolveOutcome<S> {
             SolveOutcome::Solved(s) => Some(s),
             SolveOutcome::Partial(_) => None,
         }
-    }
-
-    /// `true` when a budget tripped.
-    pub fn is_partial(&self) -> bool {
-        matches!(self, SolveOutcome::Partial(_))
     }
 
     /// The partial result, if a budget tripped.
