@@ -128,8 +128,6 @@ pub enum CellOutcome {
 pub enum CellFault {
     /// The solve panicked (caught at the cell boundary).
     Panic(String),
-    /// The search exhausted its node budget without a usable answer.
-    Budget(String),
     /// A numerical or optimization-layer failure.
     Numerical(String),
     /// The exact sweep finished but some subproblem solutions failed
@@ -142,7 +140,6 @@ impl CellFault {
     pub fn describe(&self) -> (&'static str, String) {
         match self {
             CellFault::Panic(m) => ("panic", m.clone()),
-            CellFault::Budget(m) => ("budget", m.clone()),
             CellFault::Numerical(m) => ("numerical", m.clone()),
             CellFault::Uncertified(n) => ("uncertified", format!("{n} uncertified subproblems")),
         }
@@ -296,9 +293,6 @@ pub fn execute_cell(input: &CellInput<'_>, tier: Tier) -> Result<CellOutcome, Ce
             } else {
                 Err(CellFault::Numerical(e.to_string()))
             }
-        }
-        Err(CoreError::AttackSearchExhausted { nodes }) => {
-            Err(CellFault::Budget(format!("search exhausted {nodes} nodes")))
         }
         Err(CoreError::Parallel { what }) => Err(CellFault::Panic(what)),
         Err(e) => Err(CellFault::Numerical(e.to_string())),

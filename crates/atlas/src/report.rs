@@ -15,6 +15,7 @@
 use crate::cell::{CellFault, Solved, Tier, UntestableReason};
 use crate::engine::AtlasError;
 use crate::grid::AtlasSpec;
+use ed_obs::escape;
 use std::io;
 use std::path::Path;
 
@@ -95,24 +96,6 @@ fn jnum(v: f64) -> String {
     }
 }
 
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn prefix(cell: usize, coords: &Coords<'_>) -> String {
     let ed: Vec<String> = coords.ed.iter().map(usize::to_string).collect();
     let outage = match coords.outage {
@@ -120,8 +103,8 @@ fn prefix(cell: usize, coords: &Coords<'_>) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\"cell\":{cell},\"case\":{},\"ed\":[{}],\"outage\":{outage},\"hour\":{}",
-        jstr(coords.case),
+        "{{\"cell\":{cell},\"case\":\"{}\",\"ed\":[{}],\"outage\":{outage},\"hour\":{}",
+        escape(coords.case),
         ed.join(","),
         jnum(coords.hour),
     )
@@ -214,9 +197,9 @@ pub fn quarantined_record(
 ) -> CellRecord {
     let (kind, detail) = fault.describe();
     let json = format!(
-        "{},\"outcome\":\"quarantined\",\"fault\":\"{kind}\",\"detail\":{},\"attempts\":{attempts},\"retries\":{}}}",
+        "{},\"outcome\":\"quarantined\",\"fault\":\"{kind}\",\"detail\":\"{}\",\"attempts\":{attempts},\"retries\":{}}}",
         prefix(cell, coords),
-        jstr(&detail),
+        escape(&detail),
         attempts.saturating_sub(1),
     );
     CellRecord {
@@ -363,7 +346,8 @@ impl AtlasReport {
     /// Byte-identical across resumed and uninterrupted runs of the same
     /// spec (without a wall-clock deadline; see DESIGN.md §17).
     pub fn to_json(&self) -> String {
-        let cases: Vec<String> = self.spec.cases.iter().map(|c| jstr(c)).collect();
+        let cases: Vec<String> =
+            self.spec.cases.iter().map(|c| format!("\"{}\"", escape(c))).collect();
         let mut out = format!(
             "{{\"version\":1,\"spec_fingerprint\":\"{}\",\"grid\":{{\"cases\":[{}],\
              \"hours\":{},\"ed_k\":{},\"contingencies\":{},\"tier\":\"{}\",\"node_limit\":{},\

@@ -1,4 +1,4 @@
-//! Shared helpers for the reproduction binaries and Criterion benches.
+//! Shared helpers for the reproduction binaries and `attack_gates`.
 //!
 //! Each paper table/figure has a dedicated binary under `src/bin/`:
 //!
@@ -12,7 +12,9 @@
 //! | `table4` | Table IV — memory-layout (object) forensics accuracy    |
 //! | `fig8`   | Figure 8 — PowerWorld/PowerTools case study             |
 //!
-//! Run any of them with `cargo run -p ed-bench --release --bin <name>`.
+//! Run any of them with `cargo run -p ed-bench --release --bin <name>`;
+//! `scripts/verify.sh` runs all seven and pins each one's output. The
+//! `attack_gates` binary holds Algorithm 1's release gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,18 +22,6 @@
 use ed_core::attack::AttackConfig;
 use ed_dlr::{DemandProfile, DlrProfile, Scenario, ScenarioBuilder};
 use ed_powerflow::{LineId, Network};
-
-/// Formats a numeric series as a CSV block with a header.
-pub fn csv<I: IntoIterator<Item = Vec<String>>>(header: &[&str], rows: I) -> String {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
 
 /// The paper's Figure 4a setup on a given network: double-peak demand and
 /// offset sinusoidal DLRs in `[100, 200]` MW on the specified lines.
@@ -102,197 +92,4 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), 5);
     }
-
-    #[test]
-    fn csv_formatting() {
-        let s = csv(&["a", "b"], vec![vec!["1".into(), "2".into()]]);
-        assert_eq!(s, "a,b\n1,2\n");
-    }
-}
-
-pub mod crit {
-    //! A minimal Criterion-compatible micro-benchmark harness.
-    //!
-    //! The workspace builds fully offline, so the external `criterion` crate
-    //! is replaced by this shim exposing the subset of its API the bench
-    //! targets use: [`Criterion::bench_function`], benchmark groups with
-    //! `sample_size`/`bench_with_input`, [`BenchmarkId`], and the
-    //! `criterion_group!`/`criterion_main!` macros (exported at the crate
-    //! root). Timings are wall-clock medians over a fixed sample count —
-    //! good enough for the relative comparisons the ablations need.
-
-    use std::fmt::Display;
-    use std::time::{Duration, Instant};
-
-    /// Top-level harness handle passed to every bench function.
-    #[derive(Debug)]
-    pub struct Criterion {
-        sample_size: usize,
-    }
-
-    impl Default for Criterion {
-        fn default() -> Criterion {
-            Criterion { sample_size: 30 }
-        }
-    }
-
-    impl Criterion {
-        /// Runs a single named benchmark.
-        pub fn bench_function<F: FnMut(&mut Bencher)>(
-            &mut self,
-            name: &str,
-            f: F,
-        ) -> &mut Criterion {
-            run_one(name, self.sample_size, f);
-            self
-        }
-
-        /// Starts a named group of related benchmarks.
-        pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-            println!("group: {name}");
-            BenchmarkGroup {
-                name: name.to_string(),
-                sample_size: self.sample_size,
-                _parent: self,
-            }
-        }
-    }
-
-    /// A group of related benchmarks sharing configuration.
-    #[derive(Debug)]
-    pub struct BenchmarkGroup<'a> {
-        name: String,
-        sample_size: usize,
-        _parent: &'a mut Criterion,
-    }
-
-    impl BenchmarkGroup<'_> {
-        /// Sets the number of timed samples per benchmark.
-        pub fn sample_size(&mut self, n: usize) -> &mut Self {
-            self.sample_size = n.max(2);
-            self
-        }
-
-        /// Runs a benchmark within the group.
-        pub fn bench_function<F: FnMut(&mut Bencher)>(
-            &mut self,
-            id: impl Display,
-            f: F,
-        ) -> &mut Self {
-            run_one(&format!("{}/{}", self.name, id), self.sample_size, f);
-            self
-        }
-
-        /// Runs a parameterized benchmark within the group.
-        pub fn bench_with_input<I, F: FnMut(&mut Bencher, &I)>(
-            &mut self,
-            id: BenchmarkId,
-            input: &I,
-            mut f: F,
-        ) -> &mut Self {
-            run_one(&format!("{}/{}", self.name, id.0), self.sample_size, |b| {
-                f(b, input)
-            });
-            self
-        }
-
-        /// Ends the group (formatting no-op, kept for API compatibility).
-        pub fn finish(self) {}
-    }
-
-    /// Identifier for a parameterized benchmark.
-    #[derive(Debug, Clone)]
-    pub struct BenchmarkId(String);
-
-    impl BenchmarkId {
-        /// An id made of a function name and a parameter value.
-        pub fn new(name: impl Display, param: impl Display) -> BenchmarkId {
-            BenchmarkId(format!("{name}/{param}"))
-        }
-
-        /// An id made of the parameter value alone.
-        pub fn from_parameter(param: impl Display) -> BenchmarkId {
-            BenchmarkId(param.to_string())
-        }
-    }
-
-    /// Per-benchmark timing driver handed to the closure.
-    #[derive(Debug)]
-    pub struct Bencher {
-        samples: usize,
-        result: Option<Stats>,
-    }
-
-    #[derive(Debug, Clone, Copy)]
-    struct Stats {
-        median: Duration,
-        min: Duration,
-        max: Duration,
-    }
-
-    impl Bencher {
-        /// Times the routine: a warm-up estimate picks an iteration count
-        /// per sample (~2 ms or at least one call), then `samples` timed
-        /// samples are collected.
-        pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
-            let t0 = Instant::now();
-            std::hint::black_box(routine());
-            let once = t0.elapsed().max(Duration::from_nanos(1));
-            let per_sample =
-                (Duration::from_millis(2).as_nanos() / once.as_nanos()).clamp(1, 10_000) as usize;
-            let mut times: Vec<Duration> = (0..self.samples)
-                .map(|_| {
-                    let t = Instant::now();
-                    for _ in 0..per_sample {
-                        std::hint::black_box(routine());
-                    }
-                    t.elapsed() / per_sample as u32
-                })
-                .collect();
-            times.sort_unstable();
-            self.result = Some(Stats {
-                median: times[times.len() / 2],
-                min: times[0],
-                max: times[times.len() - 1],
-            });
-        }
-    }
-
-    fn run_one<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
-        let mut b = Bencher {
-            samples,
-            result: None,
-        };
-        f(&mut b);
-        match b.result {
-            Some(s) => println!(
-                "  {label:<48} median {:>12?}  (min {:?}, max {:?})",
-                s.median, s.min, s.max
-            ),
-            None => println!("  {label:<48} (no measurement)"),
-        }
-    }
-}
-
-/// Declares a benchmark group function running each target in order
-/// (Criterion-compatible shim).
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        pub fn $group() {
-            let mut c = $crate::crit::Criterion::default();
-            $( $target(&mut c); )+
-        }
-    };
-}
-
-/// Declares a `main` running each benchmark group (Criterion-compatible
-/// shim).
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
 }

@@ -4,7 +4,7 @@
 //! branches, 69 generators, and ≈23 525 MW of load. Like
 //! [`crate::ieee118_like()`], this is a *synthetic stand-in* with matched
 //! dimensions, not the real case file: it exercises the same code paths
-//! (factorization, PTDF/LODF, the bilevel sweep) at the size where the
+//! (factorization, PTDF, the bilevel sweep) at the size where the
 //! atlas engine's checkpointing and fault isolation start to pay for
 //! themselves. Use [`crate::matpower::parse`] to load the real IEEE case
 //! if you have one.

@@ -241,7 +241,7 @@ pub fn optimal_attack(net: &Network, config: &AttackConfig) -> Result<AttackResu
 
 /// Runs Algorithm 1, optionally without the exact bilevel solves
 /// (`exact = false` returns the heuristic's answer in the same shape —
-/// used by the large-network sweeps and the `ablation_incumbent` bench).
+/// used by the large-network sweeps).
 ///
 /// # Errors
 ///

@@ -8,19 +8,17 @@
 //! [`DcOpf::solve`] hands it the QP solver or the simplex; the certified
 //! path ([`DcOpf::solve_certified`]) and each rung of
 //! [`ResilientDispatcher`] hand it their own solvers. The two forms agree
-//! to solver tolerance and are cross-checked in tests and in the
-//! `ablation_formulation` bench.
+//! to solver tolerance (`tests/cross_validation.rs`); [`Formulation::Auto`]
+//! picks the PTDF form on large networks.
 
 mod certified;
 mod dcopf;
-mod loss;
 mod model;
 mod resilient;
 mod safety;
 
 pub use certified::CertifiedDispatch;
 pub use dcopf::{DcOpf, Dispatch, Formulation};
-pub use loss::loss_adjusted_dispatch;
 pub use resilient::{
     Degradation, DegradationReason, DispatchRung, ResilientDispatch, ResilientDispatcher,
 };

@@ -17,13 +17,6 @@ pub enum CoreError {
         /// Description of the inconsistency.
         what: String,
     },
-    /// The bilevel solver exhausted its budget without a provably optimal
-    /// attack; the partial result (if any) is reported through the normal
-    /// return path instead of this error.
-    AttackSearchExhausted {
-        /// Node budget that was exhausted.
-        nodes: usize,
-    },
     /// The dispatch ladder's budget ran out before any rung answered: the
     /// last rung tripped its budget or was skipped for the deadline, and
     /// there was no last-known-good dispatch. Says nothing about
@@ -48,9 +41,6 @@ impl fmt::Display for CoreError {
                 write!(f, "economic dispatch is infeasible for the given demand and ratings")
             }
             CoreError::InvalidInput { what } => write!(f, "invalid input: {what}"),
-            CoreError::AttackSearchExhausted { nodes } => {
-                write!(f, "attack search exhausted {nodes} nodes without proof of optimality")
-            }
             CoreError::BudgetExhausted(t) => {
                 write!(f, "dispatch budget exhausted ({t}) before any rung answered")
             }

@@ -522,7 +522,13 @@ impl TraceReport {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON document (without the
+/// surrounding quotes): `"` and `\` are backslash-escaped, `\n`, `\r` and
+/// `\t` get their short escapes, other control characters become
+/// `\u00XX`, and everything else is copied as is. The one JSON string
+/// escaper of the workspace: the trace export, ed-serve's responses and
+/// the atlas report all write strings through it.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

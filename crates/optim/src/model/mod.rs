@@ -326,7 +326,7 @@ impl Model {
     }
 
     /// Clears the linear objective (all coefficients to zero). Quadratic
-    /// terms, if any, are untouched — see [`Model::clear_quad`].
+    /// terms, if any, are untouched.
     pub fn clear_objective(&mut self) {
         self.obj.iter_mut().for_each(|c| *c = 0.0);
     }
@@ -349,11 +349,6 @@ impl Model {
         if value != 0.0 {
             self.quad.push((i.0, j.0, value));
         }
-    }
-
-    /// Removes every quadratic term (the model degrades to an LP).
-    pub fn clear_quad(&mut self) {
-        self.quad.clear();
     }
 
     /// The stored quadratic terms as `(row, col, value)` entries of `H`.

@@ -593,16 +593,6 @@ fn coalesce(entries: &mut Vec<(usize, f64)>) {
 }
 
 impl Postsolve {
-    /// Number of variables in the original model.
-    pub fn num_original_vars(&self) -> usize {
-        self.n
-    }
-
-    /// Number of rows in the original model.
-    pub fn num_original_rows(&self) -> usize {
-        self.m
-    }
-
     /// Constant folded out of the objective by eliminations (original
     /// objective = reduced objective + offset).
     pub fn obj_offset(&self) -> f64 {
@@ -613,11 +603,6 @@ impl Postsolve {
     /// `None` if it was eliminated at a fixed value.
     pub fn map_var(&self, v: VarId) -> Option<VarId> {
         self.col_map[v.0].map(VarId)
-    }
-
-    /// Where an original row went, if it survived.
-    pub fn map_row(&self, i: usize) -> Option<usize> {
-        self.row_map[i]
     }
 
     /// Expands a reduced primal point to the original variable space:

@@ -1,9 +1,10 @@
 //! Zero-dependency scoped worker pool for the `ed-security` workspace.
 //!
 //! The hot sweeps of this repository — the `2·|E_D|` subproblems of
-//! Algorithm 1, the corner-heuristic candidate evaluation, and per-column
-//! PTDF/LODF assembly — are embarrassingly parallel: every work item is
-//! independent and the reduction is a deterministic fold over item index.
+//! Algorithm 1, the corner-heuristic candidate evaluation, the atlas's
+//! chains and per-column PTDF assembly — are embarrassingly parallel:
+//! every work item is independent and the reduction is a deterministic
+//! fold over item index.
 //! [`par_map`] provides exactly that shape on top of
 //! [`std::thread::scope`], with three guarantees the callers rely on:
 //!

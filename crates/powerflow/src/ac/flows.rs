@@ -48,13 +48,6 @@ pub struct AcFlow {
 }
 
 impl AcFlow {
-    /// Active power produced at the slack bus (MW) — covers losses plus the
-    /// slack's share of the dispatch.
-    pub fn slack_injection_mw(&self, net: &Network) -> f64 {
-        let s = net.slack().0;
-        self.p_injection_mw[s] + net.bus(net.slack()).demand_mw
-    }
-
     /// Total transmission losses (MW).
     pub fn total_losses_mw(&self) -> f64 {
         self.line_flows.iter().map(LineFlow::loss_mw).sum()

@@ -83,21 +83,6 @@ pub fn bus_susceptance(net: &Network) -> Matrix {
 ///   singular (cannot happen for a connected network).
 pub fn solve(net: &Network, injections_mw: &[f64]) -> Result<DcFlow, PowerflowError> {
     let cache = FactorCache::shared(net)?;
-    solve_with(net, &cache, injections_mw)
-}
-
-/// [`solve`] against a pre-built [`FactorCache`], skipping the
-/// factorization. Use this when solving many injection vectors (or mixing
-/// DC solves with PTDF/LODF assembly) on one network topology.
-///
-/// # Errors
-///
-/// Same as [`solve`].
-pub fn solve_with(
-    net: &Network,
-    cache: &FactorCache,
-    injections_mw: &[f64],
-) -> Result<DcFlow, PowerflowError> {
     let n = net.num_buses();
     if injections_mw.len() != n {
         return Err(PowerflowError::DimensionMismatch {
@@ -115,13 +100,13 @@ pub fn solve_with(
     Ok(DcFlow { theta_rad: theta, flow_mw })
 }
 
-/// [`solve_with`] for injections that may not balance exactly: the surplus
-/// is absorbed at the slack bus (the physical behavior of the reference
-/// generator) instead of being rejected, and returned alongside the flow so
-/// the caller can judge it. Used by independent post-dispatch audits, which
-/// must recompute flows even for a *bad* dispatch — rejecting imbalance
-/// outright would blind the audit to exactly the dispatches it exists to
-/// catch.
+/// [`solve`] against a pre-built [`FactorCache`], for injections that may
+/// not balance exactly: the surplus is absorbed at the slack bus (the
+/// physical behavior of the reference generator) instead of being
+/// rejected, and returned alongside the flow so the caller can judge it.
+/// Used by independent post-dispatch audits, which must recompute flows
+/// even for a *bad* dispatch — rejecting imbalance outright would blind
+/// the audit to exactly the dispatches it exists to catch.
 ///
 /// # Errors
 ///

@@ -1,10 +1,10 @@
 //! Shared LU factorization of the reduced bus susceptance matrix.
 //!
-//! Every DC-side sensitivity in this crate — DC power flow, PTDF columns,
-//! and (through PTDF) LODFs — reduces to solves against the same matrix:
-//! the bus susceptance matrix with the slack row/column removed. The seed
-//! code re-derived it per call site, and the PTDF path even materialized a
-//! full inverse on top of the factorization. A [`FactorCache`] factors the
+//! Every DC-side computation in this crate — DC power flow and PTDF
+//! columns — reduces to solves against the same matrix: the bus
+//! susceptance matrix with the slack row/column removed. The seed code
+//! re-derived it per call site, and the PTDF path even materialized a full
+//! inverse on top of the factorization. A [`FactorCache`] factors the
 //! matrix **once** (`P·B_red = L·U`, sparse: only the nonzeros of the
 //! factors are stored) and serves per-column forward/back substitutions,
 //! each proportional to the factors' nonzeros, to every consumer.
@@ -61,10 +61,10 @@ impl FactorCache {
     /// network, keyed by its topology fingerprint.
     ///
     /// Repeated scenarios over the same network — atlas hour chains, serve
-    /// requests, per-outage LODF cross-checks — hit the same `Arc`'d
-    /// factors instead of refactoring. Disabled (always a fresh build) when
-    /// `ED_POOL=0`, which also keeps results bit-identical either way: the
-    /// cached factors are exactly what `build` would produce.
+    /// requests, safety audits — hit the same `Arc`'d factors instead of
+    /// refactoring. Disabled (always a fresh build) when `ED_POOL=0`, which
+    /// also keeps results bit-identical either way: the cached factors are
+    /// exactly what `build` would produce.
     ///
     /// # Errors
     ///

@@ -9,8 +9,8 @@
 //!   public APIs in MW).
 //! - [`dc`] — the DC (linearized) power flow of Eq. (4)–(6) of the paper:
 //!   `f_ij = β_ij (θ_i − θ_j)` with nodal balance.
-//! - [`ptdf`] / [`lodf`] — power-transfer and line-outage distribution
-//!   factors, plus N−1 contingency screening ([`contingency`]).
+//! - [`ptdf`] — power-transfer distribution factors, the sensitivities
+//!   behind the PTDF form of the dispatch.
 //! - [`ac`] — the full nonlinear AC power flow solved by Newton–Raphson,
 //!   used (in place of the paper's MATPOWER runs) to validate what actually
 //!   happens on the system when dispatches computed against manipulated
@@ -46,11 +46,9 @@
 
 pub mod ac;
 mod builder;
-pub mod contingency;
 pub mod dc;
 mod error;
 pub mod factor;
-pub mod lodf;
 mod network;
 pub mod ptdf;
 

@@ -3,8 +3,7 @@
 //! `PTDF[l][b]` is the sensitivity of the DC flow on line `l` to one MW of
 //! extra injection at bus `b` (withdrawn at the slack). PTDFs give an
 //! angle-free "flows = PTDF · injections" view of the network, used by the
-//! p-only formulation of the bilevel attack problem and by the LODF-based
-//! N−1 screening.
+//! p-only formulation of the dispatch and of the bilevel attack problem.
 
 use crate::{FactorCache, Network, PowerflowError};
 use ed_linalg::Matrix;
@@ -18,18 +17,8 @@ pub struct Ptdf {
 }
 
 impl Ptdf {
-    /// Computes the PTDF matrix of a network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerflowError::Linalg`] if the reduced susceptance matrix
-    /// is singular (cannot happen for a connected, validated network).
-    pub fn compute(net: &Network) -> Result<Ptdf, PowerflowError> {
-        let cache = FactorCache::shared(net)?;
-        Self::compute_with(net, &cache)
-    }
-
-    /// Computes the PTDF matrix against a pre-built [`FactorCache`].
+    /// Computes the PTDF matrix of a network against its shared
+    /// [`FactorCache`].
     ///
     /// One sparse forward/back substitution per non-slack bus replaces the
     /// seed's explicit `B_red⁻¹`; columns are independent, so they are
@@ -39,9 +28,12 @@ impl Ptdf {
     ///
     /// # Errors
     ///
-    /// - [`PowerflowError::Linalg`] on a solve failure.
+    /// - [`PowerflowError::Linalg`] if the reduced susceptance matrix is
+    ///   singular (cannot happen for a connected, validated network) or a
+    ///   solve fails.
     /// - [`PowerflowError::Parallel`] if a worker panicked.
-    pub fn compute_with(net: &Network, cache: &FactorCache) -> Result<Ptdf, PowerflowError> {
+    pub fn compute(net: &Network) -> Result<Ptdf, PowerflowError> {
+        let cache = FactorCache::shared(net)?;
         let n = net.num_buses();
         let m = net.num_lines();
         let slack = cache.slack();
@@ -149,15 +141,12 @@ mod tests {
     fn shared_cache_matches_fresh_compute_bitwise() {
         let net = paper_three_bus();
         let cache = crate::FactorCache::build(&net).unwrap();
-        let fresh = Ptdf::compute(&net).unwrap();
-        let cached = Ptdf::compute_with(&net, &cache).unwrap();
-        for l in 0..net.num_lines() {
-            for b in 0..net.num_buses() {
-                assert_eq!(
-                    fresh.factor(l, b).to_bits(),
-                    cached.factor(l, b).to_bits(),
-                    "({l},{b})"
-                );
+        let pooled = Ptdf::compute(&net).unwrap();
+        for b in 0..net.num_buses() {
+            let theta = cache.unit_injection_angles(b).unwrap();
+            for (l, line) in net.lines().iter().enumerate() {
+                let fresh = line.susceptance_pu() * (theta[line.from.0] - theta[line.to.0]);
+                assert_eq!(pooled.factor(l, b).to_bits(), fresh.to_bits(), "({l},{b})");
             }
         }
     }

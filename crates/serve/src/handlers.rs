@@ -11,12 +11,13 @@
 
 use crate::cache::{CaseEntry, WarmCache};
 use crate::http::Request;
-use crate::json::{self, esc, num, num_array, Json};
+use crate::json::{self, num, num_array, Json};
 use crate::metrics::{bump, metrics};
 use ed_core::attack::{optimal_attack, AttackConfig};
 use ed_core::dispatch::{DcOpf, Degradation, Dispatch, SafetyGate, SafetyReport};
 use ed_core::pool::{scenario_fingerprint, PoolEntry, SolutionPool};
 use ed_core::{CoreError, SolveBudget};
+use ed_obs::escape;
 use ed_optim::Trust;
 use ed_powerflow::{network_fingerprint, LineId};
 use std::sync::Arc;
@@ -92,8 +93,8 @@ impl Response {
             status,
             body: format!(
                 "{{\"status\":\"refused\",\"reason\":\"{}\",\"detail\":\"{}\"}}",
-                esc(reason),
-                esc(detail)
+                escape(reason),
+                escape(detail)
             ),
             retry_after: None,
             poison_worker: false,
@@ -139,15 +140,15 @@ pub fn handle_atlas(state: &AppState) -> Response {
     }
     let quarantined = scan.quarantined_cases();
     let join = |names: &[String]| {
-        names.iter().map(|c| format!("\"{}\"", esc(c))).collect::<Vec<_>>().join(",")
+        names.iter().map(|c| format!("\"{}\"", escape(c))).collect::<Vec<_>>().join(",")
     };
     Response::ok(format!(
         "{{\"status\":\"ok\",\"journal\":\"{}\",\"spec_fingerprint\":{},\"cells\":{},\
          \"completed\":{},\"in_flight\":{},\"torn_lines\":{},\"quarantine_events\":{},\
          \"quarantined_cases\":[{}],\"evicted_bases\":[{}]}}",
-        esc(path),
+        escape(path),
         match &scan.fingerprint {
-            Some(f) => format!("\"{}\"", esc(f)),
+            Some(f) => format!("\"{}\"", escape(f)),
             None => "null".to_string(),
         },
         scan.cells.map_or("null".to_string(), |c| c.to_string()),
@@ -252,8 +253,8 @@ fn core_error_refusal(e: &CoreError) -> Response {
 fn degradation_json(d: &Degradation) -> String {
     format!(
         "{{\"rung\":\"{}\",\"reason\":\"{}\"}}",
-        esc(&d.rung.to_string()),
-        esc(&format!("{:?}", d.reason))
+        escape(&d.rung.to_string()),
+        escape(&format!("{:?}", d.reason))
     )
 }
 
@@ -261,7 +262,7 @@ fn safety_json(r: &SafetyReport) -> String {
     let violations: Vec<String> = r
         .violations
         .iter()
-        .map(|v| format!("\"{}\"", esc(&format!("{v:?}"))))
+        .map(|v| format!("\"{}\"", escape(&format!("{v:?}"))))
         .collect();
     format!(
         "{{\"passed\":{},\"max_line_loading_pct\":{},\"checked_lines\":{},\"violations\":[{}]}}",
@@ -324,7 +325,7 @@ fn dispatch(state: &AppState, body: &Json, deadline: Instant) -> Response {
     }
     Response::ok(format!(
         "{{\"status\":\"ok\",\"rung\":\"{}\",\"degraded\":{},\"degradations\":[{}],\"p_mw\":{},\"flows_mw\":{},\"cost\":{},\"lmp\":{},\"safety\":{}}}",
-        esc(&rd.rung.to_string()),
+        escape(&rd.rung.to_string()),
         !rd.is_clean(),
         degradations.join(","),
         num_array(&rd.dispatch.p_mw),
@@ -377,7 +378,7 @@ fn certify(state: &AppState, body: &Json, deadline: Instant) -> Response {
         .map(|r| {
             format!(
                 "{{\"backend\":\"{}\",\"certified\":{}}}",
-                esc(&r.backend),
+                escape(&r.backend),
                 r.certificate.as_ref().is_some_and(|c| c.passed())
             )
         })
@@ -423,8 +424,8 @@ fn certify(state: &AppState, body: &Json, deadline: Instant) -> Response {
     bump(&metrics().served_ok);
     Response::ok(format!(
         "{{\"status\":\"ok\",\"trust\":\"{}\",\"cert_status\":\"{}\",\"repairs\":[{}],\"p_mw\":{},\"cost\":{},\"safety\":{}}}",
-        esc(&trust_label),
-        esc(&cert_status),
+        escape(&trust_label),
+        escape(&cert_status),
         repairs.join(","),
         num_array(&dispatch.p_mw),
         num(dispatch.cost),

@@ -11,7 +11,6 @@
 //! through a response into a downstream consumer.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Maximum nesting depth a request body may use.
 const MAX_DEPTH: usize = 32;
@@ -344,25 +343,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes a string for embedding in a JSON document (without quotes).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats a number for a response body; non-finite values become `null`
 /// (fail closed — a NaN must never leave the service looking like data).
 pub fn num(v: f64) -> String {
@@ -476,7 +456,7 @@ mod tests {
     fn strings_round_trip_escapes() {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(ed_obs::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

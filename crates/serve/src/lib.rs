@@ -199,7 +199,7 @@ fn worker_loop(state: &AppState, queue: &BoundedQueue<Job>) {
                         status: 500,
                         body: format!(
                             "{{\"status\":\"error\",\"reason\":\"worker_panicked\",\"detail\":\"{}\"}}",
-                            json::esc(&payload_string(payload.as_ref()))
+                            ed_obs::escape(&payload_string(payload.as_ref()))
                         ),
                         retry_after: None,
                         poison_worker: false,
@@ -269,7 +269,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<AppState>, queue: &Arc<B
             bump(&metrics().http_errors);
             let body = format!(
                 "{{\"status\":\"error\",\"reason\":\"http\",\"detail\":\"{}\"}}",
-                json::esc(&e.to_string())
+                ed_obs::escape(&e.to_string())
             );
             if write_response(&mut stream, e.status(), &[], &body).is_err() {
                 bump(&metrics().write_failures);

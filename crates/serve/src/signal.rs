@@ -36,20 +36,7 @@ pub fn install_handlers() {
     }
 }
 
-/// `true` once a shutdown signal has been received (or
-/// [`request_shutdown`] called).
+/// `true` once a shutdown signal has been received.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::Relaxed)
-}
-
-/// Programmatic shutdown (tests and the in-process soak use this instead
-/// of delivering a real signal).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::Relaxed);
-}
-
-/// Clears the flag — lets one process run several serve lifecycles
-/// (soak harness, tests).
-pub fn reset() {
-    SHUTDOWN.store(false, Ordering::Relaxed);
 }

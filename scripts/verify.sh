@@ -47,35 +47,60 @@ run ./target/release/ed-soak --requests 120
 run cargo build --release --offline --examples
 EXAMPLES_DIR="$(mktemp -d)"
 trap 'rm -rf "$EXAMPLES_DIR"' EXIT
-run_example() { # run_example <name> <output file>
-    echo "==> example $1"
+run_capped() { # run_capped <label> <binary> <output file>
+    echo "==> $1"
     local status=0
-    timeout --signal=TERM --kill-after=10 120 "./target/release/examples/$1" > "$2" || status=$?
+    timeout --signal=TERM --kill-after=10 120 "$2" > "$3" || status=$?
     if [ "$status" -ne 0 ]; then
-        echo "FAILED: example $1 exited with status $status (124 and up: over 120 s)" >&2
+        echo "FAILED: $1 exited with status $status (124 and up: over 120 s)" >&2
         exit 1
     fi
 }
 for src in examples/*.rs; do
     ex="$(basename "$src" .rs)"
-    run_example "$ex" "$EXAMPLES_DIR/$ex.out"
+    run_capped "example $ex" "./target/release/examples/$ex" "$EXAMPLES_DIR/$ex.out"
 done
-run_example fault_drill "$EXAMPLES_DIR/fault_drill.again.out"
+run_capped "example fault_drill" ./target/release/examples/fault_drill \
+    "$EXAMPLES_DIR/fault_drill.again.out"
 cmp "$EXAMPLES_DIR/fault_drill.out" "$EXAMPLES_DIR/fault_drill.again.out" || {
     echo "FAILED: two fault_drill runs printed different output" >&2
     exit 1
 }
+echo "==> examples OK (fault_drill output repeats byte for byte)"
+
+# The seven paper binaries (Tables I, III, IV; Figures 2, 4, 5, 8) run to
+# completion and print the pinned bytes: each gets 120 s, must exit 0, and
+# the sha256 of its stdout must match its pin (about 2.5 s together in
+# release). A change that legitimately moves a paper number re-pins it
+# here, with evidence.
+for pin in \
+    table1:08952c437e52e849cd2f35bae0cf4ef82055e162251a72b4de76dd99232f81ff \
+    table3:8550e249f8fbee8aebf62eb4478e4e2b24b7c81d01bbf83916517644cf1568a3 \
+    table4:42fc2f750104b1875b9999f0d4acd3e989e64f7d30e498be2060eb1420718ac0 \
+    fig2:1d8d183cc3d582e53d99cfc56eca72a6fcd302943df8e80df74475bdd688a028 \
+    fig4:45164d3a2120a27b58ae526d6a7690da99998b1c6a6b6eef128e91c6891d26ab \
+    fig5:7ce29bb3c97596b6cde947c719d3c11f3e5503be4c39cae8ed728e630a2a47da \
+    fig8:bea83e37fcc8b4c08c868105ac91b92bbb304b50a05892d550c58d481241d418; do
+    bin="${pin%%:*}"
+    want="${pin#*:}"
+    run_capped "paper binary $bin" "./target/release/$bin" "$EXAMPLES_DIR/$bin.out"
+    got="$(sha256sum "$EXAMPLES_DIR/$bin.out" | cut -d' ' -f1)"
+    if [ "$got" != "$want" ]; then
+        echo "FAILED: $bin printed stdout with sha256 $got, pinned $want" >&2
+        exit 1
+    fi
+done
 rm -rf "$EXAMPLES_DIR"
 trap - EXIT
-echo "==> examples OK (fault_drill output repeats byte for byte)"
+echo "==> paper binaries OK (every stdout matches its sha256 pin)"
 
 # The workspace suite runs twice. Leg 1: the defaults (any switch set in
 # the caller's environment is cleared).
 run env -u ED_THREADS -u ED_TRACE -u ED_POOL cargo test -q --offline --workspace
 # Leg 2: every env switch at a non-default value. None may change an answer:
 # - ED_THREADS=4 forces a parallel pool even on a 1-thread host, where the
-#   default leg runs sequentially (Algorithm 1 and PTDF/LODF assembly
-#   promise bit-identical results at any thread count; the tests that pin
+#   default leg runs sequentially (Algorithm 1 and PTDF assembly promise
+#   bit-identical results at any thread count; the tests that pin
 #   `threads: Some(1)` keep the sequential path covered);
 # - ED_TRACE=1 turns the observability recorder on;
 # - ED_POOL=0 disables the two cross-scenario stores (the shared factor

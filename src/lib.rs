@@ -9,8 +9,8 @@
 //! - [`obs`] — zero-dependency observability: hierarchical spans,
 //!   counters, timing histograms, and the machine-readable
 //!   [`TraceReport`](obs::TraceReport) export (`ED_TRACE=1` to enable).
-//! - [`powerflow`] — network model, DC and AC power flow, PTDF/LODF, N−1
-//!   screening.
+//! - [`powerflow`] — network model, DC and AC power flow, PTDF
+//!   sensitivities.
 //! - [`cases`] — benchmark systems (the paper's 3-bus case, a 6-bus case,
 //!   seeded synthetic networks, a 118-bus-class system, and a MATPOWER
 //!   parser).

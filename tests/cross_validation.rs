@@ -4,10 +4,10 @@
 
 use ed_security::cases::{synthetic, SyntheticConfig};
 use ed_security::core::attack::{optimal_attack_with, AttackConfig};
-use ed_security::core::dispatch::{loss_adjusted_dispatch, DcOpf, Formulation};
+use ed_security::core::dispatch::{DcOpf, Formulation, SafetyGate};
 use ed_security::optim::lp::Row;
 use ed_security::optim::{ActiveSetSolver, IpmSolver, Model, SolveBudget, Solver};
-use ed_security::powerflow::{ac, contingency, dc, lodf::Lodf, ptdf::Ptdf, LineId};
+use ed_security::powerflow::{ac, dc, ptdf::Ptdf, LineId};
 
 /// A QP with a vanishing quadratic term converges to the LP solution.
 #[test]
@@ -78,85 +78,6 @@ fn qp_methods_agree_on_dispatch() {
     assert!((a.objective - b.objective).abs() < 1e-4 * (1.0 + a.objective.abs()));
 }
 
-/// LODF-based post-outage flows match rebuilding the network and
-/// re-solving, across every non-bridge outage of the six-bus system.
-#[test]
-fn lodf_matches_explicit_resolve_six_bus() {
-    let net = ed_security::cases::six_bus();
-    let dispatch = DcOpf::new(&net)
-        .ratings(&vec![1e6; net.num_lines()])
-        .solve()
-        .unwrap();
-    let inj = net.injections_mw(&dispatch.p_mw);
-    let base = dc::solve(&net, &inj).unwrap().flow_mw;
-    let lodf = Lodf::compute(&net).unwrap();
-    for k in 0..net.num_lines() {
-        let Some(post) = lodf.post_outage_flows(&base, k) else { continue };
-        // Rebuild without line k.
-        use ed_security::powerflow::{CostCurve, NetworkBuilder};
-        let mut b = NetworkBuilder::new(net.base_mva());
-        let mut ids = vec![];
-        for bus in net.buses() {
-            ids.push(b.add_bus(&bus.name, bus.kind, bus.demand_mw));
-        }
-        for (l, line) in net.lines().iter().enumerate() {
-            if l != k {
-                b.add_line(ids[line.from.0], ids[line.to.0], line.resistance_pu, line.reactance_pu, line.rating_mva);
-            }
-        }
-        for g in net.gens() {
-            b.add_gen(ids[g.bus.0], g.pmin_mw, g.pmax_mw, CostCurve::linear(g.cost.b));
-        }
-        let reduced = b.build().unwrap();
-        let re = dc::solve(&reduced, &inj).unwrap().flow_mw;
-        let mut ri = 0;
-        for (l, &post_l) in post.iter().enumerate().take(net.num_lines()) {
-            if l == k {
-                continue;
-            }
-            assert!(
-                (post_l - re[ri]).abs() < 1e-6,
-                "outage {k}, line {l}: lodf {} vs resolve {}",
-                post_l,
-                re[ri]
-            );
-            ri += 1;
-        }
-    }
-}
-
-/// N−1 screening and the attack evaluation agree on what "violated" means:
-/// an unattacked N−1-secure operating point has no overloads under either
-/// view.
-#[test]
-fn screening_consistent_with_dispatch() {
-    let net = ed_security::cases::six_bus();
-    let generous: Vec<f64> = net.static_ratings_mva().iter().map(|u| 3.0 * u).collect();
-    let d = DcOpf::new(&net).ratings(&generous).solve().unwrap();
-    let report = contingency::screen_n_minus_1(&net, &d.p_mw, &generous).unwrap();
-    assert!(report.is_secure(), "{report:?}");
-}
-
-/// Loss-adjusted dispatch really closes the AC gap: after convergence the
-/// slack's AC output matches its DC dispatch within tolerance.
-#[test]
-fn loss_iteration_closes_gap() {
-    let net = ed_security::cases::six_bus();
-    let big: Vec<f64> = vec![500.0; net.num_lines()];
-    let r = loss_adjusted_dispatch(&net, &net.demand_vector_mw(), &big, 0.05).unwrap();
-    let slack_gen = net
-        .gens_at(net.slack())
-        .next()
-        .expect("slack has a generator")
-        .0;
-    let dc_slack = r.dispatch.p_mw[slack_gen.0];
-    let ac_slack = r.ac.slack_injection_mw(&net);
-    assert!(
-        (dc_slack - ac_slack).abs() < 1.0,
-        "slack DC {dc_slack} vs AC {ac_slack}"
-    );
-}
-
 /// The bilevel attack machinery works end-to-end on a synthetic mid-size
 /// network with quadratic costs (exact MPEC path, not just the 3-bus toy).
 #[test]
@@ -222,11 +143,12 @@ fn repeated_scenarios_reuse_pooled_factors() {
     // this (unique) network, so its factorization miss lands after `m1`.
     let dispatch = DcOpf::new(&net).ratings(&ratings).solve().unwrap();
     let inj = net.injections_mw(&dispatch.p_mw);
-    // Three pool-routed consumers per leg: DC solve, PTDF assembly, N−1.
+    // Three pool-routed consumers per leg: DC solve, PTDF assembly, safety
+    // gate.
     let run_ops = || {
         dc::solve(&net, &inj).unwrap();
         Ptdf::compute(&net).unwrap();
-        contingency::screen_n_minus_1(&net, &dispatch.p_mw, &ratings).unwrap();
+        SafetyGate::new(&net).unwrap();
     };
     run_ops();
     let d1 = obs::report_since(&m1);
