@@ -1,9 +1,13 @@
 //! Append-only JSONL write-ahead journal.
 //!
-//! Every record is one line, written with a single `write_all` and
-//! `fsync`'d before the engine proceeds — the classic WAL discipline. Each
-//! line ends in `"sum"`: the [`fnv1a`] checksum, in 16 hex digits, of the
-//! line's bytes before `,"sum"`:
+//! Every record is one line, written with a single `write_all`. Header,
+//! result and quarantine records are `fsync`'d before the engine proceeds
+//! — the classic WAL discipline. A claim is not: resume recomputes every
+//! cell without a result whether or not its claim survived, so a lost
+//! claim changes nothing, and the next synced record flushes it anyway.
+//! A fresh cell therefore pays one sync, its result's. Each line ends in
+//! `"sum"`: the [`fnv1a`] checksum, in 16 hex digits, of the line's bytes
+//! before `,"sum"`:
 //!
 //! ```text
 //! {"ev":"header","version":2,"spec":"<fingerprint>","cells":18,"sum":"…"}
@@ -13,11 +17,13 @@
 //! ```
 //!
 //! A `kill -9` can lose at most claims without results (in-flight cells)
-//! plus one torn trailing line. The scanner reads the file as bytes,
-//! splits it on `\n`, and counts every line that is not UTF-8 or whose
-//! checksum does not match as torn and discards it, so a corrupted record
-//! (a kill inside a multi-byte character included) costs a recomputed
-//! cell, never a corrupted row or a refused resume. Because the `result`
+//! plus one torn trailing line; a power loss can also drop the unsynced
+//! claims after the last synced record, which are in-flight cells too.
+//! The scanner reads the file as bytes, splits it on `\n`, and counts
+//! every line that is not UTF-8 or whose checksum does not match as torn
+//! and discards it, so a corrupted record (a kill inside a multi-byte
+//! character included) costs a recomputed cell, never a corrupted row or
+//! a refused resume. Because the `result`
 //! record carries the *serialized report row itself*, a resumed run
 //! re-emits recovered cells byte-for-byte — the mechanism behind the
 //! atlas's byte-identical resume guarantee. The header pins the spec
@@ -48,9 +54,12 @@ impl Journal {
     pub fn create(path: &Path, fingerprint: &str, cells: usize) -> io::Result<Journal> {
         let file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
         let j = Journal { file: Mutex::new(file) };
-        j.append(&format!(
-            "{{\"ev\":\"header\",\"version\":2,\"spec\":\"{fingerprint}\",\"cells\":{cells}"
-        ))?;
+        j.append(
+            &format!(
+                "{{\"ev\":\"header\",\"version\":2,\"spec\":\"{fingerprint}\",\"cells\":{cells}"
+            ),
+            true,
+        )?;
         Ok(j)
     }
 
@@ -64,13 +73,14 @@ impl Journal {
         Ok(Journal { file: Mutex::new(file) })
     }
 
-    /// Records that a worker is about to compute `cell`.
+    /// Records that a worker is about to compute `cell`, without a sync:
+    /// only `/atlas`'s in-flight count reads claims.
     ///
     /// # Errors
     ///
     /// Any I/O failure.
     pub fn claim(&self, cell: usize) -> io::Result<()> {
-        self.append(&format!("{{\"ev\":\"claim\",\"cell\":{cell}"))
+        self.append(&format!("{{\"ev\":\"claim\",\"cell\":{cell}"), false)
     }
 
     /// Records `cell`'s finished report row, verbatim.
@@ -80,7 +90,7 @@ impl Journal {
     /// Any I/O failure.
     pub fn result(&self, cell: usize, row_json: &str) -> io::Result<()> {
         debug_assert!(row_json.starts_with('{') && row_json.ends_with('}'));
-        self.append(&format!("{{\"ev\":\"result\",\"cell\":{cell},\"row\":{row_json}"))
+        self.append(&format!("{{\"ev\":\"result\",\"cell\":{cell},\"row\":{row_json}"), true)
     }
 
     /// Records that `cell` (of case `case`) was quarantined — the event
@@ -91,16 +101,19 @@ impl Journal {
     ///
     /// Any I/O failure.
     pub fn quarantine(&self, cell: usize, case: &str) -> io::Result<()> {
-        self.append(&format!("{{\"ev\":\"quarantine\",\"cell\":{cell},\"case\":\"{case}\""))
+        self.append(&format!("{{\"ev\":\"quarantine\",\"cell\":{cell},\"case\":\"{case}\""), true)
     }
 
     /// Appends the record whose bytes before the closing brace are `body`,
-    /// sealed with its checksum.
-    fn append(&self, body: &str) -> io::Result<()> {
+    /// sealed with its checksum, and syncs the file when `sync` is set.
+    fn append(&self, body: &str, sync: bool) -> io::Result<()> {
         let record = format!("{body},\"sum\":\"{:016x}\"}}\n", fnv1a(body.bytes()));
         let mut f = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         f.write_all(record.as_bytes())?;
-        f.sync_data()
+        if sync {
+            f.sync_data()?;
+        }
+        Ok(())
     }
 }
 

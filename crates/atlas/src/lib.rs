@@ -12,10 +12,11 @@
 //!   cells from the `ed-dlr` scenario generators and `ed-cases` families,
 //!   ranking DLR candidates and outages by base-case line loading so the
 //!   grid is a pure function of the spec.
-//! - [`journal`] is an append-only JSONL write-ahead log (claim → result,
-//!   fsync'd per record): `kill -9` mid-sweep loses at most the in-flight
-//!   cells, and a resumed run replays completed cells **byte-identically**
-//!   from the journal.
+//! - [`journal`] is an append-only JSONL write-ahead log (claim → result;
+//!   each result is fsync'd, a claim is not, since resume recomputes
+//!   every cell without a result): `kill -9` mid-sweep loses at most the
+//!   in-flight cells, and a resumed run replays completed cells
+//!   **byte-identically** from the journal.
 //! - [`cell`] runs one cell behind a panic shield with graceful
 //!   degradation tiers (rating-band screening → corner heuristic → exact
 //!   certified bilevel) and typed outcomes; faults retry with the

@@ -15,7 +15,7 @@
 use crate::cell::{CellFault, Solved, Tier, UntestableReason};
 use crate::engine::AtlasError;
 use crate::grid::AtlasSpec;
-use ed_obs::escape;
+use ed_obs::{escape, num};
 use std::io;
 use std::path::Path;
 
@@ -88,14 +88,6 @@ pub struct Coords<'a> {
     pub hour: f64,
 }
 
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn prefix(cell: usize, coords: &Coords<'_>) -> String {
     let ed: Vec<String> = coords.ed.iter().map(usize::to_string).collect();
     let outage = match coords.outage {
@@ -106,7 +98,7 @@ fn prefix(cell: usize, coords: &Coords<'_>) -> String {
         "{{\"cell\":{cell},\"case\":\"{}\",\"ed\":[{}],\"outage\":{outage},\"hour\":{}",
         escape(coords.case),
         ed.join(","),
-        jnum(coords.hour),
+        num(coords.hour),
     )
 }
 
@@ -128,15 +120,15 @@ pub fn completed_record(
          \"screen_bound_pct\":{},\"retries\":{retries}}}",
         prefix(cell, coords),
         s.tier.as_str(),
-        jnum(s.violation_pct),
-        jnum(s.overload_mw),
+        num(s.violation_pct),
+        num(s.overload_mw),
         s.proved,
         s.bound_only,
         s.certified,
         s.cert_repaired,
         s.budget_faults,
         s.numerical_faults,
-        jnum(s.screen_bound_pct),
+        num(s.screen_bound_pct),
     );
     CellRecord {
         cell,
@@ -337,7 +329,7 @@ impl AtlasReport {
             tier_count(Tier::Exact),
             self.rows.iter().filter(|r| r.bound_only).count(),
             attackable,
-            jnum(max_v),
+            num(max_v),
             argmax.map_or("null".to_string(), |c| c.to_string()),
         )
     }
@@ -360,8 +352,8 @@ impl AtlasReport {
             self.spec.tier.as_str(),
             self.spec.node_limit,
             self.spec.retries,
-            jnum(self.spec.band.0),
-            jnum(self.spec.band.1),
+            num(self.spec.band.0),
+            num(self.spec.band.1),
             self.rows.len(),
         );
         for (i, r) in self.rows.iter().enumerate() {

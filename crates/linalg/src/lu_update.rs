@@ -1,6 +1,12 @@
 //! Updatable LU factorization: a product-form eta file of column
 //! replacements layered on top of [`Lu`].
 //!
+//! The base [`Lu`] is held behind an [`Arc`], so a factorization can be
+//! handed over and shared instead of copied: [`UpdatableLu::from_shared`]
+//! starts an eta file on a factor that other holders keep reading, and
+//! [`UpdatableLu::into_shared`] gives the factor back once no eta is
+//! pending. The etas are always the holder's own.
+//!
 //! [`UpdatableLu::replace_column`] records the Forrest–Tomlin-style eta
 //! used by the revised simplex. Replacing basis column `r` with a column
 //! whose ftran image is `w` turns the basis into `B' = B·E` where `E` is
@@ -22,6 +28,7 @@
 use crate::error::LinalgError;
 use crate::lu::Lu;
 use crate::matrix::Matrix;
+use std::sync::Arc;
 
 /// Relative stability floor for eta pivots: an eta pivot smaller than this
 /// fraction of the eta column's magnitude would amplify rounding error by
@@ -48,19 +55,33 @@ struct Eta {
 /// solves.
 #[derive(Debug, Clone)]
 pub struct UpdatableLu {
-    lu: Lu,
+    lu: Arc<Lu>,
     updates: Vec<Eta>,
 }
 
 impl UpdatableLu {
     /// Factors `a` with no updates applied.
     pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
-        Ok(Self { lu: Lu::factor(a)?, updates: Vec::new() })
+        Ok(Self::from_lu(Lu::factor(a)?))
     }
 
     /// Wraps an existing base factorization with an empty update file.
     pub fn from_lu(lu: Lu) -> Self {
+        Self::from_shared(Arc::new(lu))
+    }
+
+    /// Wraps a base factorization that other holders share, with an empty
+    /// update file of this holder's own. Solves read the shared factor and
+    /// never write it.
+    pub fn from_shared(lu: Arc<Lu>) -> Self {
         Self { lu, updates: Vec::new() }
+    }
+
+    /// The factorization of the current matrix, handed over without a
+    /// copy; `None` while an eta is pending, because the base factor then
+    /// describes an earlier matrix.
+    pub fn into_shared(self) -> Option<Arc<Lu>> {
+        self.updates.is_empty().then_some(self.lu)
     }
 
     /// Dimension of the factored matrix.
@@ -75,7 +96,7 @@ impl UpdatableLu {
 
     /// Replaces the base factorization and clears the update file.
     pub fn reset(&mut self, lu: Lu) {
-        self.lu = lu;
+        self.lu = Arc::new(lu);
         self.updates.clear();
     }
 

@@ -109,6 +109,32 @@ fn empty_update_file_is_bit_identical_to_base_lu() {
     }
 }
 
+/// A factor handed over by `into_shared` and taken up by `from_shared`
+/// solves with the bits of the holder it came from; each holder's etas
+/// stay its own, and a holder with an eta pending hands nothing over.
+#[test]
+fn shared_factor_hands_over_only_without_pending_etas() {
+    let mut rng = StdRng::seed_from_u64(0xE7A0_0008);
+    let n = 7;
+    let a = sparse_dominated(n, &mut rng);
+    let ulu = UpdatableLu::factor(&a).unwrap();
+    let b = vector(n, &mut rng);
+    let (x, y) = (ulu.solve(&b).unwrap(), ulu.solve_transpose(&b).unwrap());
+    let shared = ulu.into_shared().expect("no eta pending");
+    let mut first = UpdatableLu::from_shared(shared.clone());
+    let second = UpdatableLu::from_shared(shared);
+    assert_eq!(first.solve(&b).unwrap(), x);
+    assert_eq!(first.solve_transpose(&b).unwrap(), y);
+
+    let mut col = vector(n, &mut rng);
+    col[4] += (n as f64 + 1.0) * col[4].signum().max(0.5);
+    let w = first.solve(&col).unwrap();
+    first.replace_column(4, &w, 1e-10).unwrap();
+    assert_ne!(first.solve(&b).unwrap(), x, "the eta changes the first holder's matrix");
+    assert_eq!(second.solve(&b).unwrap(), x, "and not the second's");
+    assert!(first.into_shared().is_none());
+}
+
 /// With an update pending, a wrong-length rhs is a typed shape error for
 /// both solve directions, as it is on the update-free path.
 #[test]

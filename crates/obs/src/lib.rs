@@ -546,6 +546,19 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Formats a number for a JSON document: a finite value as Rust's
+/// shortest round-trip `{v}`, a non-finite one as `null` (JSON has no NaN
+/// or infinity, and a NaN must never read as data). The one JSON number
+/// writer of the workspace: ed-serve's responses and the atlas report
+/// write numbers through it.
+pub fn num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
 fn fill_self_time(spans: &mut [SpanRecord]) {
     // self = dur − Σ(direct children dur); two passes over the flat list.
     let mut child_sum: BTreeMap<u64, f64> = BTreeMap::new();

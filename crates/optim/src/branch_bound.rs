@@ -15,11 +15,15 @@
 //! enabled via [`BranchOptions::presolve`]); presolve
 //! never eliminates pair columns, so branching happens on the mapped
 //! variables of the reduced model and the final point is mapped back
-//! exactly. Every node then bound-patches the *reduced* shared model —
-//! clones share constraint storage copy-on-write, so a node costs a few
-//! bound writes, one simplex solve, and the restores. Each child
-//! warm-starts from its parent's optimal basis (dual-feasible after a
-//! bound-only change, repaired by the dual simplex).
+//! exactly. Every node then bound-patches the *reduced* shared model, so
+//! every node's tableau has the same columns: they are built once per
+//! search and shared. Each child warm-starts from its parent's optimal
+//! basis (dual-feasible after a bound-only change, repaired by the dual
+//! simplex) and installs the LU factor the parent's solve finished with,
+//! which is the factor of that basis over those columns. A node costs a
+//! few bound writes, its own pivots (and the refactorizations they
+//! need), its finish refactorization, and the restores; only the root
+//! factors its starting basis.
 //!
 //! # Example
 //!
@@ -64,6 +68,7 @@ use crate::lp::{Basis, Sense, SimplexOptions, VarId};
 use crate::model::presolve::{self, Postsolve};
 use crate::model::Model;
 use crate::OptimError;
+use ed_linalg::Lu;
 
 /// What the search branches on. The rule decides when a relaxation point is
 /// feasible and how a node splits; everything else is shared.
@@ -175,6 +180,10 @@ struct Node {
     /// bounds changed), so the child relaxation starts from the dual simplex
     /// instead of a cold two-phase solve. Shared between siblings.
     basis: Option<Arc<Basis>>,
+    /// The factor of `basis`'s matrix, as the parent's solve finished it:
+    /// the child installs it instead of factoring the same matrix again.
+    /// Shared between siblings.
+    factor: Option<Arc<Lu>>,
 }
 
 /// Converts an objective in the problem sense to internal min units (and
@@ -323,10 +332,20 @@ fn search(
     // everything else is shared. The root inherits any caller-supplied seed.
     let mut node_simplex = options.simplex.clone();
     let root_basis = node_simplex.warm.take().map(Arc::new);
-    let mut stack =
-        vec![Node { overrides: Vec::new(), bound: f64::NEG_INFINITY, basis: root_basis }];
+    let mut stack = vec![Node {
+        overrides: Vec::new(),
+        bound: f64::NEG_INFINITY,
+        basis: root_basis,
+        factor: None,
+    }];
+    // Every node patches only bounds of `lp`: one set of tableau columns
+    // serves the whole search.
+    let cols = {
+        let _t = ed_obs::timer("optim.simplex.build");
+        simplex::Columns::build(&lp)
+    };
 
-    while let Some(node) = stack.pop() {
+    while let Some(mut node) = stack.pop() {
         // Bound-based pruning against the incumbent (or hint).
         if node.bound >= incumbent_cut - options.gap_abs {
             *pruned += 1;
@@ -371,14 +390,20 @@ fn search(
         }
         node_simplex.warm = if options.warm { node.basis.as_deref().cloned() } else { None };
         let warm_offered = node_simplex.warm.is_some();
-        let result = simplex::solve_budgeted(&lp, &node_simplex, &budget.wall_only());
+        let result = simplex::solve_node(
+            &lp,
+            Some(&cols),
+            &node_simplex,
+            node.factor.take(),
+            &budget.wall_only(),
+        );
         for &(v, l, u) in &saved {
             lp.set_bounds(v, l, u);
         }
 
-        let sol = match result {
-            Ok(SolveOutcome::Solved(s)) => s,
-            Ok(SolveOutcome::Partial(p)) => {
+        let (sol, factor) = match result {
+            Ok((SolveOutcome::Solved(s), factor)) => (s, factor),
+            Ok((SolveOutcome::Partial(p), _)) => {
                 // The node relaxation hit the shared deadline mid-solve: put
                 // the node back as unexplored frontier and stop the search.
                 lp_iterations += p.iterations;
@@ -415,10 +440,16 @@ fn search(
                 incumbent = Some((sol.x, node_obj));
             }
             Some(kids) => {
-                let child_basis = sol.basis.map(Arc::new);
+                let basis = sol.basis.map(Arc::new);
+                let factor = factor.filter(|_| options.warm);
                 // Pushed in reverse so the first child pops first.
                 for overrides in kids.into_iter().rev() {
-                    stack.push(Node { overrides, bound: node_obj, basis: child_basis.clone() });
+                    stack.push(Node {
+                        overrides,
+                        bound: node_obj,
+                        basis: basis.clone(),
+                        factor: factor.clone(),
+                    });
                 }
             }
         }

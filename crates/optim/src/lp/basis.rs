@@ -7,7 +7,10 @@
 //! re-factors the basis matrix from the current model data, so a basis
 //! recorded against one model can be replayed against a sibling model that
 //! changed only its objective (primal-feasible start) or only its bounds
-//! (dual-feasible start, resolved by the dual simplex).
+//! (dual-feasible start, resolved by the dual simplex). Branch and bound
+//! alone skips that factorization: beside each node's basis it carries,
+//! privately, the factor its parent's solve finished with, which is the
+//! factor the install would compute.
 //!
 //! Installation is **fail-safe**: any mismatch — wrong dimensions, wrong
 //! basic count, a bound status pointing at an infinite bound, a singular

@@ -17,6 +17,10 @@
 //!   inverse is ever formed.
 //! - Dantzig pricing by default, with an automatic switch to Bland's rule
 //!   after a run of degenerate pivots to guarantee termination.
+//! - The structural and slack columns live in a shared [`Columns`]; only
+//!   the artificial columns are per tableau. Branch and bound builds the
+//!   columns once per search and hands each child node the factor its
+//!   parent finished with ([`solve_node`]).
 
 // The eta-application kernels below accumulate with classic indexed
 // recurrences; iterator rewrites obscure them.
@@ -28,6 +32,7 @@ use crate::lp::pricing::DevexWeights;
 use crate::model::{LpSolution, LpStatus, Model, RowSense, Sense};
 use crate::OptimError;
 use ed_linalg::{CscMatrix, Lu, UpdatableLu};
+use std::sync::Arc;
 
 /// Pricing rule for selecting the entering variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,12 +107,49 @@ const DEGENERATE_SWITCH: usize = 60;
 /// Pivot magnitude floor for the ratio test and basis updates.
 const PIVOT_TOL: f64 = 1e-10;
 
+/// A model's structural and slack tableau columns: each structural column
+/// sorted by row with duplicate entries coalesced and zeros dropped, then
+/// one `e_i` slack column per row. They depend on the constraint matrix
+/// alone, so every branch-and-bound node of one search, which patches only
+/// bounds, shares one copy.
+pub(crate) struct Columns(Vec<Vec<(usize, f64)>>);
+
+impl Columns {
+    pub(crate) fn build(lp: &Model) -> Arc<Columns> {
+        let n = lp.num_vars();
+        let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n + lp.num_rows());
+        // Coalesce duplicate row entries per column (Row::coef may repeat
+        // vars; model columns keep entries in increasing row order, so a
+        // stable sort preserves insertion order within a row).
+        for j in 0..n {
+            let mut col = lp.col(j).to_vec();
+            col.sort_by_key(|&(i, _)| i);
+            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(col.len());
+            for &(i, c) in col.iter() {
+                match merged.last_mut() {
+                    Some((li, lc)) if *li == i => *lc += c,
+                    _ => merged.push((i, c)),
+                }
+            }
+            merged.retain(|&(_, c)| c != 0.0);
+            cols.push(merged);
+        }
+        cols.extend((0..lp.num_rows()).map(|i| vec![(i, 1.0)]));
+        Arc::new(Columns(cols))
+    }
+}
+
 struct Tableau {
     m: usize,
     /// Total columns: structural + slacks + artificials.
     ncols: usize,
     n_structural: usize,
-    cols: Vec<Vec<(usize, f64)>>,
+    /// Structural and slack columns, shared with every tableau over the
+    /// same constraint matrix.
+    cols: Arc<Columns>,
+    /// Row `i`'s artificial column: `(i, ±1.0)`, or `None` when it is
+    /// pinned out of the problem.
+    art: Vec<Option<(usize, f64)>>,
     lb: Vec<f64>,
     ub: Vec<f64>,
     /// Phase-2 cost (minimization form).
@@ -124,11 +166,10 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn build(lp: &Model) -> Tableau {
+    fn new(lp: &Model, cols: &Arc<Columns>) -> Tableau {
         let m = lp.num_rows();
         let n = lp.num_vars();
         let ncols = n + 2 * m;
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
         let mut lb = vec![0.0; ncols];
         let mut ub = vec![0.0; ncols];
         let mut cost = vec![0.0; ncols];
@@ -141,13 +182,11 @@ impl Tableau {
             lb[j] = lp.lb[j];
             ub[j] = lp.ub[j];
             cost[j] = sign * lp.obj[j];
-            cols[j] = lp.col(j).to_vec();
         }
         let b = lp.rhs.clone();
         for (i, &sense) in lp.row_sense.iter().enumerate() {
-            // Slack column.
+            // Slack bounds encode the row sense.
             let s = n + i;
-            cols[s].push((i, 1.0));
             match sense {
                 RowSense::Le => {
                     lb[s] = 0.0;
@@ -164,27 +203,13 @@ impl Tableau {
             }
             // Artificial column entries are filled in `install_artificials`.
         }
-        // Coalesce duplicate row entries per column (Row::coef may repeat
-        // vars; model columns keep entries in increasing row order, so a
-        // stable sort preserves insertion order within a row).
-        for col in cols.iter_mut().take(n) {
-            col.sort_by_key(|&(i, _)| i);
-            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(col.len());
-            for &(i, c) in col.iter() {
-                match merged.last_mut() {
-                    Some((li, lc)) if *li == i => *lc += c,
-                    _ => merged.push((i, c)),
-                }
-            }
-            merged.retain(|&(_, c)| c != 0.0);
-            *col = merged;
-        }
 
         Tableau {
             m,
             ncols,
             n_structural: n,
-            cols,
+            cols: Arc::clone(cols),
+            art: vec![None; m],
             lb,
             ub,
             cost,
@@ -194,6 +219,14 @@ impl Tableau {
             basis: Vec::new(),
             factors: None,
             iterations: 0,
+        }
+    }
+
+    /// Column `j` of the tableau: structural, slack or artificial.
+    fn col(&self, j: usize) -> &[(usize, f64)] {
+        match self.cols.0.get(j) {
+            Some(c) => c,
+            None => self.art[j - self.cols.0.len()].as_slice(),
         }
     }
 
@@ -223,7 +256,7 @@ impl Tableau {
         for j in 0..(n + m) {
             let xj = self.x[j];
             if xj != 0.0 {
-                for &(i, c) in &self.cols[j] {
+                for &(i, c) in self.col(j) {
                     r[i] -= c * xj;
                 }
             }
@@ -232,7 +265,7 @@ impl Tableau {
         for i in 0..m {
             let a = n + m + i;
             let sign = if r[i] >= 0.0 { 1.0 } else { -1.0 };
-            self.cols[a] = vec![(i, sign)];
+            self.art[i] = Some((i, sign));
             self.lb[a] = 0.0;
             self.ub[a] = f64::INFINITY;
             self.x[a] = r[i].abs();
@@ -254,10 +287,7 @@ impl Tableau {
             self.factors = None;
             return Ok(());
         }
-        let bmat = CscMatrix::from_sorted_columns(
-            self.m,
-            self.basis.iter().map(|&j| self.cols[j].as_slice()),
-        );
+        let bmat = CscMatrix::from_sorted_columns(self.m, self.basis.iter().map(|&j| self.col(j)));
         let lu = Lu::factor_csc(&bmat).map_err(|e| OptimError::Numerical {
             what: format!("basis refactorization failed: {e}"),
         })?;
@@ -275,7 +305,7 @@ impl Tableau {
             return Ok(Vec::new());
         }
         let mut a = vec![0.0; self.m];
-        for &(i, c) in &self.cols[j] {
+        for &(i, c) in self.col(j) {
             a[i] += c;
         }
         let factors = self.factors.as_ref().expect("basis factored before ftran");
@@ -300,7 +330,7 @@ impl Tableau {
 
     fn reduced_cost(&self, j: usize, cost: &[f64], y: &[f64]) -> f64 {
         let mut d = cost[j];
-        for &(i, c) in &self.cols[j] {
+        for &(i, c) in self.col(j) {
             d -= y[i] * c;
         }
         d
@@ -312,7 +342,11 @@ impl Tableau {
             return Ok(());
         }
         self.factor_basis()?;
-        // Recompute x_B = B^{-1}(b - N x_N).
+        self.recompute_basic()
+    }
+
+    /// Recomputes `x_B = B^{-1}(b - N x_N)` through the current factors.
+    fn recompute_basic(&mut self) -> Result<(), OptimError> {
         let mut rhs = self.b.clone();
         for j in 0..self.ncols {
             if matches!(self.state[j], VarState::Basic(_)) {
@@ -320,12 +354,12 @@ impl Tableau {
             }
             let xj = self.x[j];
             if xj != 0.0 {
-                for &(i, c) in &self.cols[j] {
+                for &(i, c) in self.col(j) {
                     rhs[i] -= c * xj;
                 }
             }
         }
-        let factors = self.factors.as_ref().expect("factor_basis just succeeded");
+        let factors = self.factors.as_ref().expect("basis factored before x_B recompute");
         let xb = factors.solve(&rhs).map_err(|e| OptimError::Numerical {
             what: format!("basic-solution recompute failed: {e}"),
         })?;
@@ -391,8 +425,8 @@ impl Tableau {
         for i in 0..self.m {
             let a = nm + i;
             if matches!(self.state[a], VarState::Basic(_)) {
-                let sign = match self.cols[a].first() {
-                    Some(&(_, c)) if c < 0.0 => -1,
+                let sign = match self.art[i] {
+                    Some((_, c)) if c < 0.0 => -1,
                     _ => 1,
                 };
                 art_rows.push((i as u32, sign));
@@ -406,7 +440,13 @@ impl Tableau {
     /// factored in canonical (ascending) order, and the basic values
     /// recomputed from the *current* model data. Any inconsistency is an
     /// error and the caller falls back to a cold start.
-    fn install_warm(&mut self, warm: &Basis) -> Result<(), OptimError> {
+    ///
+    /// `factor`, when given, is the factor of this canonical basis matrix
+    /// over these columns, as the solve that recorded `warm` left it: it
+    /// is installed instead of factoring the same matrix again. The kernel
+    /// is deterministic, so the installed factor has the bits a fresh one
+    /// would.
+    fn install_warm(&mut self, warm: &Basis, factor: Option<Arc<Lu>>) -> Result<(), OptimError> {
         let n = self.n_structural;
         let m = self.m;
         let reject = |what: &str| OptimError::Numerical {
@@ -419,7 +459,7 @@ impl Tableau {
         // recreated from the snapshot below.
         for i in 0..m {
             let a = n + m + i;
-            self.cols[a].clear();
+            self.art[i] = None;
             self.lb[a] = 0.0;
             self.ub[a] = 0.0;
             self.x[a] = 0.0;
@@ -455,17 +495,26 @@ impl Tableau {
                 return Err(reject("artificial row out of range"));
             }
             let a = n + m + i;
-            if !self.cols[a].is_empty() {
+            if self.art[i].is_some() {
                 return Err(reject("duplicate artificial row"));
             }
-            self.cols[a] = vec![(i, f64::from(sign))];
+            self.art[i] = Some((i, f64::from(sign)));
             basics.push(a);
         }
         self.basis = basics;
         self.canonicalize_basis();
-        // Factor the installed basis and recompute x_B from current data;
-        // a singular basis matrix rejects the warm start here.
-        self.refactor()
+        match factor {
+            Some(lu) => {
+                debug_assert_eq!(lu.dim(), m, "a handed-over factor of another basis size");
+                self.factors = Some(UpdatableLu::from_shared(lu));
+                ed_obs::counter("optim.bb.factor_handoffs", 1);
+                // x_B from this model's bounds, not the recorder's.
+                self.recompute_basic()
+            }
+            // Factor the installed basis and recompute x_B from current
+            // data; a singular basis matrix rejects the warm start here.
+            None => self.refactor(),
+        }
     }
 
     /// Primal bound infeasibility of the current basic solution.
@@ -580,7 +629,7 @@ impl Tableau {
                     continue;
                 }
                 let mut alpha = 0.0;
-                for &(i, c) in &self.cols[j] {
+                for &(i, c) in self.col(j) {
                     alpha += rho[i] * c;
                 }
                 let eligible = match self.state[j] {
@@ -1018,17 +1067,47 @@ pub(crate) fn solve_budgeted(
     options: &SimplexOptions,
     budget: &SolveBudget,
 ) -> Result<SolveOutcome<LpSolution>, OptimError> {
+    solve_node(lp, None, options, None, budget).map(|(out, _)| out)
+}
+
+/// What a solve returns to branch and bound: the outcome, and for a
+/// solved relaxation the factor of its canonical final basis.
+pub(crate) type NodeSolve = (SolveOutcome<LpSolution>, Option<Arc<Lu>>);
+
+/// [`solve_budgeted`] for one branch-and-bound node: `cols` are the
+/// search's shared columns of `lp` (built here when `None`), and
+/// `parent_factor` is the factor the solve that recorded
+/// `options.warm` returned. Every node of a search patches only bounds
+/// of one model, so the parent's final basis matrix and the one the
+/// child installs are the same matrix and the child skips factoring it.
+/// A solved node returns its own final factor for its children.
+pub(crate) fn solve_node(
+    lp: &Model,
+    cols: Option<&Arc<Columns>>,
+    options: &SimplexOptions,
+    parent_factor: Option<Arc<Lu>>,
+    budget: &SolveBudget,
+) -> Result<NodeSolve, OptimError> {
     let _t = ed_obs::timer("optim.simplex");
-    let out = solve_budgeted_inner(lp, options, budget);
+    let built;
+    let cols = match cols {
+        Some(cols) => cols,
+        None => {
+            let _tb = ed_obs::timer("optim.simplex.build");
+            built = Columns::build(lp);
+            &built
+        }
+    };
+    let out = solve_budgeted_inner(lp, cols, options, parent_factor, budget);
     if ed_obs::enabled() {
         let iterations = match &out {
-            Ok(SolveOutcome::Solved(s)) => s.iterations,
-            Ok(SolveOutcome::Partial(p)) => p.iterations,
+            Ok((SolveOutcome::Solved(s), _)) => s.iterations,
+            Ok((SolveOutcome::Partial(p), _)) => p.iterations,
             Err(_) => 0,
         };
         ed_obs::counter("optim.simplex.solves", 1);
         ed_obs::counter("optim.simplex.iterations", iterations as u64);
-        if let Ok(SolveOutcome::Solved(s)) = &out {
+        if let Ok((SolveOutcome::Solved(s), _)) = &out {
             if s.warm_used {
                 ed_obs::counter("optim.simplex.warm_starts", 1);
             } else if options.warm.is_some() {
@@ -1068,13 +1147,14 @@ pub fn phase1_basis(
     options: &SimplexOptions,
     budget: &SolveBudget,
 ) -> Result<Option<(Basis, usize)>, OptimError> {
+    let cols = Columns::build(lp);
     if let Some(offer) = &options.warm {
-        let mut t = Tableau::build(lp);
-        if t.install_warm(offer).is_ok() && t.primal_infeasibility() <= options.feas_tol {
+        let mut t = Tableau::new(lp, &cols);
+        if t.install_warm(offer, None).is_ok() && t.primal_infeasibility() <= options.feas_tol {
             return Ok(Some((offer.clone(), 0)));
         }
     }
-    let mut t = Tableau::build(lp);
+    let mut t = Tableau::new(lp, &cols);
     t.install_artificials()?;
     let mut phase1_cost = vec![0.0; t.ncols];
     for a in (t.n_structural + t.m)..t.ncols {
@@ -1106,7 +1186,9 @@ enum WarmStart {
     Reject,
 }
 
-/// Attempts to install and repair a warm basis on a fresh tableau.
+/// Attempts to install and repair a warm basis on a fresh tableau,
+/// installing `factor` as its basis factor when given (see
+/// [`Tableau::install_warm`]).
 ///
 /// # Errors
 ///
@@ -1119,11 +1201,12 @@ enum WarmStart {
 fn try_warm_start(
     t: &mut Tableau,
     warm: &Basis,
+    factor: Option<Arc<Lu>>,
     cost: &[f64],
     options: &SimplexOptions,
     budget: &SolveBudget,
 ) -> Result<WarmStart, OptimError> {
-    if t.install_warm(warm).is_err() {
+    if t.install_warm(warm, factor).is_err() {
         return Ok(WarmStart::Reject);
     }
     if t.primal_infeasibility() <= options.feas_tol {
@@ -1147,10 +1230,12 @@ fn try_warm_start(
 
 fn solve_budgeted_inner(
     lp: &Model,
+    cols: &Arc<Columns>,
     options: &SimplexOptions,
+    parent_factor: Option<Arc<Lu>>,
     budget: &SolveBudget,
-) -> Result<SolveOutcome<LpSolution>, OptimError> {
-    let out = solve_attempt(lp, options, budget);
+) -> Result<NodeSolve, OptimError> {
+    let out = solve_attempt(lp, cols, options, parent_factor, budget);
     // Fail-safe: a warm start must never make a solve fail that a cold
     // solve would finish. An accepted-then-repaired basis can still steer
     // phase 2 into numerical trouble (e.g. a singular refactorization on
@@ -1162,19 +1247,43 @@ fn solve_budgeted_inner(
             ed_obs::counter("optim.simplex.warm_numerical_fallbacks", 1);
         }
         let cold = SimplexOptions { warm: None, ..options.clone() };
-        return solve_attempt(lp, &cold, budget);
+        return solve_attempt(lp, cols, &cold, None, budget);
     }
     out
 }
 
+/// A solve stopped by its budget after `iterations` pivots, with the
+/// incumbent point and objective when the iterate is primal feasible. It
+/// hands no factor on.
+fn tripped_solve(
+    tripped: BudgetTripped,
+    incumbent: Option<(Vec<f64>, f64)>,
+    iterations: usize,
+) -> NodeSolve {
+    let (x, objective) = incumbent.unzip();
+    let partial = Partial {
+        tripped,
+        x,
+        objective,
+        bound: None,
+        iterations,
+        nodes: 0,
+        warm_starts: 0,
+        cold_restarts: 0,
+    };
+    (SolveOutcome::Partial(partial), None)
+}
+
 fn solve_attempt(
     lp: &Model,
+    cols: &Arc<Columns>,
     options: &SimplexOptions,
+    parent_factor: Option<Arc<Lu>>,
     budget: &SolveBudget,
-) -> Result<SolveOutcome<LpSolution>, OptimError> {
+) -> Result<NodeSolve, OptimError> {
     let mut t = {
         let _t = ed_obs::timer("optim.simplex.build");
-        Tableau::build(lp)
+        Tableau::new(lp, cols)
     };
     let cost = t.cost.clone();
     let mut warm_used = false;
@@ -1182,7 +1291,7 @@ fn solve_attempt(
 
     if let Some(warm) = &options.warm {
         let _tw = ed_obs::timer("optim.simplex.warm_install");
-        match try_warm_start(&mut t, warm, &cost, options, budget)? {
+        match try_warm_start(&mut t, warm, parent_factor, &cost, options, budget)? {
             WarmStart::Ready { dual_iterations: d } => {
                 warm_used = true;
                 dual_iterations = d;
@@ -1190,22 +1299,13 @@ fn solve_attempt(
             WarmStart::Tripped(tripped) => {
                 // Mid-repair iterates are not primal feasible — same
                 // semantics as a phase-1 trip.
-                return Ok(SolveOutcome::Partial(Partial {
-                    tripped,
-                    x: None,
-                    objective: None,
-                    bound: None,
-                    iterations: t.iterations,
-                    nodes: 0,
-                    warm_starts: 0,
-                    cold_restarts: 0,
-                }));
+                return Ok(tripped_solve(tripped, None, t.iterations));
             }
             WarmStart::Reject => {
                 // Cold restart, keeping the pivots already spent in the
                 // iteration accounting.
                 let carried = t.iterations;
-                t = Tableau::build(lp);
+                t = Tableau::new(lp, cols);
                 t.iterations = carried;
             }
         }
@@ -1225,16 +1325,7 @@ fn solve_attempt(
         let artificial_sum: f64 = ((t.n_structural + t.m)..t.ncols).map(|a| t.x[a]).sum();
         if artificial_sum > 0.0 {
             if let Some(tripped) = t.optimize(&phase1_cost, options, false, budget)? {
-                return Ok(SolveOutcome::Partial(Partial {
-                    tripped,
-                    x: None,
-                    objective: None,
-                    bound: None,
-                    iterations: t.iterations,
-                    nodes: 0,
-                    warm_starts: 0,
-                    cold_restarts: 0,
-                }));
+                return Ok(tripped_solve(tripped, None, t.iterations));
             }
             let infeas: f64 = ((t.n_structural + t.m)..t.ncols).map(|a| t.x[a].max(0.0)).sum();
             if infeas > options.feas_tol {
@@ -1260,16 +1351,7 @@ fn solve_attempt(
         let _ = t.refactor();
         let x: Vec<f64> = t.x[..t.n_structural].to_vec();
         let objective = lp.objective_value(&x);
-        return Ok(SolveOutcome::Partial(Partial {
-            tripped,
-            x: Some(x),
-            objective: Some(objective),
-            bound: None,
-            iterations: t.iterations,
-            nodes: 0,
-            warm_starts: 0,
-            cold_restarts: 0,
-        }));
+        return Ok(tripped_solve(tripped, Some((x, objective)), t.iterations));
     }
     // Canonical final basis: any pivot path that ends at this basis set
     // reports bit-identical numbers (warm-vs-cold determinism).
@@ -1299,7 +1381,7 @@ fn solve_attempt(
             x[j] += 1.0 + 0.25 * x[j].abs();
         }
     }
-    Ok(SolveOutcome::Solved(LpSolution {
+    let solution = LpSolution {
         status: LpStatus::Optimal,
         objective,
         x,
@@ -1309,16 +1391,22 @@ fn solve_attempt(
         basis: Some(t.snapshot_basis()),
         warm_used,
         dual_iterations,
-    }))
+    };
+    // The finish refactor left no eta, so this is the factor of the
+    // canonical basis `solution.basis` records, moved out for the children.
+    let factor = t.factors.take().and_then(UpdatableLu::into_shared);
+    Ok((SolveOutcome::Solved(solution), factor))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{phase1_basis, Tableau};
+    use super::{phase1_basis, solve_node, try_warm_start, Columns, Tableau};
     use crate::budget::SolveBudget;
-    use crate::lp::{Basis, BasisStatus, Pricing, Row, SimplexOptions};
+    use crate::lp::{Basis, BasisStatus, LpSolution, Pricing, Row, SimplexOptions};
     use crate::model::Model;
     use crate::OptimError;
+    use ed_linalg::Lu;
+    use std::sync::Arc;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-7
@@ -1530,8 +1618,8 @@ mod tests {
 
         // Recorded before an rhs shift that makes it primal infeasible.
         let stale = seed(&transportation(0.5), None).0;
-        let mut t = Tableau::build(&lp);
-        t.install_warm(&stale).unwrap();
+        let mut t = Tableau::new(&lp, &Columns::build(&lp));
+        t.install_warm(&stale, None).unwrap();
         assert!(t.primal_infeasibility() > 1e-6, "the rhs shift must make the offer infeasible");
         assert_eq!(seed(&lp, Some(stale)), cold);
 
@@ -1558,7 +1646,7 @@ mod tests {
         ]);
         let singular = Basis { statuses, art_rows: Vec::new() };
         assert!(singular.dims_match(lp.num_vars(), lp.num_rows()));
-        assert!(Tableau::build(&lp).install_warm(&singular).is_err());
+        assert!(Tableau::new(&lp, &Columns::build(&lp)).install_warm(&singular, None).is_err());
         assert_eq!(seed(&lp, Some(singular)), cold, "singular basis matrix");
     }
 
@@ -1582,5 +1670,98 @@ mod tests {
         let s = lp.solve_with(&opts).unwrap();
         let base = lp.solve().unwrap();
         assert!(close(s.objective, base.objective), "{} vs {}", s.objective, base.objective);
+    }
+
+    /// max 2x + 3y + z over x ∈ [0, 3], y, z ∈ [0, 2] with x + y + z <= 4,
+    /// x + y >= 2.5 and the pair x ⟂ y. The relaxation sets x = y = 2, so
+    /// the pair is violated. Fixing y = 0 leaves a feasible child (x = 3,
+    /// z = 1); fixing x = 0 an infeasible one (x + y <= 2 < 2.5).
+    fn violated_pair() -> Model {
+        let mut m = Model::maximize();
+        let x = m.add_var(0.0, 3.0, 2.0);
+        let y = m.add_var(0.0, 2.0, 3.0);
+        let z = m.add_var(0.0, 2.0, 1.0);
+        m.add_row(Row::le(4.0).coef(x, 1.0).coef(y, 1.0).coef(z, 1.0));
+        m.add_row(Row::ge(2.5).coef(x, 1.0).coef(y, 1.0));
+        m.add_pair(x, y);
+        m
+    }
+
+    /// Solves `parent`'s relaxation as a branch-and-bound node: its
+    /// columns, final basis and the factor it hands its children.
+    fn solve_parent(parent: &Model) -> (Arc<Columns>, Basis, Arc<Lu>) {
+        let cols = Columns::build(parent);
+        let budget = SolveBudget::unlimited();
+        let (out, factor) =
+            solve_node(parent, Some(&cols), &SimplexOptions::default(), None, &budget).unwrap();
+        let basis = out.solved().unwrap().basis.unwrap();
+        (cols, basis, factor.expect("a solved relaxation hands its final factor on"))
+    }
+
+    /// Solves `child` warm from `parent`'s final basis twice: installing
+    /// the factor the parent's solve handed over, and factoring afresh.
+    fn handed_and_fresh(parent: &Model, child: &Model) -> [Result<LpSolution, OptimError>; 2] {
+        let (cols, basis, factor) = solve_parent(parent);
+        let options = SimplexOptions { warm: Some(basis), ..Default::default() };
+        [Some(factor), None].map(|f| {
+            solve_node(child, Some(&cols), &options, f, &SolveBudget::unlimited())
+                .map(|(out, _)| out.solved().unwrap())
+        })
+    }
+
+    fn assert_same_bits(handed: &LpSolution, fresh: &LpSolution) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&handed.x), bits(&fresh.x), "x");
+        assert_eq!(bits(&handed.duals), bits(&fresh.duals), "duals");
+        assert_eq!(bits(&handed.reduced_costs), bits(&fresh.reduced_costs), "reduced costs");
+        assert_eq!(handed.objective.to_bits(), fresh.objective.to_bits(), "objective");
+        assert_eq!(handed.iterations, fresh.iterations, "iterations");
+        assert_eq!(handed.dual_iterations, fresh.dual_iterations, "dual iterations");
+        assert_eq!(handed.basis, fresh.basis, "basis");
+    }
+
+    /// A child that installs its parent's handed-over factor solves to the
+    /// bits of one that factors the same basis afresh, on every path.
+    #[test]
+    fn handed_over_factor_matches_a_fresh_factorization() {
+        let parent = violated_pair();
+        let [x, y, z] = [0, 1, 2].map(|j| parent.var_ids()[j]);
+
+        // (a) y = 0: the parent basis puts x at 4 > 3, and the dual
+        // simplex repairs it. A bound-only change keeps the basis dual
+        // feasible through the repair, so phase 2 prices out at once.
+        let mut child = parent.clone();
+        child.set_bounds(y, 0.0, 0.0);
+        let [handed, fresh] = handed_and_fresh(&parent, &child).map(Result::unwrap);
+        assert!(handed.warm_used && handed.dual_iterations > 0, "{handed:?}");
+        assert_same_bits(&handed, &fresh);
+
+        // Phase 2 from the handed-over factor: the same columns and
+        // bounds under another objective keep the parent basis primal
+        // feasible, and the primal simplex pivots away from it.
+        let mut sibling = parent.clone();
+        sibling.set_objective_coef(z, 5.0);
+        let [handed, fresh] = handed_and_fresh(&parent, &sibling).map(Result::unwrap);
+        assert!(handed.warm_used && handed.dual_iterations == 0, "{handed:?}");
+        assert!(handed.iterations > 0, "phase 2 must pivot: {handed:?}");
+        assert_same_bits(&handed, &fresh);
+
+        // (b) x = 0: infeasible, from either factor ...
+        let mut child = parent.clone();
+        child.set_bounds(x, 0.0, 0.0);
+        for out in handed_and_fresh(&parent, &child) {
+            assert!(matches!(out, Err(OptimError::Infeasible)), "{out:?}");
+        }
+        // ... and the verdict is the warm start's dual ray, not a cold
+        // phase 1.
+        let (cols, basis, factor) = solve_parent(&parent);
+        for f in [Some(factor), None] {
+            let mut t = Tableau::new(&child, &cols);
+            let cost = t.cost.clone();
+            let options = SimplexOptions::default();
+            let out = try_warm_start(&mut t, &basis, f, &cost, &options, &SolveBudget::unlimited());
+            assert!(matches!(out, Err(OptimError::Infeasible)));
+            assert!(t.iterations > 0, "the ray is found after dual pivots");
+        }
     }
 }

@@ -11,13 +11,13 @@
 
 use crate::cache::{CaseEntry, WarmCache};
 use crate::http::Request;
-use crate::json::{self, num, num_array, Json};
+use crate::json::{self, num_array, Json};
 use crate::metrics::{bump, metrics};
 use ed_core::attack::{optimal_attack, AttackConfig};
 use ed_core::dispatch::{DcOpf, Degradation, Dispatch, SafetyGate, SafetyReport};
 use ed_core::pool::{scenario_fingerprint, PoolEntry, SolutionPool};
 use ed_core::{CoreError, SolveBudget};
-use ed_obs::escape;
+use ed_obs::{escape, num};
 use ed_optim::Trust;
 use ed_powerflow::{network_fingerprint, LineId};
 use std::sync::Arc;

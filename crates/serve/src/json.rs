@@ -343,19 +343,11 @@ impl Parser<'_> {
     }
 }
 
-/// Formats a number for a response body; non-finite values become `null`
-/// (fail closed — a NaN must never leave the service looking like data).
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Formats a slice of numbers as a JSON array (non-finite → `null`).
+/// Formats a slice of numbers as a JSON array through [`ed_obs::num`]
+/// (non-finite → `null`: fail closed, a NaN must never leave the service
+/// looking like data).
 pub fn num_array(vs: &[f64]) -> String {
-    let items: Vec<String> = vs.iter().map(|&v| num(v)).collect();
+    let items: Vec<String> = vs.iter().map(|&v| ed_obs::num(v)).collect();
     format!("[{}]", items.join(","))
 }
 
@@ -461,8 +453,8 @@ mod tests {
 
     #[test]
     fn non_finite_output_becomes_null() {
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
+        assert_eq!(ed_obs::num(f64::NAN), "null");
+        assert_eq!(ed_obs::num(f64::INFINITY), "null");
         assert_eq!(num_array(&[1.0, f64::NAN]), "[1,null]");
     }
 }

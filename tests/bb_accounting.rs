@@ -13,7 +13,8 @@
 //! are deterministic, so any drift means the search itself changed.
 //!
 //! One more case reads the recorder's spans: a one-thread Algorithm 1
-//! sweep runs every stage on its own thread.
+//! sweep runs every stage on its own thread. Another counts the factor
+//! hand-offs from parent to child nodes.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -267,6 +268,35 @@ fn mpec_cold_and_warm_roots() {
             run(&m, Rule::Pairs, k),
             warm,
         );
+    }
+}
+
+/// Each child installs the factor its parent's solve finished with
+/// instead of factoring the same basis matrix again: with warm starts on,
+/// `optim.bb.factor_handoffs` counts every node but the root (no presolve
+/// prunes a node unsolved here); with them off, none.
+#[test]
+fn children_install_their_parents_factor() {
+    let milps =
+        [0xB801_u64, 0xB802, 0xB803].map(|s| (s, seeded_milp(s), BranchOptions::integers()));
+    let mpecs = [0xE801_u64, 0xE802, 0xE803].map(|s| (s, seeded_mpec(s), BranchOptions::pairs()));
+    for (seed, m, base) in milps.into_iter().chain(mpecs) {
+        for (warm, root) in [(true, None), (true, Some(seed_basis(&m))), (false, None)] {
+            let _g = recorder();
+            let mark = obs::mark();
+            let opts = BranchOptions {
+                warm,
+                simplex: SimplexOptions { warm: root, ..SimplexOptions::default() },
+                ..base.clone()
+            };
+            let sol = branch_bound::solve(&m, &opts, &SolveBudget::unlimited())
+                .unwrap()
+                .solved()
+                .unwrap();
+            let handoffs = obs::report_since(&mark).counter("optim.bb.factor_handoffs");
+            let want = if warm { sol.nodes as u64 - 1 } else { 0 };
+            assert_eq!(handoffs, want, "{seed:#x} warm={warm}: {} nodes", sol.nodes);
+        }
     }
 }
 
