@@ -161,10 +161,10 @@ pub(crate) struct SubproblemAttempt {
 }
 
 /// Solves one `(target, dir)` subproblem on the sweep's shared
-/// [`PreparedKkt`]: the reduced base model is cloned, its objective patched
-/// to the scaled flow on `target`, and the chosen complementarity
-/// reformulation run with its own root presolve *disabled* (the sweep
-/// already presolved once).
+/// [`PreparedKkt`]: the base model (presolved once per sweep when the
+/// options ask for it) is cloned, its objective patched to the scaled flow
+/// on `target`, and the chosen complementarity reformulation branched on
+/// as it stands; the answer maps back through the sweep's restore.
 ///
 /// `incumbent_hint`, when given, must be a *valid achievable* objective
 /// value (e.g. from the corner heuristic); the attempt then carries no
@@ -202,7 +202,6 @@ pub(crate) fn solve_subproblem(
     // The reduced model's objective differs from the original by `offset`;
     // hints and reported objectives convert at this boundary.
     opts.incumbent_hint = incumbent_hint.map(|h| h - offset);
-    opts.presolve = false;
     opts.warm = options.warm_start.unwrap_or(true);
     if opts.warm {
         // Root restart from the sweep's shared phase-1 seed; the install

@@ -35,14 +35,6 @@ pub struct CertifiedDispatch {
     pub repairs: Vec<RepairStep>,
 }
 
-impl CertifiedDispatch {
-    /// `true` when a certified (possibly repaired) dispatch is present.
-    pub fn is_trusted(&self) -> bool {
-        self.dispatch.is_some()
-            && matches!(self.trust, Trust::Certified | Trust::Repaired { .. })
-    }
-}
-
 impl DcOpf<'_> {
     /// Solves the dispatch through the certification + repair ladder.
     ///
@@ -147,7 +139,7 @@ mod tests {
     fn quadratic_costs_are_linearized_not_rejected() {
         let net = ed_cases::six_bus();
         let out = DcOpf::new(&net).solve_certified(&SolveBudget::unlimited()).unwrap();
-        assert!(out.is_trusted(), "{:?}", out.trust);
+        assert!(matches!(out.trust, Trust::Certified | Trust::Repaired { .. }), "{:?}", out.trust);
         let d = out.dispatch.unwrap();
         let total: f64 = d.p_mw.iter().sum();
         let demand: f64 = net.demand_vector_mw().iter().sum();

@@ -284,18 +284,6 @@ pub struct FaultReport {
     pub dispatch: ResilientDispatch,
 }
 
-impl FaultReport {
-    /// `true` when the cycle survived without a single degradation and the
-    /// final dispatch passed its safety audit — typically only for an
-    /// empty plan.
-    pub fn unscathed(&self) -> bool {
-        self.scan_retries == 0
-            && self.sanitized_lines.is_empty()
-            && self.dispatch.is_clean()
-            && self.dispatch.safety.as_ref().is_some_and(|s| s.passed())
-    }
-}
-
 /// Applies a [`FaultKind::NearSingular`] skew to a copy of the network.
 ///
 /// # Errors
@@ -447,7 +435,10 @@ mod tests {
     fn empty_plan_is_unscathed() {
         let plan = FaultPlan::new(1);
         let r = run_faulted_cycle(EmsPackage::PowerWorld, &net(), &plan).unwrap();
-        assert!(r.unscathed(), "{r:?}");
+        // No degradation anywhere, and the final dispatch passes its audit.
+        assert_eq!(r.scan_retries, 0, "{r:?}");
+        assert!(r.sanitized_lines.is_empty() && r.dispatch.is_clean(), "{r:?}");
+        assert!(r.dispatch.safety.as_ref().is_some_and(|s| s.passed()), "{r:?}");
         // Linear costs → the LP rung is the exact solver, not a fallback.
         assert_eq!(r.dispatch.rung, DispatchRung::LpApprox);
     }

@@ -78,16 +78,6 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Creates an `n x n` diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -159,27 +149,6 @@ impl Matrix {
         Ok((0..self.rows)
             .map(|i| crate::dot(self.row(i), x))
             .collect())
-    }
-
-    /// Transposed matrix–vector product `A^T x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != rows`.
-    pub fn matvec_t(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if x.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("vector of length {}", self.rows),
-                found: format!("length {}", x.len()),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            if xi != 0.0 {
-                crate::axpy(xi, self.row(i), &mut out);
-            }
-        }
-        Ok(out)
     }
 
     /// Matrix–matrix product `A B`.
@@ -346,13 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_t_matches_transpose_matvec() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let x = vec![1.0, -1.0];
-        assert_eq!(a.matvec_t(&x).unwrap(), a.transpose().matvec(&x).unwrap());
-    }
-
-    #[test]
     fn swap_rows_swaps() {
         let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         a.swap_rows(0, 2);
@@ -369,10 +331,8 @@ mod tests {
     }
 
     #[test]
-    fn diag_and_submatrix() {
-        let d = Matrix::from_diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
+    fn submatrix_picks_rows_and_columns() {
+        let d = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 2.0, 0.0], &[0.0, 0.0, 3.0]]);
         let s = d.submatrix(&[1, 2], &[1, 2]);
         assert_eq!(s, Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]));
     }

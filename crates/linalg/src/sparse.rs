@@ -7,7 +7,7 @@
 //! `CscMatrix`), and benchmarks that report nonzero counts.
 //!
 //! Entries inside each column are stored sorted by row index with no
-//! duplicates; [`CscMatrix::from_triplets`] sorts and coalesces on the way
+//! duplicates; [`CscMatrix::from_columns`] sorts and coalesces on the way
 //! in, so assembly order does not matter.
 //!
 //! # Example
@@ -15,17 +15,13 @@
 //! ```
 //! use ed_linalg::CscMatrix;
 //!
-//! # fn main() -> Result<(), ed_linalg::LinalgError> {
 //! // [ 2 0 ]
 //! // [ 1 3 ]
-//! let a = CscMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 0, 1.0), (1, 1, 3.0)])?;
+//! let a = CscMatrix::from_columns(2, &[vec![(1, 1.0), (0, 2.0)], vec![(1, 3.0)]]);
 //! assert_eq!(a.nnz(), 3);
 //! assert_eq!(a.matvec(&[1.0, 1.0]), vec![2.0, 4.0]);
-//! # Ok(())
-//! # }
 //! ```
 
-use crate::error::LinalgError;
 use crate::matrix::Matrix;
 
 /// A sparse matrix in compressed sparse column form.
@@ -53,34 +49,6 @@ impl CscMatrix {
             row_idx: Vec::new(),
             values: Vec::new(),
         }
-    }
-
-    /// Builds from `(row, col, value)` triplets. Triplets may arrive in any
-    /// order; duplicates are summed and resulting (or explicit) zeros are
-    /// dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when any triplet indexes outside
-    /// `nrows × ncols`.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        triplets: &[(usize, usize, f64)],
-    ) -> Result<CscMatrix, LinalgError> {
-        for &(r, c, _) in triplets {
-            if r >= nrows || c >= ncols {
-                return Err(LinalgError::ShapeMismatch {
-                    expected: format!("indices inside {nrows}x{ncols}"),
-                    found: format!("triplet at ({r}, {c})"),
-                });
-            }
-        }
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
-        for &(r, c, v) in triplets {
-            cols[c].push((r, v));
-        }
-        Ok(CscMatrix::from_columns(nrows, &cols))
     }
 
     /// Builds from jagged per-column entry lists (the layout the model IR
@@ -200,11 +168,6 @@ impl CscMatrix {
         self.row_idx[lo..hi].iter().copied().zip(self.values[lo..hi].iter().copied())
     }
 
-    /// The stored entry count of column `j`.
-    pub fn col_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
-    }
-
     /// Largest |entry| (`0` when empty), as [`Matrix::norm_inf`].
     pub fn norm_inf(&self) -> f64 {
         crate::norm_inf(&self.values)
@@ -244,26 +207,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn triplets_sort_coalesce_and_drop_zeros() {
-        // (1,1) arrives as 2.0 + 1.0; (0,1) arrives as 5.0 - 5.0 → dropped.
-        let a = CscMatrix::from_triplets(
-            2,
-            2,
-            &[(1, 1, 2.0), (0, 0, 4.0), (1, 1, 1.0), (0, 1, 5.0), (0, 1, -5.0)],
-        )
-        .unwrap();
-        assert_eq!(a.nnz(), 2);
-        assert_eq!(a.col(0).collect::<Vec<_>>(), vec![(0, 4.0)]);
-        assert_eq!(a.col(1).collect::<Vec<_>>(), vec![(1, 3.0)]);
-    }
-
-    #[test]
-    fn out_of_range_triplet_rejected() {
-        assert!(CscMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]).is_err());
-        assert!(CscMatrix::from_triplets(2, 2, &[(0, 2, 1.0)]).is_err());
-    }
-
-    #[test]
     fn dense_round_trip() {
         let d = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 0.0]]);
         let s = CscMatrix::from_dense(&d);
@@ -291,11 +234,18 @@ mod tests {
     }
 
     #[test]
-    fn from_columns_matches_triplets() {
-        let cols = vec![vec![(1, 2.0), (0, 1.0)], vec![], vec![(2, -4.0), (2, 4.0)]];
+    fn from_columns_sorts_coalesces_and_drops_zeros() {
+        // (1,3) arrives as 2.0 + 1.0; (2,2) arrives as -4.0 + 4.0 → dropped.
+        let cols = vec![
+            vec![(1, 2.0), (0, 1.0)],
+            vec![],
+            vec![(2, -4.0), (2, 4.0)],
+            vec![(1, 2.0), (1, 1.0)],
+        ];
         let a = CscMatrix::from_columns(3, &cols);
-        assert_eq!(a.nnz(), 2);
+        assert_eq!(a.nnz(), 3);
         assert_eq!(a.col(0).collect::<Vec<_>>(), vec![(0, 1.0), (1, 2.0)]);
-        assert_eq!(a.col_nnz(2), 0);
+        assert_eq!(a.col(2).count(), 0);
+        assert_eq!(a.col(3).collect::<Vec<_>>(), vec![(1, 3.0)]);
     }
 }

@@ -436,14 +436,6 @@ impl TraceReport {
             .map(|i| &self.timings[i].1)
     }
 
-    /// Spans sorted by self-time (descending), at most `n` of them.
-    pub fn top_spans_by_self_time(&self, n: usize) -> Vec<&SpanRecord> {
-        let mut refs: Vec<&SpanRecord> = self.spans.iter().collect();
-        refs.sort_by(|a, b| b.self_ms.total_cmp(&a.self_ms).then(a.id.cmp(&b.id)));
-        refs.truncate(n);
-        refs
-    }
-
     /// Full JSON export. Spans are written one object per line so shell
     /// tooling (`scripts/trace_report.sh`) can stream them without a JSON
     /// parser. Wall-clock fields are included — use
@@ -758,23 +750,5 @@ mod tests {
         assert_eq!(st.events.len(), 3);
         assert_eq!(st.dropped, 2);
         assert_eq!(st.seq, 5);
-    }
-
-    #[test]
-    fn top_spans_rank_by_self_time() {
-        let mut r = TraceReport::new();
-        for (id, self_ms) in [(1u64, 5.0), (2, 9.0), (3, 1.0)] {
-            r.spans.push(SpanRecord {
-                id,
-                parent: None,
-                name: format!("s{id}"),
-                label: None,
-                start_ms: 0.0,
-                dur_ms: self_ms,
-                self_ms,
-            });
-        }
-        let top = r.top_spans_by_self_time(2);
-        assert_eq!(top.iter().map(|s| s.id).collect::<Vec<_>>(), vec![2, 1]);
     }
 }

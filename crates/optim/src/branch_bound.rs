@@ -11,13 +11,12 @@
 //!   violated pair to zero in each child. No big-M enters the model, so
 //!   relaxations stay tight; this is the scalable default.
 //!
-//! Everything else is shared. The root model is presolved once (when
-//! enabled via [`BranchOptions::presolve`]); presolve
-//! never eliminates pair columns, so branching happens on the mapped
-//! variables of the reduced model and the final point is mapped back
-//! exactly. Every node then bound-patches the *reduced* shared model, so
-//! every node's tableau has the same columns: they are built once per
-//! search and shared. Each child warm-starts from its parent's optimal
+//! Everything else is shared. The search branches on the model it is
+//! given: a caller that reduces the model first (Algorithm 1 does, once
+//! per sweep) hands in the reduced one and maps the answer back itself.
+//! Every node bound-patches one shared copy of that model, so every node's
+//! tableau has the same columns: they are built once per search and
+//! shared. Each child warm-starts from its parent's optimal
 //! basis (dual-feasible after a bound-only change, repaired by the dual
 //! simplex) and installs the LU factor the parent's solve finished with,
 //! which is the factor of that basis over those columns. A node costs a
@@ -65,7 +64,6 @@ use crate::budget::{BudgetTripped, Partial, SolveBudget, SolveOutcome};
 use crate::certify::Tolerances;
 use crate::lp::simplex;
 use crate::lp::{Basis, Sense, SimplexOptions, VarId};
-use crate::model::presolve::{self, Postsolve};
 use crate::model::Model;
 use crate::OptimError;
 use ed_linalg::Lu;
@@ -101,8 +99,6 @@ pub struct BranchOptions {
     /// Optional known feasible objective (in the problem's own sense) used
     /// to prune from the start — e.g. from a problem-specific heuristic.
     pub incumbent_hint: Option<f64>,
-    /// Presolve the root model before branching (default off).
-    pub presolve: bool,
     /// Hand each child node its parent's optimal basis as a warm start.
     /// Disabling this never changes answers — only iteration counts.
     pub warm: bool,
@@ -134,7 +130,6 @@ impl BranchOptions {
             gap_abs,
             simplex: SimplexOptions::default(),
             incumbent_hint: None,
-            presolve: false,
             warm: true,
         }
     }
@@ -307,22 +302,11 @@ fn search(
     model.validate()?;
     let sense = model.sense();
 
-    // Root presolve (once; the node loop never re-presolves).
-    let (mut lp, post): (Model, Option<Postsolve>) = if options.presolve {
-        let pre = presolve::presolve(model)?;
-        (pre.reduced, Some(pre.postsolve))
-    } else {
-        (model.clone(), None)
-    };
-    // Original stated objective = reduced stated objective + offset.
-    let offset = post.as_ref().map_or(0.0, Postsolve::obj_offset);
-    let restore = |x: &[f64]| post.as_ref().map_or_else(|| x.to_vec(), |p| p.restore_x(x));
-
-    let mut incumbent: Option<(Vec<f64>, f64)> = None; // (reduced x, internal obj)
-    let mut incumbent_cut = options
-        .incumbent_hint
-        .map(|h| to_internal(sense, h - offset))
-        .unwrap_or(f64::INFINITY);
+    // Nodes patch bounds of this copy and restore them after their solve.
+    let mut lp = model.clone();
+    let mut incumbent: Option<(Vec<f64>, f64)> = None; // (x, internal obj)
+    let mut incumbent_cut =
+        options.incumbent_hint.map(|h| to_internal(sense, h)).unwrap_or(f64::INFINITY);
     let mut nodes = 0usize;
     let mut lp_iterations = 0usize;
     let mut warm_starts = 0usize;
@@ -365,16 +349,6 @@ fn search(
             break;
         }
         nodes += 1;
-
-        // Overrides only ever tighten the original bounds, but presolve may
-        // have raised a lower bound above an override's upper end (a
-        // singleton row like `x >= 1` becomes the bound x ∈ [1, u], and a
-        // pair branch fixes x to 0). Writing the override would silently
-        // drop that constraint, so the node is infeasible instead.
-        if node.overrides.iter().any(|&(v, _, u)| u < lp.bounds(v).0 - options.tol) {
-            *pruned += 1;
-            continue;
-        }
 
         // Apply the node's bound overrides.
         let saved: Vec<Override> = node
@@ -461,14 +435,14 @@ fn search(
         .map(|n| n.bound)
         .fold(f64::INFINITY, f64::min)
         .min(incumbent_cut);
-    let stated = |internal: f64| to_internal(sense, internal) + offset;
 
     if let Some(t) = tripped {
+        let (x, objective) = incumbent.map(|(x, o)| (x, to_internal(sense, o))).unzip();
         return Ok(SolveOutcome::Partial(Partial {
             tripped: t,
-            x: incumbent.as_ref().map(|(x, _)| restore(x)),
-            objective: incumbent.as_ref().map(|&(_, o)| stated(o)),
-            bound: Some(stated(frontier_bound)),
+            x,
+            objective,
+            bound: Some(to_internal(sense, frontier_bound)),
             iterations: lp_iterations,
             nodes,
             warm_starts,
@@ -480,9 +454,9 @@ fn search(
         Some((x, internal_obj)) => {
             let proved = stack.is_empty() || frontier_bound >= incumbent_cut - options.gap_abs;
             Ok(SolveOutcome::Solved(BranchSolution {
-                objective: stated(internal_obj),
-                best_bound: stated(if proved { internal_obj } else { frontier_bound }),
-                x: restore(&x),
+                objective: to_internal(sense, internal_obj),
+                best_bound: to_internal(sense, if proved { internal_obj } else { frontier_bound }),
+                x,
                 proved_optimal: proved,
                 nodes,
                 lp_iterations,
@@ -494,7 +468,7 @@ fn search(
         None => Err(OptimError::NodeLimit {
             limit: options.max_nodes,
             incumbent: None,
-            bound: stated(frontier_bound),
+            bound: to_internal(sense, frontier_bound),
             lp_iterations,
             warm_starts,
             cold_restarts,
@@ -605,27 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn presolved_solution_matches_unpresolved() {
-        // Presolvable structure on top of a knapsack: a fixed variable, a
-        // singleton row, and a redundant duplicate row.
-        let mut m = knapsack();
-        let vars = m.var_ids();
-        let fixed = m.add_var(2.0, 2.0, 1.0); // contributes 2 to the objective
-        m.add_row(Row::le(4.0).coef(vars[0], 2.0).coef(vars[1], 3.0).coef(vars[2], 1.0));
-        m.add_row(Row::le(3.0).coef(fixed, 1.0));
-        let plain =
-            run(&m, &BranchOptions { presolve: false, ..BranchOptions::integers() }).unwrap();
-        let pre =
-            run(&m, &BranchOptions { presolve: true, ..BranchOptions::integers() }).unwrap();
-        assert!((plain.objective - 10.0).abs() < 1e-6, "obj={}", plain.objective);
-        assert!((pre.objective - plain.objective).abs() < 1e-9);
-        assert_eq!(pre.x.len(), plain.x.len());
-        for (p, q) in pre.x.iter().zip(&plain.x) {
-            assert!((p - q).abs() < 1e-7, "{:?} vs {:?}", pre.x, plain.x);
-        }
-    }
-
-    #[test]
     fn simple_complementarity() {
         let sol = run(&exclusive_pair(), &BranchOptions::pairs()).unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-7);
@@ -648,21 +601,16 @@ mod tests {
 
     #[test]
     fn pairs_infeasible_when_both_forced_positive() {
-        // x >= 1 and y >= 1 but x ⟂ y -> infeasible, with presolve off and
-        // on. Presolve turns the singleton rows into raised lower bounds;
-        // the branch fixing such a variable to zero must be pruned, not
-        // allowed to overwrite the bound with [0, 0].
+        // x >= 1 and y >= 1 but x ⟂ y -> infeasible: each branch fixes one
+        // side to zero against its row.
         let mut m = Model::minimize();
         let x = m.add_var(0.0, 2.0, 0.0);
         let y = m.add_var(0.0, 2.0, 0.0);
         m.add_row(Row::ge(1.0).coef(x, 1.0));
         m.add_row(Row::ge(1.0).coef(y, 1.0));
         m.add_pair(x, y);
-        for presolve in [false, true] {
-            let opts = BranchOptions { presolve, ..BranchOptions::pairs() };
-            let res = run(&m, &opts);
-            assert!(matches!(res, Err(OptimError::Infeasible)), "{res:?}");
-        }
+        let res = run(&m, &BranchOptions::pairs());
+        assert!(matches!(res, Err(OptimError::Infeasible)), "{res:?}");
 
         // One side forced positive -> the other side of the pair settles
         // at zero; the problem stays feasible and optimal.
@@ -671,8 +619,7 @@ mod tests {
         let y = m.add_var(0.0, 2.0, 1.0);
         m.add_row(Row::ge(1.0).coef(x, 1.0));
         m.add_pair(x, y);
-        let opts = BranchOptions { presolve: true, ..BranchOptions::pairs() };
-        let sol = run(&m, &opts).unwrap();
+        let sol = run(&m, &BranchOptions::pairs()).unwrap();
         assert!(sol.proved_optimal);
         assert!((sol.objective - 2.0).abs() < 1e-9, "obj {}", sol.objective);
         assert!(sol.x[1].abs() < 1e-9, "y must be zero: {:?}", sol.x);
@@ -691,25 +638,5 @@ mod tests {
         let sol = run(&m, &BranchOptions::pairs()).unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-7, "obj={}", sol.objective);
         assert!(sol.x[1].abs() < 1e-7);
-    }
-
-    #[test]
-    fn presolve_keeps_pairs_and_optimum() {
-        // Add a fixed variable and a redundant row so presolve has work to
-        // do; the pair itself must survive and the optimum must match.
-        let mut m = exclusive_pair();
-        let (x, y) = (m.var_ids()[0], m.var_ids()[1]);
-        let fixed = m.add_var(1.0, 1.0, 3.0);
-        m.add_row(Row::le(6.0).coef(x, 2.0).coef(y, 2.0)); // dominated duplicate
-        m.add_row(Row::le(5.0).coef(fixed, 1.0)); // singleton on the fixed var
-        let plain =
-            run(&m, &BranchOptions { presolve: false, ..BranchOptions::pairs() }).unwrap();
-        let pre =
-            run(&m, &BranchOptions { presolve: true, ..BranchOptions::pairs() }).unwrap();
-        assert!((plain.objective - 5.0).abs() < 1e-7, "obj={}", plain.objective);
-        assert!((pre.objective - plain.objective).abs() < 1e-9);
-        for (p, q) in pre.x.iter().zip(&plain.x) {
-            assert!((p - q).abs() < 1e-7, "{:?} vs {:?}", pre.x, plain.x);
-        }
     }
 }

@@ -14,12 +14,10 @@
 //! # Sharing across worker threads
 //!
 //! A budget upgraded with [`SolveBudget::cancellable`] additionally carries
-//! an atomics-based cancel flag that its clones share: the first worker
-//! that observes the deadline pass raises it, and every other in-flight
-//! solve sees it at its next budget check (one relaxed atomic load — no
-//! extra clock reads) and degrades to its incumbent with the usual
-//! [`BudgetTripped::WallClock`]. [`SolveBudget::cancel`] raises the same
-//! flag explicitly, reported as [`BudgetTripped::Cancelled`].
+//! an atomic flag that its clones share: the first worker that observes
+//! the deadline pass raises it, and every other in-flight solve sees it at
+//! its next budget check (one atomic load — no extra clock reads) and
+//! degrades to its incumbent with the usual [`BudgetTripped::WallClock`].
 //!
 //! `SolveBudget` is `Send + Sync`; clones are the sharing mechanism.
 //!
@@ -56,9 +54,6 @@ pub enum BudgetTripped {
     Iterations,
     /// The branch-and-bound node cap was reached.
     Nodes,
-    /// The shared budget was cancelled explicitly via
-    /// [`SolveBudget::cancel`] (cooperative cancellation across workers).
-    Cancelled,
 }
 
 impl std::fmt::Display for BudgetTripped {
@@ -67,21 +62,8 @@ impl std::fmt::Display for BudgetTripped {
             BudgetTripped::WallClock => write!(f, "wall-clock deadline"),
             BudgetTripped::Iterations => write!(f, "iteration cap"),
             BudgetTripped::Nodes => write!(f, "node cap"),
-            BudgetTripped::Cancelled => write!(f, "cooperative cancellation"),
         }
     }
-}
-
-/// Atomics shared by every clone of a cancellable budget.
-#[derive(Debug, Default)]
-struct BudgetShared {
-    /// Raised when any holder cancels or observes the deadline pass; all
-    /// clones trip on their next budget check.
-    cancelled: AtomicBool,
-    /// `true` when the cancellation came from a deadline observation, so
-    /// siblings report [`BudgetTripped::WallClock`] rather than
-    /// [`BudgetTripped::Cancelled`].
-    wall_observed: AtomicBool,
 }
 
 /// A cooperative solve budget: wall-clock deadline plus iteration and node
@@ -92,7 +74,10 @@ pub struct SolveBudget {
     deadline: Option<Instant>,
     max_iterations: Option<usize>,
     max_nodes: Option<usize>,
-    shared: Option<Arc<BudgetShared>>,
+    /// Shared by the clones of a cancellable budget: raised by the first
+    /// holder that observes the deadline pass, so all clones trip on their
+    /// next budget check.
+    expired: Option<Arc<AtomicBool>>,
 }
 
 impl SolveBudget {
@@ -133,17 +118,15 @@ impl SolveBudget {
     }
 
     /// `true` when no limit is set — solvers skip the per-iteration clock
-    /// read entirely in that case. A cancellable budget is never unlimited:
-    /// its cancel flag must stay observable inside solver loops.
+    /// read entirely in that case. Only a deadline observation raises a
+    /// cancellable budget's shared flag, so without a deadline it never
+    /// rises and needs no checking either.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_iterations.is_none()
-            && self.max_nodes.is_none()
-            && self.shared.is_none()
+        self.deadline.is_none() && self.max_iterations.is_none() && self.max_nodes.is_none()
     }
 
     /// A view of this budget keeping only the wall-clock deadline (and the
-    /// shared cancellation state, when present). Used by branch and bound
+    /// shared expiry flag, when present). Used by branch and bound
     /// to thread the shared deadline into node relaxations without letting
     /// the *node*-level iteration counter trip the *tree*-level iteration
     /// cap.
@@ -152,38 +135,19 @@ impl SolveBudget {
             deadline: self.deadline,
             max_iterations: None,
             max_nodes: None,
-            shared: self.shared.clone(),
+            expired: self.expired.clone(),
         }
     }
 
-    /// Upgrades this budget with shared, atomics-based cancellation state.
-    /// Clones of the returned budget observe each other's [`cancel`]
-    /// (reported as [`BudgetTripped::Cancelled`]) and deadline trips
-    /// (reported as [`BudgetTripped::WallClock`]).
-    ///
-    /// [`cancel`]: SolveBudget::cancel
+    /// Upgrades this budget with a shared expiry flag: once any clone of
+    /// the returned budget observes the deadline pass, every clone reports
+    /// [`BudgetTripped::WallClock`] at its next check without reading the
+    /// clock.
     pub fn cancellable(mut self) -> SolveBudget {
-        if self.shared.is_none() {
-            self.shared = Some(Arc::new(BudgetShared::default()));
+        if self.expired.is_none() {
+            self.expired = Some(Arc::new(AtomicBool::new(false)));
         }
         self
-    }
-
-    /// Raises the shared cancel flag: every clone of this budget trips with
-    /// [`BudgetTripped::Cancelled`] at its next cooperative check. A no-op
-    /// on budgets without shared state (see [`SolveBudget::cancellable`]).
-    pub fn cancel(&self) {
-        if let Some(s) = &self.shared {
-            s.cancelled.store(true, Ordering::Release);
-        }
-    }
-
-    /// `true` when the shared cancel flag is raised (for any reason —
-    /// explicit [`cancel`] or an observed deadline trip).
-    ///
-    /// [`cancel`]: SolveBudget::cancel
-    pub fn is_cancelled(&self) -> bool {
-        self.shared.as_ref().is_some_and(|s| s.cancelled.load(Ordering::Acquire))
     }
 
     /// Time left before the deadline (`None` when no deadline is set;
@@ -192,26 +156,17 @@ impl SolveBudget {
         self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
     }
 
-    /// Checks the shared cancel flag (one relaxed load), then the wall
-    /// clock. The first holder to observe the deadline pass raises the
-    /// shared flag so sibling workers trip without reading the clock.
+    /// Checks the shared expiry flag (one load), then the wall clock. The
+    /// first holder to observe the deadline pass raises the shared flag so
+    /// sibling workers trip without reading the clock.
     pub fn wall_tripped(&self) -> Option<BudgetTripped> {
-        if let Some(s) = &self.shared {
-            if s.cancelled.load(Ordering::Acquire) {
-                return Some(if s.wall_observed.load(Ordering::Acquire) {
-                    BudgetTripped::WallClock
-                } else {
-                    BudgetTripped::Cancelled
-                });
-            }
+        if self.expired.as_ref().is_some_and(|e| e.load(Ordering::Acquire)) {
+            return Some(BudgetTripped::WallClock);
         }
         match self.deadline {
             Some(d) if Instant::now() >= d => {
-                if let Some(s) = &self.shared {
-                    // wall_observed first: a sibling that sees `cancelled`
-                    // must already see the reason.
-                    s.wall_observed.store(true, Ordering::Release);
-                    s.cancelled.store(true, Ordering::Release);
+                if let Some(e) = &self.expired {
+                    e.store(true, Ordering::Release);
                 }
                 Some(BudgetTripped::WallClock)
             }
@@ -308,11 +263,13 @@ mod tests {
 
     #[test]
     fn unlimited_never_trips() {
-        let b = SolveBudget::unlimited();
-        assert!(b.is_unlimited());
-        assert_eq!(b.wall_tripped(), None);
-        assert_eq!(b.iter_tripped(usize::MAX - 1), None);
-        assert_eq!(b.node_tripped(usize::MAX - 1), None);
+        // Without a deadline nothing raises a cancellable budget's flag.
+        for b in [SolveBudget::unlimited(), SolveBudget::unlimited().cancellable()] {
+            assert!(b.is_unlimited());
+            assert_eq!(b.wall_tripped(), None);
+            assert_eq!(b.iter_tripped(usize::MAX - 1), None);
+            assert_eq!(b.node_tripped(usize::MAX - 1), None);
+        }
     }
 
     #[test]
@@ -336,45 +293,30 @@ mod tests {
         assert_eq!(b.deadline(), c.deadline());
     }
 
-    #[test]
-    fn explicit_cancel_trips_all_clones() {
-        let b = SolveBudget::unlimited().cancellable();
-        let c = b.clone();
-        assert!(!b.is_unlimited(), "cancellable budgets must stay observable");
-        assert_eq!(c.wall_tripped(), None);
-        b.cancel();
-        assert!(c.is_cancelled());
-        assert_eq!(c.wall_tripped(), Some(BudgetTripped::Cancelled));
-        assert_eq!(c.iter_tripped(0), Some(BudgetTripped::Cancelled));
-        assert_eq!(c.node_tripped(0), Some(BudgetTripped::Cancelled));
+    fn flag_raised(b: &SolveBudget) -> bool {
+        b.expired.as_ref().is_some_and(|e| e.load(Ordering::Acquire))
     }
 
     #[test]
-    fn observed_deadline_cancels_siblings_as_wall_clock() {
+    fn observed_deadline_raises_the_shared_flag() {
         let b = SolveBudget::with_deadline_at(Instant::now() - Duration::from_millis(1))
             .cancellable();
         let c = b.clone();
+        assert!(!flag_raised(&c));
         // One holder observes the deadline; the sibling then trips via the
-        // shared flag and still reports the wall clock as the reason.
+        // shared flag and reports the wall clock as the reason.
         assert_eq!(b.wall_tripped(), Some(BudgetTripped::WallClock));
-        assert!(c.is_cancelled());
+        assert!(flag_raised(&c) && flag_raised(&c.wall_only()));
         assert_eq!(c.wall_tripped(), Some(BudgetTripped::WallClock));
+        assert_eq!(c.node_tripped(0), Some(BudgetTripped::WallClock));
     }
 
+    /// The contract the sweep relies on: once the shared deadline passes,
+    /// every worker spinning on cooperative checks stops with the wall
+    /// clock as the reason.
     #[test]
-    fn cancel_without_shared_state_is_noop() {
-        let b = SolveBudget::unlimited();
-        b.cancel();
-        assert!(!b.is_cancelled());
-        assert_eq!(b.wall_tripped(), None);
-    }
-
-    /// The budget-cancellation contract the parallel sweep relies on: a
-    /// cancel (here explicit; deadline observations take the same path)
-    /// stops every worker spinning on cooperative checks.
-    #[test]
-    fn cancellation_stops_all_workers() {
-        let budget = SolveBudget::unlimited().cancellable();
+    fn passed_deadline_stops_all_workers() {
+        let budget = SolveBudget::with_deadline(Duration::from_millis(20)).cancellable();
         let trips: Vec<BudgetTripped> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..4)
                 .map(|_| {
@@ -391,10 +333,10 @@ mod tests {
                     })
                 })
                 .collect();
-            budget.cancel();
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
-        assert_eq!(trips, vec![BudgetTripped::Cancelled; 4]);
+        assert_eq!(trips, vec![BudgetTripped::WallClock; 4]);
+        assert!(flag_raised(&budget));
     }
 
     #[test]

@@ -6,15 +6,21 @@
 //!   bounds encoding the sense (`[0,inf)`, `(-inf,0]`, `[0,0]`).
 //! - Phase 1 introduces one artificial column per row and minimizes their
 //!   sum; phase 2 re-prices with the true objective after artificials are
-//!   driven out (or pinned at zero on redundant rows).
+//!   driven out (or pinned at zero on redundant rows). One routine,
+//!   `Tableau::cold_phase1`, runs it for both a full solve and
+//!   [`phase1_basis`].
 //! - The basis is represented as an [`Lu`] factorization of the last
 //!   refactorized basis matrix plus a list of product-form eta updates, one
 //!   per pivot: ftran solves through the factors then applies the etas in
 //!   order, btran applies the transposed etas in reverse then solves the
 //!   transposed factors. The basis is refactorized from scratch every
-//!   [`SimplexOptions::refactor_interval`] pivots (clearing the eta list and
+//!   `REFACTOR_INTERVAL` (128) pivots (clearing the eta list and
 //!   recomputing the basic solution) to bound drift — no dense explicit
 //!   inverse is ever formed.
+//! - Every basis change of the primal loop, the dual loop and the
+//!   artificial drive-out goes through one swap, `Tableau::swap_in`: an
+//!   eta when its stability guard accepts it, else a refactorization of the
+//!   new basis, else (that basis is singular) an undo of the swap.
 //! - Dantzig pricing by default, with an automatic switch to Bland's rule
 //!   after a run of degenerate pivots to guarantee termination.
 //! - The structural and slack columns live in a shared [`Columns`]; only
@@ -31,7 +37,7 @@ use crate::lp::basis::{Basis, BasisStatus};
 use crate::lp::pricing::DevexWeights;
 use crate::model::{LpSolution, LpStatus, Model, RowSense, Sense};
 use crate::OptimError;
-use ed_linalg::{CscMatrix, Lu, UpdatableLu};
+use ed_linalg::{CscMatrix, LinalgError, Lu, UpdatableLu};
 use std::sync::Arc;
 
 /// Pricing rule for selecting the entering variable.
@@ -47,8 +53,6 @@ pub enum Pricing {
 /// Options controlling the simplex method.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
-    /// Pivots between basis refactorizations.
-    pub refactor_interval: usize,
     /// Reduced-cost optimality tolerance.
     pub opt_tol: f64,
     /// Primal feasibility tolerance (also phase-1 acceptance).
@@ -80,7 +84,6 @@ impl Default for SimplexOptions {
     fn default() -> Self {
         let tol = crate::certify::Tolerances::default();
         SimplexOptions {
-            refactor_interval: 128,
             opt_tol: tol.opt,
             feas_tol: tol.feas,
             pricing: Pricing::Dantzig,
@@ -106,6 +109,25 @@ const MAX_ITERATIONS: usize = 50_000;
 const DEGENERATE_SWITCH: usize = 60;
 /// Pivot magnitude floor for the ratio test and basis updates.
 const PIVOT_TOL: f64 = 1e-10;
+/// Pivots between basis refactorizations in each loop.
+const REFACTOR_INTERVAL: usize = 128;
+
+/// How [`Tableau::swap_in`] brought its column into the basis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Swap {
+    /// An eta was recorded on the current factors.
+    Eta,
+    /// The eta failed its stability guard; the new basis was refactorized.
+    Refactored,
+    /// The new basis was singular: the swap was undone and the old basis
+    /// refactorized.
+    Undone,
+}
+
+/// Maps a factor or solve failure to a numerical error naming the step.
+fn numerical(what: &'static str) -> impl FnOnce(LinalgError) -> OptimError {
+    move |e| OptimError::Numerical { what: format!("{what} failed: {e}") }
+}
 
 /// A model's structural and slack tableau columns: each structural column
 /// sorted by row with duplicate entries coalesced and zeros dropped, then
@@ -288,9 +310,7 @@ impl Tableau {
             return Ok(());
         }
         let bmat = CscMatrix::from_sorted_columns(self.m, self.basis.iter().map(|&j| self.col(j)));
-        let lu = Lu::factor_csc(&bmat).map_err(|e| OptimError::Numerical {
-            what: format!("basis refactorization failed: {e}"),
-        })?;
+        let lu = Lu::factor_csc(&bmat).map_err(numerical("basis refactorization"))?;
         match &mut self.factors {
             Some(f) => f.reset(lu),
             None => self.factors = Some(UpdatableLu::from_lu(lu)),
@@ -309,23 +329,23 @@ impl Tableau {
             a[i] += c;
         }
         let factors = self.factors.as_ref().expect("basis factored before ftran");
-        factors.solve(&a).map_err(|e| OptimError::Numerical {
-            what: format!("ftran failed: {e}"),
-        })
+        factors.solve(&a).map_err(numerical("ftran"))
     }
 
-    /// Simplex multipliers `y = B^{-T} c_B` for the given cost vector:
-    /// apply the transposed etas in reverse pivot order, then solve the
-    /// transposed LU factors.
-    fn duals(&self, cost: &[f64]) -> Result<Vec<f64>, OptimError> {
+    /// `B^{-T} c`: apply the transposed etas in reverse pivot order, then
+    /// solve the transposed LU factors.
+    fn btran(&self, c: &[f64]) -> Result<Vec<f64>, OptimError> {
         if self.m == 0 {
             return Ok(Vec::new());
         }
-        let c: Vec<f64> = self.basis.iter().map(|&bk| cost[bk]).collect();
         let factors = self.factors.as_ref().expect("basis factored before btran");
-        factors.solve_transpose(&c).map_err(|e| OptimError::Numerical {
-            what: format!("btran failed: {e}"),
-        })
+        factors.solve_transpose(c).map_err(numerical("btran"))
+    }
+
+    /// Simplex multipliers `y = B^{-T} c_B` for the given cost vector.
+    fn duals(&self, cost: &[f64]) -> Result<Vec<f64>, OptimError> {
+        let c: Vec<f64> = self.basis.iter().map(|&bk| cost[bk]).collect();
+        self.btran(&c)
     }
 
     fn reduced_cost(&self, j: usize, cost: &[f64], y: &[f64]) -> f64 {
@@ -360,40 +380,101 @@ impl Tableau {
             }
         }
         let factors = self.factors.as_ref().expect("basis factored before x_B recompute");
-        let xb = factors.solve(&rhs).map_err(|e| OptimError::Numerical {
-            what: format!("basic-solution recompute failed: {e}"),
-        })?;
+        let xb = factors.solve(&rhs).map_err(numerical("basic-solution recompute"))?;
         for (k, v) in xb.into_iter().enumerate() {
             self.x[self.basis[k]] = v;
         }
         Ok(())
     }
 
-    /// Records the product-form update after column `q` replaces the basic
-    /// variable at position `r`, given `w = B^{-1} A_q`.
-    ///
-    /// Returns `false` when the eta failed its stability guard and was not
-    /// recorded — the caller must `refactor` once this pivot's basis
-    /// bookkeeping is complete (the refactorization then rebuilds the
-    /// factors from the updated basis array, so no work is lost).
-    #[must_use]
-    fn push_eta(&mut self, r: usize, w: &[f64]) -> bool {
-        let factors = self.factors.as_mut().expect("basis factored before eta push");
-        factors.replace_column(r, w, PIVOT_TOL).is_ok()
+    /// The value a nonbasic variable rests at in state `st`: its lower or
+    /// upper bound, or zero when free.
+    fn rest(&self, j: usize, st: VarState) -> f64 {
+        match st {
+            VarState::AtLower => self.lb[j],
+            VarState::AtUpper => self.ub[j],
+            _ => 0.0,
+        }
     }
 
-    /// `B^{-T} e_r` — the `r`-th row of `B^{-1}`, used for pivot-row
-    /// extraction in the dual ratio test.
-    fn btran_unit(&self, r: usize) -> Result<Vec<f64>, OptimError> {
-        if self.m == 0 {
-            return Ok(Vec::new());
+    /// Swaps column `q` into the basis at position `r`, given
+    /// `w = B^{-1} A_q`; the variable it replaces rests at `leave`. The
+    /// product-form eta is recorded when it passes its stability guard.
+    /// Otherwise the factors are rebuilt from the updated basis. If *that*
+    /// basis is singular the pivot was spurious (stale etas exaggerated a
+    /// pivot element that is really ~zero): the swap is undone and the
+    /// previous basis, which factored before, is refactorized, with `x_q`
+    /// back at its rest value and `x_B` recomputed from fresh factors.
+    #[inline]
+    fn swap_in(
+        &mut self,
+        r: usize,
+        q: usize,
+        w: &[f64],
+        leave: VarState,
+    ) -> Result<Swap, OptimError> {
+        let out = self.basis[r];
+        let q_prev = self.state[q];
+        self.state[out] = leave;
+        self.x[out] = self.rest(out, leave);
+        let factors = self.factors.as_mut().expect("basis factored before a swap");
+        let eta_ok = factors.replace_column(r, w, PIVOT_TOL).is_ok();
+        self.basis[r] = q;
+        self.state[q] = VarState::Basic(r);
+        if eta_ok {
+            return Ok(Swap::Eta);
         }
-        let mut c = vec![0.0; self.m];
-        c[r] = 1.0;
-        let factors = self.factors.as_ref().expect("basis factored before btran");
-        factors.solve_transpose(&c).map_err(|e| OptimError::Numerical {
-            what: format!("btran failed: {e}"),
-        })
+        if self.refactor().is_ok() {
+            return Ok(Swap::Refactored);
+        }
+        self.basis[r] = out;
+        self.state[out] = VarState::Basic(r);
+        self.state[q] = q_prev;
+        self.x[q] = self.rest(q, q_prev);
+        self.refactor()?;
+        Ok(Swap::Undone)
+    }
+
+    /// Moves nonbasic `j` across to its opposite bound, snapping `x_j` to
+    /// it; a free variable stays where it is.
+    fn flip(&mut self, j: usize) {
+        match self.state[j] {
+            VarState::AtLower => {
+                self.state[j] = VarState::AtUpper;
+                self.x[j] = self.ub[j];
+            }
+            VarState::AtUpper => {
+                self.state[j] = VarState::AtLower;
+                self.x[j] = self.lb[j];
+            }
+            _ => {}
+        }
+    }
+
+    /// The checks that open every pivot of both loops: the budget (a trip
+    /// is returned), the pivot cap (an error, carrying the iterate as an
+    /// incumbent when it is `feasible`), and the periodic refactorization.
+    #[inline]
+    fn begin_pivot(
+        &mut self,
+        budget: &SolveBudget,
+        since_refactor: &mut usize,
+        feasible: bool,
+    ) -> Result<Option<BudgetTripped>, OptimError> {
+        if !budget.is_unlimited() {
+            if let Some(tripped) = budget.iter_tripped(self.iterations) {
+                return Ok(Some(tripped));
+            }
+        }
+        if self.iterations >= MAX_ITERATIONS {
+            let incumbent = feasible.then(|| self.x[..self.n_structural].to_vec());
+            return Err(OptimError::IterationLimit { limit: MAX_ITERATIONS, incumbent });
+        }
+        if *since_refactor >= REFACTOR_INTERVAL {
+            self.refactor()?;
+            *since_refactor = 0;
+        }
+        Ok(None)
     }
 
     /// Reorders the basis columns ascending. Two solves that end at the
@@ -583,17 +664,8 @@ impl Tableau {
         // instead of an immediate infeasibility verdict.
         let mut ray_verified = false;
         loop {
-            if !budget.is_unlimited() {
-                if let Some(tripped) = budget.iter_tripped(self.iterations) {
-                    return Ok(Some(tripped));
-                }
-            }
-            if self.iterations >= MAX_ITERATIONS {
-                return Err(OptimError::IterationLimit { limit: MAX_ITERATIONS, incumbent: None });
-            }
-            if since_refactor >= options.refactor_interval {
-                self.refactor()?;
-                since_refactor = 0;
+            if let Some(tripped) = self.begin_pivot(budget, &mut since_refactor, false)? {
+                return Ok(Some(tripped));
             }
 
             // Leaving row: devex-weighted worst bound violation.
@@ -621,7 +693,9 @@ impl Tableau {
             let s = if viol > 0.0 { 1.0 } else { -1.0 };
 
             // Pivot row via one btran, then the dual ratio test.
-            let rho = self.btran_unit(r)?;
+            let mut e_r = vec![0.0; self.m];
+            e_r[r] = 1.0;
+            let rho = self.btran(&e_r)?;
             let y = self.duals(cost)?;
             let mut cands: Vec<(usize, f64, f64)> = Vec::new(); // (col, ratio, alpha)
             for j in 0..self.ncols {
@@ -643,16 +717,6 @@ impl Tableau {
                 }
                 let d = self.reduced_cost(j, cost, &y);
                 cands.push((j, d.abs() / alpha.abs(), alpha));
-            }
-            if cands.is_empty() {
-                // Dual ray: no compatible column for the violated row.
-                if since_refactor > 0 && !ray_verified {
-                    ray_verified = true;
-                    self.refactor()?;
-                    since_refactor = 0;
-                    continue;
-                }
-                return Err(OptimError::Infeasible);
             }
             // Long-step walk in ratio order: flip boxed columns the dual
             // step passes, stop at the first column that must enter.
@@ -678,9 +742,9 @@ impl Tableau {
                 break;
             }
             let Some(q) = entering else {
-                // Every compatible column flips away yet violation remains:
-                // the row is unsatisfiable — same infeasibility proof, same
-                // fresh-factor discipline.
+                // Dual ray: no compatible column for the violated row, or
+                // every one flips away and violation remains. The row is
+                // unsatisfiable; the verdict waits for fresh factors.
                 if since_refactor > 0 && !ray_verified {
                     ray_verified = true;
                     self.refactor()?;
@@ -714,58 +778,33 @@ impl Tableau {
                     let bk = self.basis[k];
                     self.x[bk] -= delta * wj[k];
                 }
-                self.state[j] = match self.state[j] {
-                    VarState::AtLower => VarState::AtUpper,
-                    VarState::AtUpper => VarState::AtLower,
-                    other => other,
-                };
-                self.x[j] = match self.state[j] {
-                    VarState::AtLower => self.lb[j],
-                    VarState::AtUpper => self.ub[j],
-                    _ => self.x[j],
-                };
+                self.flip(j);
                 self.iterations += 1;
             }
 
             // Pivot: drive the leaving variable exactly to its violated bound.
-            let target = if viol > 0.0 { self.ub[bi] } else { self.lb[bi] };
+            let (target, leave) = if viol > 0.0 {
+                (self.ub[bi], VarState::AtUpper)
+            } else {
+                (self.lb[bi], VarState::AtLower)
+            };
             let t_step = (self.x[bi] - target) / pivot;
             self.x[q] += t_step;
             for k in 0..self.m {
                 let bk = self.basis[k];
                 self.x[bk] -= t_step * w[k];
             }
-            self.state[bi] = if viol > 0.0 { VarState::AtUpper } else { VarState::AtLower };
-            self.x[bi] = target;
-            let q_prev = self.state[q];
-            let eta_ok = self.push_eta(r, &w);
-            self.basis[r] = q;
-            self.state[q] = VarState::Basic(r);
-            if eta_ok {
-                since_refactor += 1;
-            } else {
-                // Stability fallback: the eta was rejected, so rebuild the
-                // factors from the updated basis instead. If *that* basis is
-                // singular the pivot was spurious (stale etas exaggerated a
-                // ~zero pivot element): abandon it, restore the previous
-                // basis — which factored successfully — and retry against
-                // exact factors. Applied bound flips stay; the primal phase
-                // that follows dual repair re-establishes optimality.
-                if self.refactor().is_err() {
-                    self.basis[r] = bi;
-                    self.state[bi] = VarState::Basic(r);
-                    self.state[q] = q_prev;
-                    self.x[q] = match q_prev {
-                        VarState::AtLower => self.lb[q],
-                        VarState::AtUpper => self.ub[q],
-                        _ => 0.0,
-                    };
-                    self.refactor()?;
+            match self.swap_in(r, q, &w, leave)? {
+                Swap::Eta => since_refactor += 1,
+                Swap::Refactored => since_refactor = 0,
+                // A spurious pivot: retry against exact factors. Applied
+                // bound flips stay; the primal phase that follows dual
+                // repair re-establishes optimality.
+                Swap::Undone => {
                     since_refactor = 0;
                     self.iterations += 1;
                     continue;
                 }
-                since_refactor = 0;
             }
             weights.pivot_update(
                 r,
@@ -796,70 +835,36 @@ impl Tableau {
         let mut since_refactor = 0usize;
 
         loop {
-            if !budget.is_unlimited() {
-                if let Some(tripped) = budget.iter_tripped(self.iterations) {
-                    return Ok(Some(tripped));
-                }
-            }
-            if self.iterations >= MAX_ITERATIONS {
-                // Phase-2 iterates are primal feasible, so the current point
-                // is a usable incumbent; phase-1 iterates are not.
-                let incumbent = allow_unbounded.then(|| self.x[..self.n_structural].to_vec());
-                return Err(OptimError::IterationLimit { limit: MAX_ITERATIONS, incumbent });
-            }
-            if since_refactor >= options.refactor_interval {
-                self.refactor()?;
-                since_refactor = 0;
+            // Phase-2 iterates are primal feasible, so the current point is
+            // a usable incumbent at the pivot cap; phase-1 iterates are not.
+            if let Some(tripped) = self.begin_pivot(budget, &mut since_refactor, allow_unbounded)? {
+                return Ok(Some(tripped));
             }
 
             let y = self.duals(cost)?;
 
-            // Entering variable selection.
+            // Entering variable selection: a nonbasic, non-fixed column
+            // whose reduced cost improves in a direction it may move.
             let mut entering: Option<(usize, f64, f64)> = None; // (col, |d|, sigma)
             for j in 0..self.ncols {
-                let (sigma, eligible) = match self.state[j] {
+                let d = match self.state[j] {
                     VarState::Basic(_) => continue,
-                    VarState::AtLower => {
-                        if self.ub[j] <= self.lb[j] {
-                            continue; // fixed variable
-                        }
-                        (1.0, true)
-                    }
-                    VarState::AtUpper => {
-                        if self.ub[j] <= self.lb[j] {
-                            continue;
-                        }
-                        (-1.0, true)
-                    }
-                    VarState::FreeZero => (0.0, true),
+                    VarState::AtLower | VarState::AtUpper if self.ub[j] <= self.lb[j] => continue,
+                    _ => self.reduced_cost(j, cost, &y),
                 };
-                if !eligible {
-                    continue;
-                }
-                let d = self.reduced_cost(j, cost, &y);
-                let (ok, sig, mag) = if self.state[j] == VarState::FreeZero {
-                    if d < -options.opt_tol {
-                        (true, 1.0, -d)
-                    } else if d > options.opt_tol {
-                        (true, -1.0, d)
-                    } else {
-                        (false, 0.0, 0.0)
-                    }
-                } else if sigma > 0.0 {
-                    (d < -options.opt_tol, 1.0, -d)
-                } else {
-                    (d > options.opt_tol, -1.0, d)
+                let (sig, mag) = match self.state[j] {
+                    VarState::AtLower | VarState::FreeZero if d < -options.opt_tol => (1.0, -d),
+                    VarState::AtUpper | VarState::FreeZero if d > options.opt_tol => (-1.0, d),
+                    _ => continue,
                 };
-                if ok {
-                    match pricing {
-                        Pricing::Bland => {
+                match pricing {
+                    Pricing::Bland => {
+                        entering = Some((j, mag, sig));
+                        break;
+                    }
+                    Pricing::Dantzig => {
+                        if entering.is_none_or(|(_, best, _)| mag > best) {
                             entering = Some((j, mag, sig));
-                            break;
-                        }
-                        Pricing::Dantzig => {
-                            if entering.is_none_or(|(_, best, _)| mag > best) {
-                                entering = Some((j, mag, sig));
-                            }
                         }
                     }
                 }
@@ -883,30 +888,23 @@ impl Tableau {
             for k in 0..self.m {
                 let delta = sigma * w[k];
                 let bi = self.basis[k];
-                if delta > PIVOT_TOL {
-                    // Basic value decreases toward its lower bound.
-                    if self.lb[bi].is_finite() {
-                        let t = (self.x[bi] - self.lb[bi]) / delta;
-                        if t < t_best - 1e-12
-                            || (t < t_best + 1e-12 && delta.abs() > best_pivot)
-                        {
-                            t_best = t.max(0.0);
-                            leave = Some((k, VarState::AtLower));
-                            best_pivot = delta.abs();
-                        }
-                    }
+                // The basic value falls toward its lower bound or rises
+                // toward its upper bound.
+                let (bound, hit) = if delta > PIVOT_TOL {
+                    (self.lb[bi], VarState::AtLower)
                 } else if delta < -PIVOT_TOL {
-                    // Basic value increases toward its upper bound.
-                    if self.ub[bi].is_finite() {
-                        let t = (self.x[bi] - self.ub[bi]) / delta;
-                        if t < t_best - 1e-12
-                            || (t < t_best + 1e-12 && delta.abs() > best_pivot)
-                        {
-                            t_best = t.max(0.0);
-                            leave = Some((k, VarState::AtUpper));
-                            best_pivot = delta.abs();
-                        }
-                    }
+                    (self.ub[bi], VarState::AtUpper)
+                } else {
+                    continue;
+                };
+                if !bound.is_finite() {
+                    continue;
+                }
+                let t = (self.x[bi] - bound) / delta;
+                if t < t_best - 1e-12 || (t < t_best + 1e-12 && delta.abs() > best_pivot) {
+                    t_best = t.max(0.0);
+                    leave = Some((k, hit));
+                    best_pivot = delta.abs();
                 }
             }
 
@@ -928,57 +926,14 @@ impl Tableau {
             }
 
             match leave {
-                None => {
-                    // Bound flip: q moves across to its opposite bound.
-                    self.state[q] = match self.state[q] {
-                        VarState::AtLower => VarState::AtUpper,
-                        VarState::AtUpper => VarState::AtLower,
-                        other => other,
-                    };
-                    // Snap exactly to the bound.
-                    self.x[q] = match self.state[q] {
-                        VarState::AtLower => self.lb[q],
-                        VarState::AtUpper => self.ub[q],
-                        _ => self.x[q],
-                    };
-                }
-                Some((r, hit)) => {
-                    let leaving = self.basis[r];
-                    self.state[leaving] = hit;
-                    self.x[leaving] = match hit {
-                        VarState::AtLower => self.lb[leaving],
-                        VarState::AtUpper => self.ub[leaving],
-                        _ => unreachable!("leaving variable must rest on a bound"),
-                    };
-                    let q_prev = self.state[q];
-                    let eta_ok = self.push_eta(r, &w);
-                    self.basis[r] = q;
-                    self.state[q] = VarState::Basic(r);
-                    if eta_ok {
-                        since_refactor += 1;
-                    } else {
-                        // Stability fallback: rejected eta → refactorize from
-                        // the updated basis. A *singular* refactorization
-                        // means the pivot itself was spurious — the stale eta
-                        // file exaggerated a pivot element that is really
-                        // ~zero, so the swapped basis is rank-deficient.
-                        // Abandon the pivot: restore the previous basis
-                        // (which factored successfully) and redo the
-                        // iteration against exact factors.
-                        if self.refactor().is_err() {
-                            self.basis[r] = leaving;
-                            self.state[leaving] = VarState::Basic(r);
-                            self.state[q] = q_prev;
-                            self.x[q] = match q_prev {
-                                VarState::AtLower => self.lb[q],
-                                VarState::AtUpper => self.ub[q],
-                                _ => 0.0,
-                            };
-                            self.refactor()?;
-                        }
-                        since_refactor = 0;
-                    }
-                }
+                // Bound flip: q moves across to its opposite bound.
+                None => self.flip(q),
+                Some((r, hit)) => match self.swap_in(r, q, &w, hit)? {
+                    Swap::Eta => since_refactor += 1,
+                    // After an undone swap the next pricing runs against
+                    // exact factors.
+                    Swap::Refactored | Swap::Undone => since_refactor = 0,
+                },
             }
 
             self.iterations += 1;
@@ -1017,25 +972,10 @@ impl Tableau {
             }
             if let Some((j, w)) = replacement {
                 // Degenerate pivot: the artificial sits at zero, so the swap
-                // does not move the solution.
-                let j_prev = self.state[j];
-                let eta_ok = self.push_eta(r, &w);
-                self.state[bv] = VarState::AtLower;
-                self.x[bv] = 0.0;
-                self.basis[r] = j;
-                self.state[j] = VarState::Basic(r);
-                if !eta_ok {
-                    // A singular refactorization after the swap means the
-                    // replacement column was spurious (stale etas): undo the
-                    // swap and leave the artificial basic at zero, which the
-                    // pinning below tolerates.
-                    if self.refactor().is_err() {
-                        self.basis[r] = bv;
-                        self.state[bv] = VarState::Basic(r);
-                        self.state[j] = j_prev;
-                        self.refactor()?;
-                    }
-                }
+                // does not move the solution. An undone swap leaves the
+                // artificial basic at zero, which the pinning below
+                // tolerates.
+                self.swap_in(r, j, &w, VarState::AtLower)?;
             }
         }
         for a in (self.n_structural + self.m)..self.ncols {
@@ -1047,6 +987,34 @@ impl Tableau {
             }
         }
         Ok(())
+    }
+
+    /// The cold phase 1: installs the artificial basis and, when the
+    /// artificials' sum is positive (it is zero, for one, on a model with
+    /// no rows), minimizes it. A positive minimum is the infeasibility
+    /// verdict. The artificials are then driven out.
+    ///
+    /// Returns `Ok(Some(tripped))` when the budget trips mid-phase.
+    fn cold_phase1(
+        &mut self,
+        options: &SimplexOptions,
+        budget: &SolveBudget,
+    ) -> Result<Option<BudgetTripped>, OptimError> {
+        self.install_artificials()?;
+        let artificials = (self.n_structural + self.m)..self.ncols;
+        if artificials.clone().map(|a| self.x[a]).sum::<f64>() > 0.0 {
+            let mut phase1_cost = vec![0.0; self.ncols];
+            phase1_cost[artificials.clone()].fill(1.0);
+            if let Some(tripped) = self.optimize(&phase1_cost, options, false, budget)? {
+                return Ok(Some(tripped));
+            }
+            let infeas: f64 = artificials.map(|a| self.x[a].max(0.0)).sum();
+            if infeas > options.feas_tol {
+                return Err(OptimError::Infeasible);
+            }
+        }
+        self.drive_out_artificials()?;
+        Ok(None)
     }
 }
 
@@ -1155,22 +1123,9 @@ pub fn phase1_basis(
         }
     }
     let mut t = Tableau::new(lp, &cols);
-    t.install_artificials()?;
-    let mut phase1_cost = vec![0.0; t.ncols];
-    for a in (t.n_structural + t.m)..t.ncols {
-        phase1_cost[a] = 1.0;
+    if t.cold_phase1(options, budget)?.is_some() {
+        return Ok(None);
     }
-    let artificial_sum: f64 = ((t.n_structural + t.m)..t.ncols).map(|a| t.x[a]).sum();
-    if artificial_sum > 0.0 {
-        if t.optimize(&phase1_cost, options, false, budget)?.is_some() {
-            return Ok(None);
-        }
-        let infeas: f64 = ((t.n_structural + t.m)..t.ncols).map(|a| t.x[a].max(0.0)).sum();
-        if infeas > options.feas_tol {
-            return Err(OptimError::Infeasible);
-        }
-    }
-    t.drive_out_artificials()?;
     Ok(Some((t.snapshot_basis(), t.iterations)))
 }
 
@@ -1313,26 +1268,9 @@ fn solve_attempt(
 
     if !warm_used {
         let _tp = ed_obs::timer("optim.simplex.phase1");
-        t.install_artificials()?;
-
-        // Phase 1: minimize the sum of artificials.
-        let mut phase1_cost = vec![0.0; t.ncols];
-        for a in (t.n_structural + t.m)..t.ncols {
-            phase1_cost[a] = 1.0;
+        if let Some(tripped) = t.cold_phase1(options, budget)? {
+            return Ok(tripped_solve(tripped, None, t.iterations));
         }
-        // Skip phase 1 entirely when the artificial start is already feasible
-        // (all residuals zero), which happens for problems with zero rows.
-        let artificial_sum: f64 = ((t.n_structural + t.m)..t.ncols).map(|a| t.x[a]).sum();
-        if artificial_sum > 0.0 {
-            if let Some(tripped) = t.optimize(&phase1_cost, options, false, budget)? {
-                return Ok(tripped_solve(tripped, None, t.iterations));
-            }
-            let infeas: f64 = ((t.n_structural + t.m)..t.ncols).map(|a| t.x[a].max(0.0)).sum();
-            if infeas > options.feas_tol {
-                return Err(OptimError::Infeasible);
-            }
-        }
-        t.drive_out_artificials()?;
         // Canonical phase-2 start: the same state a warm sibling reaches by
         // installing this solve's phase-1 seed basis (see `phase1_basis`).
         t.canonicalize_basis();
@@ -1400,7 +1338,7 @@ fn solve_attempt(
 
 #[cfg(test)]
 mod tests {
-    use super::{phase1_basis, solve_node, try_warm_start, Columns, Tableau};
+    use super::{phase1_basis, solve_node, try_warm_start, Columns, Swap, Tableau, VarState};
     use crate::budget::SolveBudget;
     use crate::lp::{Basis, BasisStatus, LpSolution, Pricing, Row, SimplexOptions};
     use crate::model::Model;
@@ -1650,26 +1588,73 @@ mod tests {
         assert_eq!(seed(&lp, Some(singular)), cold, "singular basis matrix");
     }
 
+    /// The 8-dimensional Klee–Minty cube: max Σ 2^(n−j) x_j subject to
+    /// Σ_{j<i} 2^(i−j+1) x_j + x_i <= 5^i, x >= 0. Dantzig pricing visits
+    /// all 2^8 vertices, so the solve crosses a periodic refactorization;
+    /// the LU+eta basis must still land on the optimum x_8 = 5^8.
     #[test]
-    fn many_pivots_cross_refactor_interval() {
-        // Force several refactorizations (tiny interval) on a problem large
-        // enough to take multiple pivots; the LU+eta basis must agree with
-        // the known optimum.
-        let opts = SimplexOptions { refactor_interval: 2, ..Default::default() };
+    fn klee_minty_cube_crosses_a_refactorization() {
+        let n = 8;
+        let mut lp = Model::maximize();
+        let x: Vec<_> =
+            (1..=n).map(|j| lp.add_var(0.0, f64::INFINITY, 2f64.powi(n - j))).collect();
+        for i in 1..=n {
+            let row = (1..i).fold(Row::le(5f64.powi(i)), |row, j| {
+                row.coef(x[j as usize - 1], 2f64.powi(i - j + 1))
+            });
+            lp.add_row(row.coef(x[i as usize - 1], 1.0));
+        }
+        let s = lp.solve().unwrap();
+        assert!(s.iterations > super::REFACTOR_INTERVAL, "{} pivots", s.iterations);
+        assert!(close(s.objective, 5f64.powi(n)), "{s:?}");
+    }
+
+    /// `swap_in`'s three outcomes on a two-row tableau whose starting basis
+    /// is the two artificials: an ordinary column takes an eta; a column
+    /// whose pivot entry is below the eta guard forces a refactorization
+    /// of a basis that still factors; a column in the span of the basic
+    /// column that stays makes a singular basis, and the swap is undone.
+    #[test]
+    fn swap_in_records_refactors_or_undoes() {
         let mut lp = Model::minimize();
-        let n = 12;
-        let v: Vec<_> = (0..n).map(|j| lp.add_var(0.0, 10.0, 1.0 + (j as f64) * 0.1)).collect();
-        let mut row = Row::ge(60.0);
-        for &x in &v {
-            row = row.coef(x, 1.0);
-        }
-        lp.add_row(row);
-        for pair in v.chunks(2) {
-            lp.add_row(Row::le(15.0).coef(pair[0], 1.0).coef(pair[1], 1.0));
-        }
-        let s = lp.solve_with(&opts).unwrap();
-        let base = lp.solve().unwrap();
-        assert!(close(s.objective, base.objective), "{} vs {}", s.objective, base.objective);
+        let ordinary = lp.add_var(0.0, 1.0, 0.0);
+        let tiny = lp.add_var(0.0, 1.0, 0.0);
+        let spanned = lp.add_var(0.0, 1.0, 0.0);
+        lp.add_row(Row::eq(3.0).coef(ordinary, 1.0).coef(tiny, 1e-11));
+        lp.add_row(Row::eq(-2.0).coef(ordinary, 0.5).coef(tiny, 1.0).coef(spanned, 2.0));
+        let cols = Columns::build(&lp);
+        let fresh = || {
+            let mut t = Tableau::new(&lp, &cols);
+            t.install_artificials().unwrap();
+            t
+        };
+        let swap = |t: &mut Tableau, q: usize| {
+            let w = t.ftran(q).unwrap();
+            t.swap_in(0, q, &w, VarState::AtLower).unwrap()
+        };
+
+        let mut t = fresh();
+        assert_eq!(swap(&mut t, ordinary.index()), Swap::Eta);
+        assert_eq!(t.factors.as_ref().unwrap().num_updates(), 1);
+
+        let mut t = fresh();
+        assert!(t.ftran(tiny.index()).unwrap()[0].abs() <= super::PIVOT_TOL);
+        assert_eq!(swap(&mut t, tiny.index()), Swap::Refactored);
+        assert_eq!(t.basis[0], tiny.index());
+        assert_eq!(t.factors.as_ref().unwrap().num_updates(), 0);
+
+        let mut t = fresh();
+        let (basis, state, x) = (t.basis.clone(), t.state.clone(), t.x.clone());
+        // The caller's step has already moved x_q off its bound.
+        t.x[spanned.index()] += 0.5;
+        assert_eq!(swap(&mut t, spanned.index()), Swap::Undone);
+        assert_eq!((&t.basis, &t.state), (&basis, &state));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&t.x), bits(&x));
+        // x_B solves B x_B = b − N x_N through fresh factors.
+        assert_eq!(t.factors.as_ref().unwrap().num_updates(), 0);
+        t.recompute_basic().unwrap();
+        assert_eq!(bits(&t.x), bits(&x));
     }
 
     /// max 2x + 3y + z over x ∈ [0, 3], y, z ∈ [0, 2] with x + y + z <= 4,

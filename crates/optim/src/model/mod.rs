@@ -4,8 +4,7 @@
 //! in this crate. It stores:
 //!
 //! - **Sparse constraint columns.** The constraint matrix lives
-//!   column-major as jagged `(row, coef)` lists (convertible to a packed
-//!   [`CscMatrix`] via [`Model::to_csc`]), shared
+//!   column-major as jagged `(row, coef)` lists, shared
 //!   copy-on-write across clones so branch-and-bound nodes and per-subproblem
 //!   objective patches never copy row storage.
 //! - **Variable bounds and row senses/rhs.**
@@ -29,7 +28,6 @@ pub use solver::{ActiveSetSolver, IpmSolver, SimplexSolver, Solution, Solver};
 use crate::budget::{SolveBudget, SolveOutcome};
 use crate::lp::simplex::{self, SimplexOptions};
 use crate::OptimError;
-use ed_linalg::CscMatrix;
 use std::sync::Arc;
 
 /// Optimization direction.
@@ -427,12 +425,6 @@ impl Model {
         rows
     }
 
-    /// Packs the constraint matrix into compressed sparse column form
-    /// (entries sorted and coalesced, explicit zeros dropped).
-    pub fn to_csc(&self) -> CscMatrix {
-        CscMatrix::from_columns(self.num_rows(), &self.cols)
-    }
-
     /// Validates model consistency: bounds ordered and non-NaN, finite rhs
     /// and coefficients, finite bounds on integer variables, and
     /// complementarity pairs whose variables admit zero. This is the one
@@ -676,16 +668,5 @@ mod tests {
         m.add_quad(y, x, 1.0);
         // 0.5·(2x² + 2xy) + x  at (2, 3) = 4 + 6 + 2 = 12.
         assert!((m.objective_value(&[2.0, 3.0]) - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csc_export_coalesces() {
-        let mut m = Model::minimize();
-        let x = m.add_var(0.0, 1.0, 1.0);
-        let y = m.add_var(0.0, 1.0, 1.0);
-        m.add_row(Row::le(1.0).coef(x, 1.0).coef(x, 2.0).coef(y, 1.0));
-        let a = m.to_csc();
-        assert_eq!(a.nnz(), 2);
-        assert_eq!(a.col(0).collect::<Vec<_>>(), vec![(0, 3.0)]);
     }
 }

@@ -28,9 +28,10 @@
 //! (`rc_j = c_j − Σ_i y_i·a_ij`) by replaying removals in reverse, so
 //! downstream LMP extraction keeps working with presolve enabled.
 //!
-//! Presolve is always explicit: [`Model::solve`] never presolves on its
-//! own. Callers run [`presolve`] themselves or set
-//! [`BranchOptions::presolve`](crate::branch_bound::BranchOptions::presolve).
+//! Presolve is always explicit: neither [`Model::solve`] nor branch and
+//! bound presolves on its own. Callers run [`presolve`] themselves, solve
+//! the reduced model and map the answer back (Algorithm 1 does, once per
+//! sweep, when its options ask for it).
 
 use super::{LpSolution, Model, RowSense, Sense, VarId};
 use crate::OptimError;
@@ -747,7 +748,9 @@ impl Postsolve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::branch_bound::{self, BranchOptions};
     use crate::lp::Row;
+    use crate::SolveBudget;
 
     #[test]
     fn reference_row_is_eliminated() {
@@ -868,5 +871,62 @@ mod tests {
         assert!((off - 15.0).abs() < 1e-12);
         let ra = pre.postsolve.map_var(a).unwrap();
         assert_eq!(red[ra.index()], 2.0);
+    }
+
+    /// Branch and bound on `m` and on its presolved form, whose answer is
+    /// mapped back: `[direct, presolved]` as (objective, x). The two must
+    /// agree, as Algorithm 1's presolved sweep relies on.
+    fn branch_direct_and_presolved(m: &Model, opts: &BranchOptions) -> [(f64, Vec<f64>); 2] {
+        let solve = |m: &Model| {
+            let out = branch_bound::solve(m, opts, &SolveBudget::unlimited()).unwrap();
+            out.solved().unwrap()
+        };
+        let direct = solve(m);
+        let pre = presolve(m).unwrap();
+        let red = solve(&pre.reduced);
+        let restored = pre.postsolve.restore_x(&red.x);
+        [(direct.objective, direct.x), (red.objective + pre.postsolve.obj_offset(), restored)]
+    }
+
+    fn assert_agree([(plain, px), (pre, qx)]: [(f64, Vec<f64>); 2], want: f64) {
+        assert!((plain - want).abs() < 1e-7, "obj={plain}");
+        assert!((pre - plain).abs() < 1e-9);
+        assert_eq!(px.len(), qx.len());
+        for (p, q) in px.iter().zip(&qx) {
+            assert!((p - q).abs() < 1e-7, "{px:?} vs {qx:?}");
+        }
+    }
+
+    #[test]
+    fn presolved_knapsack_branches_to_the_same_optimum() {
+        // Presolvable structure on top of a knapsack (max 5a + 4b + 3c,
+        // 2a + 3b + c <= 4, binary: a and c, 8): a fixed variable, a
+        // singleton row, and a redundant duplicate row.
+        let mut m = Model::maximize();
+        let vars = [5.0, 4.0, 3.0].map(|c| m.add_var(0.0, 1.0, c));
+        m.add_row(Row::le(4.0).coef(vars[0], 2.0).coef(vars[1], 3.0).coef(vars[2], 1.0));
+        for v in vars {
+            m.set_integer(v);
+        }
+        let fixed = m.add_var(2.0, 2.0, 1.0); // contributes 2 to the objective
+        m.add_row(Row::le(4.0).coef(vars[0], 2.0).coef(vars[1], 3.0).coef(vars[2], 1.0));
+        m.add_row(Row::le(3.0).coef(fixed, 1.0));
+        assert_agree(branch_direct_and_presolved(&m, &BranchOptions::integers()), 10.0);
+    }
+
+    #[test]
+    fn presolved_pairs_branch_to_the_same_optimum() {
+        // max x + y, x + y <= 3, x, y in [0, 2], x ⟂ y, plus a fixed
+        // variable and a redundant row so presolve has work to do; the
+        // pair itself survives.
+        let mut m = Model::maximize();
+        let x = m.add_var(0.0, 2.0, 1.0);
+        let y = m.add_var(0.0, 2.0, 1.0);
+        m.add_row(Row::le(3.0).coef(x, 1.0).coef(y, 1.0));
+        m.add_pair(x, y);
+        let fixed = m.add_var(1.0, 1.0, 3.0);
+        m.add_row(Row::le(6.0).coef(x, 2.0).coef(y, 2.0)); // dominated duplicate
+        m.add_row(Row::le(5.0).coef(fixed, 1.0)); // singleton on the fixed var
+        assert_agree(branch_direct_and_presolved(&m, &BranchOptions::pairs()), 5.0);
     }
 }

@@ -58,25 +58,6 @@ impl AcFlow {
         self.line_flows.iter().map(LineFlow::apparent_mva).collect()
     }
 
-    /// Lines whose apparent flow exceeds the given ratings (MVA), with the
-    /// overload amount.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratings_mva.len()` differs from the line count.
-    pub fn overloads(&self, ratings_mva: &[f64]) -> Vec<(usize, f64)> {
-        assert_eq!(ratings_mva.len(), self.line_flows.len(), "ratings length mismatch");
-        self.line_flows
-            .iter()
-            .zip(ratings_mva)
-            .enumerate()
-            .filter_map(|(i, (lf, &u))| {
-                let over = lf.apparent_mva() - u;
-                (over > 0.0).then_some((i, over))
-            })
-            .collect()
-    }
-
     /// Maximum percentage rating violation over all lines using apparent
     /// flows (AC counterpart of [`crate::dc::DcFlow::max_violation_pct`]).
     ///

@@ -19,24 +19,6 @@ pub struct DcFlow {
 }
 
 impl DcFlow {
-    /// Lines whose |flow| exceeds the given ratings, with the overload in MW.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratings_mw.len() != flow_mw.len()`.
-    pub fn overloads(&self, ratings_mw: &[f64]) -> Vec<(usize, f64)> {
-        assert_eq!(ratings_mw.len(), self.flow_mw.len(), "ratings length mismatch");
-        self.flow_mw
-            .iter()
-            .zip(ratings_mw)
-            .enumerate()
-            .filter_map(|(i, (&f, &u))| {
-                let over = f.abs() - u;
-                (over > 0.0).then_some((i, over))
-            })
-            .collect()
-    }
-
     /// Maximum percentage rating violation `100·(|f|/u − 1)` over all lines
     /// (can be negative when no line is overloaded) — the paper's capacity
     /// violation measure, Eq. (14a), without the clamp at zero.
@@ -209,16 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn overloads_and_violation_pct() {
+    fn violation_pct() {
         let net = paper_three_bus();
         let f = solve(&net, &[120.0, 180.0, -300.0]).unwrap();
         let ratings = vec![160.0, 130.0, 120.0];
-        let over = f.overloads(&ratings);
-        assert_eq!(over.len(), 2);
-        assert_eq!(over[0].0, 1);
-        assert!((over[0].1 - 10.0).abs() < 1e-9);
-        assert_eq!(over[1].0, 2);
-        assert!((over[1].1 - 40.0).abs() < 1e-9);
         let pct = f.max_violation_pct(&ratings);
         assert!((pct - 100.0 * (160.0 / 120.0 - 1.0)).abs() < 1e-9);
     }

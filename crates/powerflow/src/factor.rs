@@ -103,11 +103,6 @@ impl FactorCache {
         &self.keep
     }
 
-    /// Reduced coordinate of a full bus index (`None` for the slack).
-    pub fn reduced_index(&self, bus: usize) -> Option<usize> {
-        self.red.get(bus).copied().flatten()
-    }
-
     /// Solves `B_red · x = rhs` in reduced coordinates.
     ///
     /// # Errors
@@ -285,9 +280,9 @@ mod tests {
         let net = paper_three_bus();
         let cache = FactorCache::build(&net).unwrap();
         assert_eq!(cache.dim(), 2);
-        assert_eq!(cache.reduced_index(cache.slack()), None);
+        assert_eq!(cache.red[cache.slack()], None);
         for (k, &bus) in cache.kept_buses().iter().enumerate() {
-            assert_eq!(cache.reduced_index(bus), Some(k));
+            assert_eq!(cache.red[bus], Some(k));
         }
     }
 

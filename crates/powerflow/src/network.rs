@@ -95,11 +95,6 @@ impl CostCurve {
         self.a * p_mw * p_mw + self.b * p_mw + self.c
     }
 
-    /// Marginal cost `dC/dp` at output `p` MW.
-    pub fn marginal(&self, p_mw: f64) -> f64 {
-        2.0 * self.a * p_mw + self.b
-    }
-
     /// `true` if the quadratic coefficient is (strictly) positive.
     pub fn is_strictly_convex(&self) -> bool {
         self.a > 0.0
@@ -265,15 +260,6 @@ impl Network {
             .map(|(g, &p)| g.cost.cost(p))
             .sum()
     }
-
-    /// Lines incident to a bus.
-    pub fn lines_at(&self, bus: BusId) -> impl Iterator<Item = (LineId, &Line)> {
-        self.lines
-            .iter()
-            .enumerate()
-            .filter(move |(_, l)| l.from == bus || l.to == bus)
-            .map(|(i, l)| (LineId(i), l))
-    }
 }
 
 #[cfg(test)]
@@ -304,7 +290,6 @@ mod tests {
         assert_eq!(net.total_demand_mw(), 300.0);
         assert_eq!(net.total_pmax_mw(), 600.0);
         assert_eq!(net.gens_at(BusId(1)).count(), 1);
-        assert_eq!(net.lines_at(BusId(2)).count(), 2);
     }
 
     #[test]
@@ -319,7 +304,6 @@ mod tests {
     fn cost_curve_math() {
         let c = CostCurve::quadratic(0.01, 10.0, 5.0);
         assert_eq!(c.cost(100.0), 0.01 * 10_000.0 + 1_000.0 + 5.0);
-        assert_eq!(c.marginal(100.0), 12.0);
         assert!(c.is_strictly_convex());
         assert!(!CostCurve::linear(3.0).is_strictly_convex());
     }

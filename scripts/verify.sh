@@ -106,6 +106,11 @@ run env -u ED_THREADS -u ED_TRACE -u ED_POOL cargo test -q --offline --workspace
 # - ED_POOL=0 disables the two cross-scenario stores (the shared factor
 #   pool and serve's sweep-seed pool).
 run env ED_THREADS=4 ED_TRACE=1 ED_POOL=0 cargo test -q --offline --workspace
+# The answer and tally pins once more in the release profile, the one the
+# benchmark and the paper binaries run (about 12 s): the legs above check
+# them only in the dev profile, whose optimization levels differ.
+run env -u ED_THREADS -u ED_TRACE -u ED_POOL cargo test -q --offline --release \
+    --test sweep_bits --test dispatch_bits --test bb_accounting --test paper_regression
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc with warnings as errors: an intra-doc link to a deleted, renamed
 # or private item fails the gate instead of dangling.

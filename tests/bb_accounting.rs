@@ -5,9 +5,9 @@
 //! and everything the run reports is pinned exactly: objective and bound
 //! bits, nodes, simplex iterations, warm starts, cold restarts, and the
 //! `optim.bb.pruned` / `optim.bb.nodes` recorder counters. The cases cover
-//! a warm-started root, a presolved MPEC whose branch would overwrite a
-//! presolve-raised lower bound (pruned instead), a `max_nodes` limit with
-//! and without an incumbent, and a `SolveBudget` node-cap trip.
+//! a warm-started root, trees over presolved models (presolved before the
+//! search, as Algorithm 1 does), a `max_nodes` limit with and without an
+//! incumbent, and a `SolveBudget` node-cap trip.
 //!
 //! Solver refactors must leave every pinned value unchanged: these runs
 //! are deterministic, so any drift means the search itself changed.
@@ -23,6 +23,7 @@ use ed_security::core::attack::{optimal_attack, AttackConfig};
 use ed_security::obs;
 use ed_security::optim::branch_bound::{self, BranchOptions};
 use ed_security::optim::lp::{phase1_basis, Basis, Row, SimplexOptions};
+use ed_security::optim::model::presolve;
 use ed_security::optim::{Model, OptimError, SolveBudget, SolveOutcome};
 use ed_security::powerflow::LineId;
 
@@ -45,7 +46,8 @@ enum Rule {
     Pairs,
 }
 
-/// Per-run knobs shared by both rules.
+/// Per-run knobs shared by both rules. `presolve` solves the presolved
+/// model and maps its objective and bound back by the presolve offset.
 struct Knobs {
     max_nodes: Option<usize>,
     presolve: bool,
@@ -76,20 +78,28 @@ fn run(model: &Model, rule: Rule, k: Knobs) -> String {
         Rule::Integers => BranchOptions::integers(),
         Rule::Pairs => BranchOptions::pairs(),
     };
-    opts.presolve = k.presolve;
     opts.warm = k.warm;
     if let Some(n) = k.max_nodes {
         opts.max_nodes = n;
     }
     opts.simplex.warm = k.root;
-    let out = branch_bound::solve(model, &opts, &k.budget).map(|o| {
+    let (model, offset) = if k.presolve {
+        let pre = presolve::presolve(model).unwrap();
+        let offset = pre.postsolve.obj_offset();
+        (pre.reduced, offset)
+    } else {
+        (model.clone(), 0.0)
+    };
+    let out = branch_bound::solve(&model, &opts, &k.budget).map(|o| {
         o.map(|s| {
             let n = [s.nodes, s.lp_iterations, s.warm_starts, s.cold_restarts];
             (s.objective, s.best_bound, s.proved_optimal, n)
         })
     });
     let report = obs::report_since(&mark);
-    let bits = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{:#018x}", v.to_bits()));
+    let bits = |v: Option<f64>| {
+        v.map_or("-".to_string(), |v| format!("{:#018x}", (v + offset).to_bits()))
+    };
     let line = |finish: String, objective: Option<f64>, bound: Option<f64>, n: [usize; 4]| {
         format!(
             "{finish} obj={} bound={} nodes={} it={} warm={} cold={} | bb.nodes={} bb.pruned={}",
@@ -273,8 +283,8 @@ fn mpec_cold_and_warm_roots() {
 
 /// Each child installs the factor its parent's solve finished with
 /// instead of factoring the same basis matrix again: with warm starts on,
-/// `optim.bb.factor_handoffs` counts every node but the root (no presolve
-/// prunes a node unsolved here); with them off, none.
+/// `optim.bb.factor_handoffs` counts every node but the root; with them
+/// off, none.
 #[test]
 fn children_install_their_parents_factor() {
     let milps =
@@ -316,49 +326,6 @@ fn presolved_tree_accounting() {
         let got = run(&seeded_mpec(seed), Rule::Pairs, Knobs::new(true));
         check(&format!("mpec {seed:#x} presolved"), got, want);
     }
-}
-
-/// Presolve turns singleton rows `x >= 1` into raised lower bounds on pair
-/// variables; a branch fixing such a variable to zero is pruned rather
-/// than allowed to overwrite the bound.
-#[test]
-fn presolve_raised_lower_bound_prunes_the_branch() {
-    // One pair side forced positive: feasible, the other side settles at 0.
-    let mut m = Model::maximize();
-    let x = m.add_var(0.0, 2.0, 1.0);
-    let y = m.add_var(0.0, 2.0, 1.0);
-    m.add_row(Row::ge(1.0).coef(x, 1.0));
-    m.add_pair(x, y);
-    check(
-        "one side forced",
-        run(&m, Rule::Pairs, Knobs::new(true)),
-        "solved proved=true obj=0x4000000000000000 bound=0x4000000000000000 nodes=3 it=2 warm=1 cold=0 | bb.nodes=3 bb.pruned=1",
-    );
-
-    // Both sides forced positive: every branch is pruned, infeasible.
-    let mut m = Model::minimize();
-    let x = m.add_var(0.0, 2.0, 0.0);
-    let y = m.add_var(0.0, 2.0, 0.0);
-    m.add_row(Row::ge(1.0).coef(x, 1.0));
-    m.add_row(Row::ge(1.0).coef(y, 1.0));
-    m.add_pair(x, y);
-    check(
-        "both sides forced",
-        run(&m, Rule::Pairs, Knobs::new(true)),
-        "error problem is infeasible obj=- bound=- nodes=0 it=0 warm=0 cold=0 | bb.nodes=0 bb.pruned=2",
-    );
-
-    // A seeded MPEC with raised bounds on every third variable.
-    let mut m = seeded_mpec(0xE804);
-    let vars = m.var_ids();
-    for &v in vars.iter().step_by(3) {
-        m.add_row(Row::ge(0.5).coef(v, 1.0));
-    }
-    check(
-        "seeded raised bounds",
-        run(&m, Rule::Pairs, Knobs::new(true)),
-        "solved proved=true obj=0x4028933869d91570 bound=0x4028933869d91570 nodes=5 it=5 warm=2 cold=0 | bb.nodes=5 bb.pruned=2",
-    );
 }
 
 #[test]

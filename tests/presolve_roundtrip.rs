@@ -94,9 +94,10 @@ fn qp_postsolve_restores_exact_optimum() {
     assert!((m.objective_value(&restored) - 9.25).abs() < 1e-9);
 }
 
-/// Branch-and-bound's root presolve must not change the integer optimum:
-/// the same MILP solved with presolve forced on and off lands on the same
-/// point and objective (max 5x + 4y + 3w with w fixed: 20 + 6 = 26).
+/// Presolving before branch and bound must not change the integer
+/// optimum: the presolved MILP, its answer mapped back, lands on the point
+/// and objective of the MILP solved as stated (max 5x + 4y + 3w with w
+/// fixed: 20 + 6 = 26).
 #[test]
 fn milp_presolve_matches_unpresolved_optimum() {
     let mut m = Model::maximize();
@@ -107,16 +108,20 @@ fn milp_presolve_matches_unpresolved_optimum() {
     m.add_row(Row::le(6.0).coef(x, 1.0).coef(y, 2.0));
     m.set_integer(x);
     m.set_integer(y);
-    let solve = |presolve| {
-        let opts = BranchOptions { presolve, ..BranchOptions::integers() };
-        branch_bound::solve(&m, &opts, &SolveBudget::unlimited()).unwrap().solved().unwrap()
+    let solve = |m: &Model| {
+        let opts = BranchOptions::integers();
+        branch_bound::solve(m, &opts, &SolveBudget::unlimited()).unwrap().solved().unwrap()
     };
-    let (on, off) = (solve(true), solve(false));
+    let pre = presolve::presolve(&m).unwrap();
+    let (on, off) = (solve(&pre.reduced), solve(&m));
     assert!(on.proved_optimal && off.proved_optimal);
-    assert!((on.objective - 26.0).abs() < 1e-9, "obj {}", on.objective);
-    assert!((on.objective - off.objective).abs() < 1e-9);
-    for (a, b) in on.x.iter().zip(&off.x) {
-        assert!((a - b).abs() < 1e-9, "{:?} vs {:?}", on.x, off.x);
+    let on_x = pre.postsolve.restore_x(&on.x);
+    let on_objective = on.objective + pre.postsolve.obj_offset();
+    assert!((on_objective - 26.0).abs() < 1e-9, "obj {on_objective}");
+    assert!((on_objective - off.objective).abs() < 1e-9);
+    assert_eq!(on_x.len(), off.x.len());
+    for (a, b) in on_x.iter().zip(&off.x) {
+        assert!((a - b).abs() < 1e-9, "{on_x:?} vs {:?}", off.x);
     }
 }
 
