@@ -170,14 +170,6 @@ pub struct SweepReport {
     pub seed_iterations: usize,
 }
 
-impl SweepReport {
-    /// Fraction of rows + columns + nonzeros removed by presolve, in
-    /// `[0, 1]`; zero when presolve was disabled.
-    pub fn reduction_ratio(&self) -> f64 {
-        self.presolve.as_ref().map_or(0.0, PresolveStats::reduction_ratio)
-    }
-}
-
 /// The optimal attack found by Algorithm 1.
 #[derive(Debug, Clone)]
 pub struct AttackResult {

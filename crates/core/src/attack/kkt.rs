@@ -250,13 +250,7 @@ impl KktModel {
     /// system infeasible for every manipulation).
     pub fn prepare(self, use_presolve: bool) -> Result<PreparedKkt, CoreError> {
         if use_presolve {
-            // Scaling is off: the KKT LP is heavily degenerate, and
-            // power-of-two row/column scaling perturbs the simplex pivot path
-            // badly here (~4x the iterations on the 118-bus case) without
-            // improving conditioning — the coefficients are already O(1)
-            // susceptances and unit complementarity rows.
-            let opts = presolve::PresolveOptions { scale: false, ..Default::default() };
-            let pre = presolve::presolve_with(&self.lp, &opts)?;
+            let pre = presolve::presolve(&self.lp)?;
             Ok(PreparedKkt {
                 reduced: pre.reduced,
                 postsolve: Some(pre.postsolve),

@@ -14,10 +14,9 @@
 //!   replacements, each stability guarded so the caller refactorizes
 //!   instead; backs the simplex basis.
 //! - [`Complex`] — complex arithmetic for AC admittance matrices.
-//! - [`CscMatrix`] — compressed sparse column storage for constraint
-//!   matrices, with dense↔sparse conversion and column iteration; the
-//!   interchange format between the optimization model IR, presolve and
-//!   [`Lu`].
+//! - [`CscMatrix`] — compressed sparse column storage, with dense↔sparse
+//!   conversion and column iteration; the input format of [`Lu`], in which
+//!   the simplex assembles its basis matrices.
 //!
 //! Everything here is implemented from scratch (no external linear-algebra
 //! crates) and sized for the problems in this workspace: networks with up to

@@ -1,14 +1,13 @@
 //! Compressed sparse column (CSC) matrices.
 //!
-//! [`CscMatrix`] is the packed interchange format between the optimization
-//! model IR (`ed_optim::model::Model`) and anything that wants to scan a
-//! matrix column-by-column without touching its zeros: presolve, the
-//! sparse [`Lu`](crate::Lu) factorization (which reads its input as a
-//! `CscMatrix`), and benchmarks that report nonzero counts.
+//! [`CscMatrix`] is the input format of the sparse [`Lu`](crate::Lu)
+//! factorization: the simplex assembles its basis matrix from its sorted,
+//! coalesced tableau columns with [`CscMatrix::from_sorted_columns`], and
+//! [`Lu::factor`](crate::Lu::factor) converts a dense matrix with
+//! [`CscMatrix::from_dense`].
 //!
 //! Entries inside each column are stored sorted by row index with no
-//! duplicates; [`CscMatrix::from_columns`] sorts and coalesces on the way
-//! in, so assembly order does not matter.
+//! duplicates, and explicit zeros are dropped.
 //!
 //! # Example
 //!
@@ -17,9 +16,10 @@
 //!
 //! // [ 2 0 ]
 //! // [ 1 3 ]
-//! let a = CscMatrix::from_columns(2, &[vec![(1, 1.0), (0, 2.0)], vec![(1, 3.0)]]);
+//! let cols = [vec![(0, 2.0), (1, 1.0)], vec![(0, 0.0), (1, 3.0)]];
+//! let a = CscMatrix::from_sorted_columns(2, cols.iter().map(Vec::as_slice));
 //! assert_eq!(a.nnz(), 3);
-//! assert_eq!(a.matvec(&[1.0, 1.0]), vec![2.0, 4.0]);
+//! assert_eq!(a.col(1).collect::<Vec<_>>(), vec![(1, 3.0)]);
 //! ```
 
 use crate::matrix::Matrix;
@@ -40,55 +40,9 @@ pub struct CscMatrix {
 }
 
 impl CscMatrix {
-    /// An all-zero matrix of the given shape.
-    pub fn zeros(nrows: usize, ncols: usize) -> CscMatrix {
-        CscMatrix {
-            nrows,
-            ncols,
-            col_ptr: vec![0; ncols + 1],
-            row_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Builds from jagged per-column entry lists (the layout the model IR
-    /// stores). Entries within a column may be unsorted or duplicated;
-    /// duplicates are summed and zeros dropped. Row indices are *not*
-    /// validated here — callers pass columns they already maintain.
-    pub fn from_columns(nrows: usize, cols: &[Vec<(usize, f64)>]) -> CscMatrix {
-        let ncols = cols.len();
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        col_ptr.push(0);
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
-        for col in cols {
-            scratch.clear();
-            scratch.extend_from_slice(col);
-            scratch.sort_unstable_by_key(|&(r, _)| r);
-            let mut i = 0;
-            while i < scratch.len() {
-                let r = scratch[i].0;
-                let mut v = scratch[i].1;
-                i += 1;
-                while i < scratch.len() && scratch[i].0 == r {
-                    v += scratch[i].1;
-                    i += 1;
-                }
-                if v != 0.0 {
-                    row_idx.push(r);
-                    values.push(v);
-                }
-            }
-            col_ptr.push(row_idx.len());
-        }
-        CscMatrix { nrows, ncols, col_ptr, row_idx, values }
-    }
-
     /// Builds from columns whose entries are already sorted by row with no
     /// duplicate rows, copying each column once; explicit zeros are
-    /// dropped. Unlike [`CscMatrix::from_columns`] it neither sorts nor
-    /// sums, so it needs no scratch copy of a column.
+    /// dropped. It neither sorts nor sums.
     pub fn from_sorted_columns<'a>(
         nrows: usize,
         cols: impl ExactSizeIterator<Item = &'a [(usize, f64)]> + Clone,
@@ -172,34 +126,6 @@ impl CscMatrix {
     pub fn norm_inf(&self) -> f64 {
         crate::norm_inf(&self.values)
     }
-
-    /// `y = A·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.ncols, "matvec dimension mismatch");
-        let mut y = vec![0.0; self.nrows];
-        for (j, &xj) in x.iter().enumerate() {
-            if xj != 0.0 {
-                for (i, v) in self.col(j) {
-                    y[i] += v * xj;
-                }
-            }
-        }
-        y
-    }
-
-    /// `x = Aᵀ·y` — one dot product per column, cache-friendly in CSC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != nrows`.
-    pub fn matvec_transpose(&self, y: &[f64]) -> Vec<f64> {
-        assert_eq!(y.len(), self.nrows, "matvec_transpose dimension mismatch");
-        (0..self.ncols).map(|j| self.col(j).map(|(i, v)| v * y[i]).sum()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -215,37 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_dense() {
-        let d = Matrix::from_rows(&[&[1.0, -2.0, 0.0], &[0.0, 4.0, 5.0]]);
-        let s = CscMatrix::from_dense(&d);
-        let x = [1.0, 2.0, 3.0];
-        assert_eq!(s.matvec(&x), vec![-3.0, 23.0]);
-        let y = [2.0, -1.0];
-        assert_eq!(s.matvec_transpose(&y), vec![2.0, -8.0, -5.0]);
-    }
-
-    #[test]
-    fn empty_shapes() {
-        let a = CscMatrix::zeros(0, 0);
-        assert_eq!(a.nnz(), 0);
-        assert_eq!(a.matvec(&[]), Vec::<f64>::new());
-        let b = CscMatrix::zeros(3, 0);
-        assert_eq!(b.matvec(&[]), vec![0.0; 3]);
-    }
-
-    #[test]
-    fn from_columns_sorts_coalesces_and_drops_zeros() {
-        // (1,3) arrives as 2.0 + 1.0; (2,2) arrives as -4.0 + 4.0 → dropped.
-        let cols = vec![
-            vec![(1, 2.0), (0, 1.0)],
-            vec![],
-            vec![(2, -4.0), (2, 4.0)],
-            vec![(1, 2.0), (1, 1.0)],
-        ];
-        let a = CscMatrix::from_columns(3, &cols);
-        assert_eq!(a.nnz(), 3);
+    fn from_sorted_columns_drops_explicit_zeros() {
+        let cols = [vec![(0, 1.0), (1, 2.0)], vec![], vec![(0, 0.0), (2, -4.0)]];
+        let a = CscMatrix::from_sorted_columns(3, cols.iter().map(Vec::as_slice));
+        assert_eq!((a.nrows(), a.ncols(), a.nnz()), (3, 3, 3));
         assert_eq!(a.col(0).collect::<Vec<_>>(), vec![(0, 1.0), (1, 2.0)]);
-        assert_eq!(a.col(2).count(), 0);
-        assert_eq!(a.col(3).collect::<Vec<_>>(), vec![(1, 3.0)]);
+        assert_eq!(a.col(1).count(), 0);
+        assert_eq!(a.col(2).collect::<Vec<_>>(), vec![(2, -4.0)]);
     }
 }

@@ -80,6 +80,22 @@ pub enum Branching {
     Pairs,
 }
 
+impl Branching {
+    /// `(tol, gap_abs)`: the rule's feasibility tolerance (the largest
+    /// accepted fractionality of an integer variable, or the largest
+    /// accepted scaled product `x_a · x_b / max(x_a, x_b, 1)` of a pair) and
+    /// the absolute objective gap at which the search stops.
+    fn tolerances(self) -> (f64, f64) {
+        let t = Tolerances::default();
+        match self {
+            Branching::Integers => (t.int, t.gap),
+            // Complementarity incumbents land on LP vertices, so the gap
+            // closes to simplex precision: two orders above `opt`.
+            Branching::Pairs => (t.feas, 100.0 * t.opt),
+        }
+    }
+}
+
 /// Options for the branch-and-bound solver.
 #[derive(Debug, Clone)]
 pub struct BranchOptions {
@@ -87,12 +103,6 @@ pub struct BranchOptions {
     pub branching: Branching,
     /// Maximum branch-and-bound nodes.
     pub max_nodes: usize,
-    /// Feasibility tolerance of the branching rule: the largest accepted
-    /// fractionality of an integer variable, or the largest accepted scaled
-    /// product `x_a · x_b / max(x_a, x_b, 1)` of a pair.
-    pub tol: f64,
-    /// Absolute objective gap at which the search stops.
-    pub gap_abs: f64,
     /// Simplex options for node relaxations. The root warm-starts from
     /// `simplex.warm` when set.
     pub simplex: SimplexOptions,
@@ -116,18 +126,9 @@ impl BranchOptions {
     }
 
     fn new(branching: Branching, max_nodes: usize) -> BranchOptions {
-        let t = Tolerances::default();
-        let (tol, gap_abs) = match branching {
-            Branching::Integers => (t.int, t.gap),
-            // Complementarity incumbents land on LP vertices, so the gap
-            // closes to simplex precision: two orders above `opt`.
-            Branching::Pairs => (t.feas, 100.0 * t.opt),
-        };
         BranchOptions {
             branching,
             max_nodes,
-            tol,
-            gap_abs,
             simplex: SimplexOptions::default(),
             incumbent_hint: None,
             warm: true,
@@ -228,10 +229,11 @@ pub fn solve(
 }
 
 /// The children of a node whose relaxation point `x` breaks the branching
-/// rule, in exploration order; `None` when `x` satisfies it (a new
-/// incumbent). A child whose bounds would cross is not created.
+/// rule by more than `tol`, in exploration order; `None` when `x` satisfies
+/// it (a new incumbent). A child whose bounds would cross is not created.
 fn children(
-    options: &BranchOptions,
+    branching: Branching,
+    tol: f64,
     lp: &Model,
     overrides: &[Override],
     x: &[f64],
@@ -241,13 +243,13 @@ fn children(
         path.push(o);
         path
     };
-    match options.branching {
+    match branching {
         Branching::Integers => {
             // Most-fractional variable.
             let mut branch: Option<(VarId, f64, f64)> = None; // (var, value, fractionality)
             for &v in lp.integers() {
                 let val = x[v.index()];
-                if (val - val.round()).abs() > options.tol {
+                if (val - val.round()).abs() > tol {
                     let dist = (val - val.floor()).min(val.ceil() - val);
                     if branch.is_none_or(|(_, _, best)| dist > best) {
                         branch = Some((v, val, dist));
@@ -278,7 +280,7 @@ fn children(
                     worst = Some(((a, b), prod));
                 }
             }
-            let ((a, b), _) = worst.filter(|&(_, w)| w > options.tol)?;
+            let ((a, b), _) = worst.filter(|&(_, w)| w > tol)?;
             // Fix the smaller-valued side to zero first.
             let (first, second) = if x[a.index()] <= x[b.index()] { (a, b) } else { (b, a) };
             Some(vec![child((first, 0.0, 0.0)), child((second, 0.0, 0.0))])
@@ -301,6 +303,7 @@ fn search(
     // requirement (each pair variable must admit 0).
     model.validate()?;
     let sense = model.sense();
+    let (tol, gap_abs) = options.branching.tolerances();
 
     // Nodes patch bounds of this copy and restore them after their solve.
     let mut lp = model.clone();
@@ -331,7 +334,7 @@ fn search(
 
     while let Some(mut node) = stack.pop() {
         // Bound-based pruning against the incumbent (or hint).
-        if node.bound >= incumbent_cut - options.gap_abs {
+        if node.bound >= incumbent_cut - gap_abs {
             *pruned += 1;
             continue;
         }
@@ -402,12 +405,12 @@ fn search(
             }
         }
         let node_obj = to_internal(sense, sol.objective);
-        if node_obj >= incumbent_cut - options.gap_abs {
+        if node_obj >= incumbent_cut - gap_abs {
             *pruned += 1;
             continue;
         }
 
-        match children(options, &lp, &node.overrides, &sol.x) {
+        match children(options.branching, tol, &lp, &node.overrides, &sol.x) {
             None => {
                 // Feasible for the rule: new incumbent.
                 incumbent_cut = node_obj;
@@ -452,7 +455,7 @@ fn search(
 
     match incumbent {
         Some((x, internal_obj)) => {
-            let proved = stack.is_empty() || frontier_bound >= incumbent_cut - options.gap_abs;
+            let proved = stack.is_empty() || frontier_bound >= incumbent_cut - gap_abs;
             Ok(SolveOutcome::Solved(BranchSolution {
                 objective: to_internal(sense, internal_obj),
                 best_bound: to_internal(sense, if proved { internal_obj } else { frontier_bound }),

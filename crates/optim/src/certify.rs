@@ -45,12 +45,12 @@ pub const CERT_MARGIN: f64 = 10.0;
 /// The unified numerical-tolerance vocabulary for the whole crate.
 ///
 /// Solver option defaults ([`crate::lp::SimplexOptions`],
-/// [`crate::qp::QpOptions`], [`crate::qp::IpmOptions`],
-/// [`crate::model::presolve::PresolveOptions`],
-/// [`crate::branch_bound::BranchOptions`]) pull
-/// their tolerance fields from [`Tolerances::default`], and [`certify`]
-/// consumes the same struct — one source of truth instead of scattered
-/// `1e-6`/`1e-8` literals that can drift apart.
+/// [`crate::qp::QpOptions`], [`crate::qp::IpmOptions`]) pull their
+/// tolerance fields from [`Tolerances::default`], presolve takes its
+/// feasibility tolerance from it, branch and bound derives its branching
+/// tolerance and stopping gap from it per [`crate::branch_bound::Branching`]
+/// rule, and [`certify`] consumes the same struct — one source of truth
+/// instead of scattered `1e-6`/`1e-8` literals that can drift apart.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerances {
     /// Primal feasibility: bound and row-activity violation (relative).

@@ -22,8 +22,9 @@
 //! [`model::Model`] IR (column-wise constraint storage, variable and row
 //! bounds, optional quadratic terms, integrality marks, complementarity
 //! pairs), with an optional presolve pass ([`model::presolve`]) that
-//! shrinks a model and maps reduced solutions back exactly. The
-//! [`Solver`] trait drives every family uniformly.
+//! shrinks a linear model with complementarity pairs and maps reduced
+//! points back exactly. The [`Solver`] trait drives every family
+//! uniformly.
 //!
 //! # Example: a tiny LP
 //!
@@ -62,7 +63,7 @@ pub use certify::{
 };
 pub use error::OptimError;
 pub use model::{
-    ActiveSetSolver, IpmSolver, Model, Postsolve, PresolveOptions, PresolveStats,
-    Presolved, SimplexSolver, Solution, Solver,
+    ActiveSetSolver, IpmSolver, Model, Postsolve, PresolveStats, Presolved, SimplexSolver,
+    Solution, Solver,
 };
 

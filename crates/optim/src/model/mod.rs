@@ -13,16 +13,17 @@
 //!   QP, integrality marks ([`Model::set_integer`]) make it a MILP, and
 //!   complementarity pairs ([`Model::add_pair`]) make it an MPEC.
 //!
-//! The [`presolve`] submodule reduces a model before solving and maps
-//! solutions back exactly; the [`solver`] submodule defines the [`Solver`]
-//! trait implemented by the continuous solver families.
+//! The [`presolve`] submodule reduces a linear model with complementarity
+//! pairs (Algorithm 1's KKT model) before solving and maps points and
+//! objectives back exactly; the [`solver`] submodule defines the
+//! [`Solver`] trait implemented by the continuous solver families.
 //!
 //! [`Solver`]: solver::Solver
 
 pub mod presolve;
 pub mod solver;
 
-pub use presolve::{Postsolve, PresolveOptions, PresolveStats, Presolved};
+pub use presolve::{Postsolve, PresolveStats, Presolved};
 pub use solver::{ActiveSetSolver, IpmSolver, SimplexSolver, Solution, Solver};
 
 use crate::budget::{SolveBudget, SolveOutcome};

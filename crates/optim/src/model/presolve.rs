@@ -1,4 +1,5 @@
-//! Presolve: shrink a [`Model`] before solving, and map solutions back.
+//! Presolve: shrink a linear [`Model`] with complementarity pairs before
+//! solving, and map solutions back.
 //!
 //! [`presolve`] applies the classic reductions —
 //!
@@ -7,54 +8,38 @@
 //!   variable, a one-entry inequality row tightens a bound, and the row is
 //!   removed either way,
 //! - **fixed-variable elimination**: columns with `lb == ub` are substituted
-//!   into the rows and the objective (including quadratic cross terms),
+//!   into the rows and the objective,
 //! - **dominated duplicate-row removal**: rows with identical coefficient
-//!   vectors keep only the tightest representative,
-//! - **row/column equilibration scaling** by powers of two, which is exact
-//!   in floating point and therefore losslessly invertible —
+//!   vectors keep only the tightest representative —
 //!
 //! to fixpoint, and returns [`Presolved`] carrying the reduced model, a
-//! [`Postsolve`] that maps reduced solutions back to the original variable
-//! space *exactly* (fixed values are reinserted verbatim; scaling undoes by
-//! exact power-of-two multiplication), and a [`PresolveStats`] block for
-//! benchmark reporting.
+//! [`Postsolve`] that maps reduced points and objectives back to the
+//! original variable space *exactly* (fixed values are reinserted
+//! verbatim, survivors keep their values), and a [`PresolveStats`] block
+//! for benchmark reporting.
 //!
+//! The model it accepts is the one Algorithm 1 builds: its KKT
+//! reformulation is linear with complementarity pairs, and the sweep
+//! presolves it once before the fan-out. A model with integer marks or
+//! quadratic terms is refused with [`OptimError::InvalidModel`].
 //! Complementarity-pair columns are never eliminated (MPEC branching must
-//! keep both sides of a pair addressable) and integer columns are never
-//! scaled (scaling would break integrality); bound tightening applies to
-//! both, with inward rounding for integers.
+//! keep both sides of a pair addressable); bound tightening applies to
+//! them.
 //!
-//! Dual recovery: duals of removed rows are reconstructed from stationarity
-//! (`rc_j = c_j − Σ_i y_i·a_ij`) by replaying removals in reverse, so
-//! downstream LMP extraction keeps working with presolve enabled.
+//! Presolve does not scale. The KKT LP is heavily degenerate, and
+//! power-of-two row/column equilibration perturbed the simplex pivot path
+//! badly there (about 4x the iterations on the 118-bus case) without
+//! improving conditioning: the coefficients are already O(1) susceptances
+//! and unit complementarity rows.
 //!
 //! Presolve is always explicit: neither [`Model::solve`] nor branch and
 //! bound presolves on its own. Callers run [`presolve`] themselves, solve
 //! the reduced model and map the answer back (Algorithm 1 does, once per
 //! sweep, when its options ask for it).
 
-use super::{LpSolution, Model, RowSense, Sense, VarId};
+use super::{Model, RowSense, Sense, VarId};
 use crate::OptimError;
 use std::sync::Arc;
-
-/// Tuning knobs for [`presolve_with`].
-#[derive(Debug, Clone)]
-pub struct PresolveOptions {
-    /// Apply power-of-two row/column equilibration scaling (exactly
-    /// invertible; integer and pair columns are exempt).
-    pub scale: bool,
-    /// Feasibility tolerance for consistency checks and bound crossings.
-    pub feas_tol: f64,
-    /// Integrality tolerance for rounding tightened integer bounds inward.
-    pub int_tol: f64,
-}
-
-impl Default for PresolveOptions {
-    fn default() -> PresolveOptions {
-        let tol = crate::certify::Tolerances::default();
-        PresolveOptions { scale: true, feas_tol: tol.feas, int_tol: tol.int }
-    }
-}
 
 /// Size accounting for one presolve run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,75 +73,24 @@ impl PresolveStats {
     pub fn nnz_removed(&self) -> usize {
         self.nnz_before - self.nnz_after
     }
-
-    /// Fraction of the model (rows + cols + nonzeros) removed, in `[0, 1]`.
-    pub fn reduction_ratio(&self) -> f64 {
-        let before = (self.rows_before + self.cols_before + self.nnz_before) as f64;
-        if before == 0.0 {
-            return 0.0;
-        }
-        let after = (self.rows_after + self.cols_after + self.nnz_after) as f64;
-        (1.0 - after / before).max(0.0)
-    }
-}
-
-/// Why a row was removed — drives dual recovery in [`Postsolve`].
-#[derive(Debug, Clone, Copy)]
-enum RemovedKind {
-    /// No live entries; dual is 0.
-    Empty,
-    /// Dominated by a duplicate row; dual is 0 (the kept row carries it).
-    Dominated,
-    /// Single live entry `coef·x_col`; the row became a bound on `col`.
-    Singleton {
-        col: usize,
-        coef: f64,
-        /// The bound the row implied on `col` (in original variable units).
-        implied: f64,
-    },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RemovedRow {
-    row: usize,
-    sense: RowSense,
-    kind: RemovedKind,
 }
 
 /// Inverse map from reduced solutions back to the original model space.
 ///
-/// Cheap to clone (the original columns are `Arc`-shared) and `Send + Sync`,
-/// so one `Postsolve` can serve a parallel sweep.
+/// `Send + Sync`, so one `Postsolve` can serve a parallel sweep.
 #[derive(Debug, Clone)]
 pub struct Postsolve {
-    sense: Sense,
-    n: usize,
-    m: usize,
     col_map: Vec<Option<usize>>,
-    row_map: Vec<Option<usize>>,
-    /// Value of each eliminated column (original units); 0 for live columns.
+    /// Value of each eliminated column; 0 for live columns.
     fixed_val: Vec<f64>,
-    /// `x_orig = col_scale · x_reduced` (1 for eliminated columns).
-    col_scale: Vec<f64>,
-    /// `reduced row = row_scale · original row`, so
-    /// `dual_orig = row_scale · dual_reduced`.
-    row_scale: Vec<f64>,
     /// Constant folded out of the objective by eliminations.
     obj_offset: f64,
-    /// Final tightened bounds (original units) — used to decide whether a
-    /// removed singleton inequality row is the binding one.
-    tight_lb: Vec<f64>,
-    tight_ub: Vec<f64>,
-    removed: Vec<RemovedRow>,
-    orig_cols: Arc<Vec<Vec<(usize, f64)>>>,
-    orig_obj: Vec<f64>,
-    feas_tol: f64,
 }
 
 /// A presolved model plus its inverse map and size accounting.
 #[derive(Debug, Clone)]
 pub struct Presolved {
-    /// The reduced model (same sense and capability flags, remapped ids).
+    /// The reduced model (same sense, remapped ids and pairs).
     pub reduced: Model,
     /// Maps reduced solutions back to original variable space.
     pub postsolve: Postsolve,
@@ -164,24 +98,17 @@ pub struct Presolved {
     pub stats: PresolveStats,
 }
 
-/// Runs presolve with default options. See the [module docs](self).
+/// Runs presolve. See the [module docs](self).
 ///
 /// # Errors
 ///
-/// [`OptimError::Infeasible`] when a reduction proves the model infeasible
-/// (inconsistent empty row, crossed bounds, fractional fixed integer).
+/// - [`OptimError::InvalidModel`] when the model has integer marks or
+///   quadratic terms.
+/// - [`OptimError::Infeasible`] when a reduction proves the model
+///   infeasible (inconsistent empty row, crossed bounds).
 pub fn presolve(model: &Model) -> Result<Presolved, OptimError> {
-    presolve_with(model, &PresolveOptions::default())
-}
-
-/// Runs presolve with explicit options.
-///
-/// # Errors
-///
-/// Same as [`presolve`].
-pub fn presolve_with(model: &Model, opts: &PresolveOptions) -> Result<Presolved, OptimError> {
     let _t = ed_obs::timer("optim.presolve");
-    let out = presolve_with_inner(model, opts);
+    let out = presolve_inner(model);
     if ed_obs::enabled() {
         ed_obs::counter("optim.presolve.runs", 1);
         if let Ok(pre) = &out {
@@ -193,9 +120,14 @@ pub fn presolve_with(model: &Model, opts: &PresolveOptions) -> Result<Presolved,
     out
 }
 
-fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolved, OptimError> {
+fn presolve_inner(model: &Model) -> Result<Presolved, OptimError> {
+    if !model.integers.is_empty() || model.is_quadratic() {
+        let what = "presolve takes linear models without integer marks or quadratic terms";
+        return Err(OptimError::InvalidModel { what: what.to_string() });
+    }
     let n = model.num_vars();
     let m = model.num_rows();
+    let feas_tol = crate::certify::Tolerances::default().feas;
 
     // Coalesced working copies (duplicate (row, col) entries summed).
     let wcols: Vec<Vec<(usize, f64)>> = model
@@ -224,21 +156,14 @@ fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolve
     let mut alive_row = vec![true; m];
     let mut alive_col = vec![true; n];
     let mut fixed_val = vec![0.0_f64; n];
-    let mut removed: Vec<RemovedRow> = Vec::new();
 
     let mut is_pair = vec![false; n];
     for &(a, b) in &model.pairs {
         is_pair[a.0] = true;
         is_pair[b.0] = true;
     }
-    let mut is_int = vec![false; n];
-    for &v in &model.integers {
-        is_int[v.0] = true;
-    }
 
-    let row_tol = |i: usize, wrhs: &[f64], adj: &[f64]| {
-        opts.feas_tol * (1.0 + wrhs[i].abs() + adj[i])
-    };
+    let row_tol = |i: usize, wrhs: &[f64], adj: &[f64]| feas_tol * (1.0 + wrhs[i].abs() + adj[i]);
 
     let mut changed = true;
     while changed {
@@ -272,30 +197,21 @@ fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolve
                         return Err(OptimError::Infeasible);
                     }
                     alive_row[i] = false;
-                    removed.push(RemovedRow {
-                        row: i,
-                        sense: model.row_sense[i],
-                        kind: RemovedKind::Empty,
-                    });
                     changed = true;
                 }
                 1 => {
                     let (j, a) = live.expect("count == 1 implies a live entry");
                     let v = wrhs[i] / a;
-                    let sense = model.row_sense[i];
                     // Which bound the row implies on x_j.
-                    let upper = match sense {
+                    let upper = match model.row_sense[i] {
                         RowSense::Eq => None, // fixes
                         RowSense::Le => Some(a > 0.0),
                         RowSense::Ge => Some(a < 0.0),
                     };
-                    let btol = opts.feas_tol * (1.0 + v.abs());
+                    let btol = feas_tol * (1.0 + v.abs());
                     match upper {
                         None => {
                             if v < wlb[j] - btol || v > wub[j] + btol {
-                                return Err(OptimError::Infeasible);
-                            }
-                            if is_int[j] && (v - v.round()).abs() > opts.int_tol {
                                 return Err(OptimError::Infeasible);
                             }
                             let v = v.clamp(wlb[j], wub[j]);
@@ -303,36 +219,23 @@ fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolve
                             wub[j] = v;
                         }
                         Some(true) => {
-                            let mut cand = v;
-                            if is_int[j] {
-                                cand = (cand + opts.int_tol).floor();
-                            }
-                            if cand < wub[j] {
-                                if cand < wlb[j] - btol {
+                            if v < wub[j] {
+                                if v < wlb[j] - btol {
                                     return Err(OptimError::Infeasible);
                                 }
-                                wub[j] = cand.max(wlb[j]);
+                                wub[j] = v.max(wlb[j]);
                             }
                         }
                         Some(false) => {
-                            let mut cand = v;
-                            if is_int[j] {
-                                cand = (cand - opts.int_tol).ceil();
-                            }
-                            if cand > wlb[j] {
-                                if cand > wub[j] + btol {
+                            if v > wlb[j] {
+                                if v > wub[j] + btol {
                                     return Err(OptimError::Infeasible);
                                 }
-                                wlb[j] = cand.min(wub[j]);
+                                wlb[j] = v.min(wub[j]);
                             }
                         }
                     }
                     alive_row[i] = false;
-                    removed.push(RemovedRow {
-                        row: i,
-                        sense,
-                        kind: RemovedKind::Singleton { col: j, coef: a, implied: v },
-                    });
                     changed = true;
                 }
                 _ => {}
@@ -408,44 +311,7 @@ fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolve
                 };
                 if drop {
                     alive_row[i] = false;
-                    removed.push(RemovedRow {
-                        row: i,
-                        sense: model.row_sense[i],
-                        kind: RemovedKind::Dominated,
-                    });
                 }
-            }
-        }
-    }
-
-    // Power-of-two equilibration on the surviving submatrix.
-    let mut row_scale = vec![1.0_f64; m];
-    let mut col_scale = vec![1.0_f64; n];
-    if opts.scale {
-        for i in 0..m {
-            if !alive_row[i] {
-                continue;
-            }
-            let amax = wrows[i]
-                .iter()
-                .filter(|&&(j, _)| alive_col[j])
-                .map(|&(_, a)| a.abs())
-                .fold(0.0_f64, f64::max);
-            if amax > 0.0 && amax.is_finite() {
-                row_scale[i] = pow2_inverse(amax);
-            }
-        }
-        for j in 0..n {
-            if !alive_col[j] || is_int[j] || is_pair[j] {
-                continue;
-            }
-            let amax = wcols[j]
-                .iter()
-                .filter(|&&(i, _)| alive_row[i])
-                .map(|&(i, a)| (a * row_scale[i]).abs())
-                .fold(0.0_f64, f64::max);
-            if amax > 0.0 && amax.is_finite() {
-                col_scale[j] = pow2_inverse(amax);
             }
         }
     }
@@ -470,22 +336,11 @@ fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolve
     }
     let rows_after = next;
 
-    // Objective: eliminated linear terms and quadratic cross terms fold
-    // into the offset / linear coefficients.
+    // Eliminated linear terms fold into the offset.
     let mut obj_offset = 0.0_f64;
-    let mut obj_adj = model.obj.clone();
     for (j, &v) in fixed_val.iter().enumerate() {
         if !alive_col[j] {
             obj_offset += model.obj[j] * v;
-        }
-    }
-    let mut quad_red: Vec<(usize, usize, f64)> = Vec::new();
-    for &(i, j, q) in &model.quad {
-        match (col_map[i], col_map[j]) {
-            (Some(_), Some(_)) => quad_red.push((i, j, q)), // remapped below
-            (Some(_), None) => obj_adj[i] += 0.5 * q * fixed_val[j],
-            (None, Some(_)) => obj_adj[j] += 0.5 * q * fixed_val[i],
-            (None, None) => obj_offset += 0.5 * q * fixed_val[i] * fixed_val[j],
         }
     }
 
@@ -495,18 +350,16 @@ fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolve
     };
     for j in 0..n {
         if alive_col[j] {
-            let s = col_scale[j];
-            reduced.add_var(scale_div(wlb[j], s), scale_div(wub[j], s), obj_adj[j] * s);
+            reduced.add_var(wlb[j], wub[j], model.obj[j]);
         }
     }
     {
         let rcols = Arc::make_mut(&mut reduced.cols);
         for j in 0..n {
             let Some(rj) = col_map[j] else { continue };
-            let s = col_scale[j];
             for &(i, a) in &wcols[j] {
                 if let Some(ri) = row_map[i] {
-                    rcols[rj].push((ri, a * row_scale[i] * s));
+                    rcols[rj].push((ri, a));
                 }
             }
         }
@@ -514,20 +367,11 @@ fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolve
         for i in 0..m {
             if alive_row[i] {
                 reduced.row_sense.push(model.row_sense[i]);
-                reduced.rhs.push(wrhs[i] * row_scale[i]);
+                reduced.rhs.push(wrhs[i]);
             }
         }
         // Column entries arrived row-major per column already sorted by
         // original row order; compaction preserves that order.
-    }
-    for &(i, j, q) in &quad_red {
-        let (ri, rj) = (col_map[i].unwrap(), col_map[j].unwrap());
-        reduced.quad.push((ri, rj, q * col_scale[i] * col_scale[j]));
-    }
-    for &v in &model.integers {
-        if let Some(rj) = col_map[v.0] {
-            reduced.integers.push(VarId(rj));
-        }
     }
     for &(a, b) in &model.pairs {
         let (ra, rb) = (
@@ -545,40 +389,8 @@ fn presolve_with_inner(model: &Model, opts: &PresolveOptions) -> Result<Presolve
         cols_after,
         nnz_after: reduced.num_nonzeros(),
     };
-    let postsolve = Postsolve {
-        sense: model.sense,
-        n,
-        m,
-        col_map,
-        row_map,
-        fixed_val,
-        col_scale,
-        row_scale,
-        obj_offset,
-        tight_lb: wlb,
-        tight_ub: wub,
-        removed,
-        orig_cols: Arc::clone(&model.cols),
-        orig_obj: model.obj.clone(),
-        feas_tol: opts.feas_tol,
-    };
+    let postsolve = Postsolve { col_map, fixed_val, obj_offset };
     Ok(Presolved { reduced, postsolve, stats })
-}
-
-/// `2^(−round(log2(x)))`, clamped to avoid overflow — the exact power-of-two
-/// factor that brings `x` nearest to 1.
-fn pow2_inverse(x: f64) -> f64 {
-    let e = x.log2().round().clamp(-60.0, 60.0) as i32;
-    (2.0_f64).powi(-e)
-}
-
-/// `x / s` where `s` is a power of two — exact, and preserves infinities.
-fn scale_div(x: f64, s: f64) -> f64 {
-    if x.is_finite() {
-        x / s
-    } else {
-        x
-    }
 }
 
 fn coalesce(entries: &mut Vec<(usize, f64)>) {
@@ -600,148 +412,44 @@ impl Postsolve {
         self.obj_offset
     }
 
-    /// Where an original variable went: `Some(reduced id)` if it survived,
-    /// `None` if it was eliminated at a fixed value.
-    pub fn map_var(&self, v: VarId) -> Option<VarId> {
-        self.col_map[v.0].map(VarId)
-    }
-
     /// Expands a reduced primal point to the original variable space:
     /// eliminated variables take their fixed values verbatim, survivors
-    /// unscale by an exact power of two. `x_red` may be longer than the
-    /// reduced model (e.g. when auxiliary variables were appended after
-    /// presolve); the extras are ignored.
+    /// keep theirs. `x_red` may be longer than the reduced model (e.g. when
+    /// auxiliary variables were appended after presolve); the extras are
+    /// ignored.
     ///
     /// # Panics
     ///
     /// Panics if `x_red` is shorter than the reduced model.
     pub fn restore_x(&self, x_red: &[f64]) -> Vec<f64> {
-        (0..self.n)
-            .map(|j| match self.col_map[j] {
-                Some(rj) => self.col_scale[j] * x_red[rj],
-                None => self.fixed_val[j],
-            })
+        self.col_map
+            .iter()
+            .zip(&self.fixed_val)
+            .map(|(c, &v)| c.map_or(v, |rj| x_red[rj]))
             .collect()
     }
 
-    /// Maps a reduced linear objective vector into reduced space, returning
-    /// the reduced coefficients and the constant contributed by eliminated
-    /// variables. This is what lets Algorithm 1 patch objectives on one
-    /// presolved base model: `obj_orig'x_orig = obj_red'x_red + constant`.
+    /// Maps a linear objective vector over the original variables into
+    /// reduced space, returning the reduced coefficients and the constant
+    /// contributed by eliminated variables. This is what lets Algorithm 1
+    /// patch objectives on one presolved base model:
+    /// `obj_orig'x_orig = obj_red'x_red + constant`.
     ///
     /// # Panics
     ///
     /// Panics if `obj.len()` differs from the original variable count.
     pub fn reduce_objective(&self, obj: &[f64]) -> (Vec<f64>, f64) {
-        assert_eq!(obj.len(), self.n, "objective vector length mismatch");
+        assert_eq!(obj.len(), self.col_map.len(), "objective vector length mismatch");
         let reduced_n = self.col_map.iter().flatten().count();
         let mut red = vec![0.0; reduced_n];
         let mut offset = 0.0;
         for (j, &c) in obj.iter().enumerate() {
             match self.col_map[j] {
-                Some(rj) => red[rj] = c * self.col_scale[j],
+                Some(rj) => red[rj] = c,
                 None => offset += c * self.fixed_val[j],
             }
         }
         (red, offset)
-    }
-
-    /// Expands a reduced [`LpSolution`]: primal restored exactly, objective
-    /// shifted by the eliminated constant, and duals/reduced costs of
-    /// removed rows/columns recovered from stationarity by replaying the
-    /// removals in reverse.
-    pub fn restore_lp_solution(&self, sol: LpSolution) -> LpSolution {
-        let x = self.restore_x(&sol.x);
-
-        let mut duals = vec![0.0; self.m];
-        for (i, d) in duals.iter_mut().enumerate() {
-            if let Some(ri) = self.row_map[i] {
-                *d = self.row_scale[i] * sol.duals[ri];
-            }
-        }
-        // Reduced costs: survivors unscale; eliminated columns are
-        // recomputed from stationarity once all duals are known.
-        let mut rc = vec![f64::NAN; self.n];
-        for (j, c) in rc.iter_mut().enumerate() {
-            if let Some(rj) = self.col_map[j] {
-                *c = sol.reduced_costs[rj] / self.col_scale[j];
-            }
-        }
-
-        // Stationarity in the stated sense: rc_j = c_j − Σ_i y_i·a_ij
-        // (holds for both Min and Max because this crate flips duals and
-        // reduced costs together).
-        let rc_from_duals = |j: usize, duals: &[f64]| -> f64 {
-            let mut v = self.orig_obj[j];
-            for &(i, a) in &self.orig_cols[j] {
-                v -= duals[i] * a;
-            }
-            v
-        };
-
-        for r in self.removed.iter().rev() {
-            let RemovedKind::Singleton { col: j, coef: a, implied } = r.kind else {
-                continue; // empty/dominated rows keep dual 0
-            };
-            if rc[j].is_nan() {
-                rc[j] = rc_from_duals(j, &duals);
-            }
-            match r.sense {
-                RowSense::Eq => {
-                    duals[r.row] = rc[j] / a;
-                    rc[j] = 0.0;
-                }
-                RowSense::Le | RowSense::Ge => {
-                    // Assign the dual only when this row's implied bound is
-                    // the one actually binding at the restored point.
-                    let tol = self.feas_tol * (1.0 + implied.abs());
-                    let is_upper = match r.sense {
-                        RowSense::Le => a > 0.0,
-                        RowSense::Ge => a < 0.0,
-                        RowSense::Eq => unreachable!(),
-                    };
-                    let final_bound = if is_upper { self.tight_ub[j] } else { self.tight_lb[j] };
-                    let binding =
-                        (implied - final_bound).abs() <= tol && (x[j] - implied).abs() <= tol;
-                    if binding {
-                        let y = rc[j] / a;
-                        // Min form: Le duals ≤ 0, Ge duals ≥ 0; flipped for Max.
-                        let sign_ok = match (self.sense, r.sense) {
-                            (Sense::Min, RowSense::Le) | (Sense::Max, RowSense::Ge) => {
-                                y <= self.feas_tol
-                            }
-                            (Sense::Min, RowSense::Ge) | (Sense::Max, RowSense::Le) => {
-                                y >= -self.feas_tol
-                            }
-                            (_, RowSense::Eq) => unreachable!(),
-                        };
-                        if sign_ok {
-                            duals[r.row] = y;
-                            rc[j] = 0.0;
-                        }
-                    }
-                }
-            }
-        }
-        for (j, c) in rc.iter_mut().enumerate() {
-            if c.is_nan() {
-                *c = rc_from_duals(j, &duals);
-            }
-        }
-
-        LpSolution {
-            status: sol.status,
-            objective: sol.objective + self.obj_offset,
-            x,
-            duals,
-            reduced_costs: rc,
-            iterations: sol.iterations,
-            // A basis recorded in the reduced space does not transfer to the
-            // full space, so postsolved solutions carry none.
-            basis: None,
-            warm_used: sol.warm_used,
-            dual_iterations: sol.dual_iterations,
-        }
     }
 }
 
@@ -766,34 +474,27 @@ mod tests {
         // balance row a singleton that fixes p too — everything reduces away.
         assert_eq!(pre.stats.rows_removed(), 2);
         assert_eq!(pre.stats.cols_removed(), 2);
-        assert!(pre.stats.reduction_ratio() > 0.0);
-        assert_eq!(pre.postsolve.map_var(t), None);
+        assert_eq!(pre.stats.nnz_removed(), 3);
         let sol = pre.reduced.solve().unwrap();
-        let full = pre.postsolve.restore_lp_solution(sol);
-        assert_eq!(full.x.len(), 2);
-        assert!((full.x[0] - 5.0).abs() < 1e-9);
-        assert_eq!(full.x[1], 0.0);
-        assert!((full.objective - 5.0).abs() < 1e-9);
-        // Balance-row dual survives; reference-row dual recovered.
-        assert!((full.duals[1] - 1.0).abs() < 1e-9);
+        let x = pre.postsolve.restore_x(&sol.x);
+        assert_eq!(x, vec![5.0, 0.0]);
+        assert_eq!(sol.objective + pre.postsolve.obj_offset(), 5.0);
     }
 
     #[test]
-    fn singleton_inequality_tightens_and_recovers_dual() {
-        // min -x  s.t.  2x <= 8, x in [0, 10]  →  x = 4 with the row binding.
+    fn singleton_inequality_becomes_a_bound() {
+        // min -x  s.t.  2x <= 8, x in [0, 10]  →  the row becomes x <= 4.
         let mut m = Model::minimize();
         let x = m.add_var(0.0, 10.0, -1.0);
         m.add_row(Row::le(8.0).coef(x, 2.0));
         let pre = presolve(&m).unwrap();
         assert_eq!(pre.reduced.num_rows(), 0);
+        assert_eq!(pre.stats.cols_removed(), 0);
+        assert_eq!(pre.reduced.bounds(VarId(0)), (0.0, 4.0));
         let sol = pre.reduced.solve().unwrap();
-        let full = pre.postsolve.restore_lp_solution(sol);
-        assert!((full.x[0] - 4.0).abs() < 1e-9);
-        assert!((full.objective + 4.0).abs() < 1e-9);
-        // Min-form Le dual: y = rc/a = (−1 − 0)/2 = −0.5, and the variable's
-        // reduced cost moves onto the recovered row.
-        assert!((full.duals[0] + 0.5).abs() < 1e-9);
-        assert!(full.reduced_costs[0].abs() < 1e-9);
+        let full = pre.postsolve.restore_x(&sol.x);
+        assert!((full[0] - 4.0).abs() < 1e-9);
+        assert!((sol.objective + pre.postsolve.obj_offset() + 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -811,6 +512,25 @@ mod tests {
     }
 
     #[test]
+    fn integer_and_quadratic_models_are_refused() {
+        let linear = || {
+            let mut m = Model::minimize();
+            let x = m.add_var(0.0, 10.0, 1.0);
+            let y = m.add_var(0.0, 10.0, 1.0);
+            m.add_row(Row::ge(1.0).coef(x, 1.0).coef(y, 1.0));
+            (m, x)
+        };
+        let (m, _) = linear();
+        assert!(presolve(&m).is_ok());
+        let (mut m, x) = linear();
+        m.set_integer(x);
+        assert!(matches!(presolve(&m), Err(OptimError::InvalidModel { .. })));
+        let (mut m, x) = linear();
+        m.add_quad(x, x, 1.0);
+        assert!(matches!(presolve(&m), Err(OptimError::InvalidModel { .. })));
+    }
+
+    #[test]
     fn dominated_duplicates_drop() {
         let mut m = Model::minimize();
         let x = m.add_var(0.0, 10.0, 1.0);
@@ -820,28 +540,14 @@ mod tests {
         m.add_row(Row::ge(1.0).coef(x, 1.0).coef(y, 1.0));
         let pre = presolve(&m).unwrap();
         assert_eq!(pre.stats.rows_removed(), 1);
+        assert_eq!(pre.stats.cols_removed(), 0);
+        // The tighter Le row and the Ge row survive, in their order.
+        assert_eq!(pre.reduced.rhs, vec![5.0, 1.0]);
         let sol = pre.reduced.solve().unwrap();
-        let full = pre.postsolve.restore_lp_solution(sol);
-        assert!((full.objective - 1.0).abs() < 1e-9);
-        assert_eq!(full.duals.len(), 3);
-        assert_eq!(full.duals[1], 0.0, "dominated row keeps zero dual");
-    }
-
-    #[test]
-    fn scaling_round_trips_exactly() {
-        let mut m = Model::minimize();
-        let x = m.add_var(0.0, 1024.0, 3.0);
-        let y = m.add_var(0.0, 1024.0, 1.0);
-        m.add_row(Row::ge(512.0).coef(x, 256.0).coef(y, 256.0));
-        m.add_row(Row::le(0.125).coef(x, 0.0625).coef(y, -0.0625));
-        let pre = presolve_with(&m, &PresolveOptions::default()).unwrap();
-        let sol = pre.reduced.solve().unwrap();
-        let full = pre.postsolve.restore_lp_solution(sol);
-        // Optimum: y as large as possible... solve the original directly and
-        // compare exactly (power-of-two scaling must not perturb the vertex).
-        let direct = m.solve().unwrap();
-        assert_eq!(full.x, direct.x);
-        assert!((full.objective - direct.objective).abs() < 1e-12);
+        let full = pre.postsolve.restore_x(&sol.x);
+        assert_eq!(full.len(), 2);
+        assert!((m.objective_value(&full) - 1.0).abs() < 1e-9);
+        assert!((sol.objective + pre.postsolve.obj_offset() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -854,9 +560,11 @@ mod tests {
         m.add_row(Row::eq(0.0).coef(l, 1.0));
         m.add_row(Row::ge(1.0).coef(s, 1.0).coef(l, 1.0));
         let pre = presolve(&m).unwrap();
-        assert!(pre.postsolve.map_var(l).is_some(), "pair column must survive");
-        assert!(pre.postsolve.map_var(s).is_some());
-        assert_eq!(pre.reduced.pairs().len(), 1);
+        assert_eq!(pre.stats.cols_removed(), 0, "pair columns must survive");
+        assert_eq!(pre.stats.rows_removed(), 1);
+        assert_eq!(pre.reduced.bounds(VarId(0)), (0.0, 0.0));
+        assert_eq!(pre.reduced.pairs(), &[(VarId(0), VarId(1))][..]);
+        assert_eq!(pre.postsolve.restore_x(&[0.0, 1.0]), vec![0.0, 1.0]);
     }
 
     #[test]
@@ -866,59 +574,20 @@ mod tests {
         let t = m.add_var(3.0, 3.0, 0.0); // fixed → eliminated
         m.add_row(Row::le(8.0).coef(a, 1.0).coef(t, 1.0));
         let pre = presolve(&m).unwrap();
+        assert_eq!(pre.stats.cols_removed(), 1);
         let (red, off) = pre.postsolve.reduce_objective(&[2.0, 5.0]);
-        assert_eq!(red.len(), pre.reduced.num_vars());
-        assert!((off - 15.0).abs() < 1e-12);
-        let ra = pre.postsolve.map_var(a).unwrap();
-        assert_eq!(red[ra.index()], 2.0);
-    }
-
-    /// Branch and bound on `m` and on its presolved form, whose answer is
-    /// mapped back: `[direct, presolved]` as (objective, x). The two must
-    /// agree, as Algorithm 1's presolved sweep relies on.
-    fn branch_direct_and_presolved(m: &Model, opts: &BranchOptions) -> [(f64, Vec<f64>); 2] {
-        let solve = |m: &Model| {
-            let out = branch_bound::solve(m, opts, &SolveBudget::unlimited()).unwrap();
-            out.solved().unwrap()
-        };
-        let direct = solve(m);
-        let pre = presolve(m).unwrap();
-        let red = solve(&pre.reduced);
-        let restored = pre.postsolve.restore_x(&red.x);
-        [(direct.objective, direct.x), (red.objective + pre.postsolve.obj_offset(), restored)]
-    }
-
-    fn assert_agree([(plain, px), (pre, qx)]: [(f64, Vec<f64>); 2], want: f64) {
-        assert!((plain - want).abs() < 1e-7, "obj={plain}");
-        assert!((pre - plain).abs() < 1e-9);
-        assert_eq!(px.len(), qx.len());
-        for (p, q) in px.iter().zip(&qx) {
-            assert!((p - q).abs() < 1e-7, "{px:?} vs {qx:?}");
-        }
-    }
-
-    #[test]
-    fn presolved_knapsack_branches_to_the_same_optimum() {
-        // Presolvable structure on top of a knapsack (max 5a + 4b + 3c,
-        // 2a + 3b + c <= 4, binary: a and c, 8): a fixed variable, a
-        // singleton row, and a redundant duplicate row.
-        let mut m = Model::maximize();
-        let vars = [5.0, 4.0, 3.0].map(|c| m.add_var(0.0, 1.0, c));
-        m.add_row(Row::le(4.0).coef(vars[0], 2.0).coef(vars[1], 3.0).coef(vars[2], 1.0));
-        for v in vars {
-            m.set_integer(v);
-        }
-        let fixed = m.add_var(2.0, 2.0, 1.0); // contributes 2 to the objective
-        m.add_row(Row::le(4.0).coef(vars[0], 2.0).coef(vars[1], 3.0).coef(vars[2], 1.0));
-        m.add_row(Row::le(3.0).coef(fixed, 1.0));
-        assert_agree(branch_direct_and_presolved(&m, &BranchOptions::integers()), 10.0);
+        assert_eq!(red, vec![2.0]);
+        assert_eq!(off, 15.0);
+        assert_eq!(pre.postsolve.restore_x(&[4.0]), vec![4.0, 3.0]);
     }
 
     #[test]
     fn presolved_pairs_branch_to_the_same_optimum() {
         // max x + y, x + y <= 3, x, y in [0, 2], x ⟂ y, plus a fixed
         // variable and a redundant row so presolve has work to do; the
-        // pair itself survives.
+        // pair itself survives. Branching on the presolved model and
+        // mapping the answer back must agree with branching on `m`, as
+        // Algorithm 1's presolved sweep relies on.
         let mut m = Model::maximize();
         let x = m.add_var(0.0, 2.0, 1.0);
         let y = m.add_var(0.0, 2.0, 1.0);
@@ -927,6 +596,19 @@ mod tests {
         let fixed = m.add_var(1.0, 1.0, 3.0);
         m.add_row(Row::le(6.0).coef(x, 2.0).coef(y, 2.0)); // dominated duplicate
         m.add_row(Row::le(5.0).coef(fixed, 1.0)); // singleton on the fixed var
-        assert_agree(branch_direct_and_presolved(&m, &BranchOptions::pairs()), 5.0);
+        let solve = |m: &Model| {
+            let out = branch_bound::solve(m, &BranchOptions::pairs(), &SolveBudget::unlimited());
+            out.unwrap().solved().unwrap()
+        };
+        let direct = solve(&m);
+        let pre = presolve(&m).unwrap();
+        let red = solve(&pre.reduced);
+        let restored = pre.postsolve.restore_x(&red.x);
+        assert!((direct.objective - 5.0).abs() < 1e-7, "obj={}", direct.objective);
+        assert!((red.objective + pre.postsolve.obj_offset() - direct.objective).abs() < 1e-9);
+        assert_eq!(direct.x.len(), restored.len());
+        for (p, q) in direct.x.iter().zip(&restored) {
+            assert!((p - q).abs() < 1e-7, "{:?} vs {restored:?}", direct.x);
+        }
     }
 }

@@ -15,5 +15,5 @@ mod newton;
 mod ybus;
 
 pub use flows::{AcFlow, LineFlow};
-pub use newton::{solve, solve_with, AcOptions};
+pub use newton::solve;
 pub use ybus::ybus;

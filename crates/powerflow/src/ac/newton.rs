@@ -5,22 +5,12 @@ use crate::ac::ybus::ybus;
 use crate::{BusKind, Network, PowerflowError};
 use ed_linalg::{Lu, Matrix};
 
-/// Options for the Newton–Raphson iteration.
-#[derive(Debug, Clone)]
-pub struct AcOptions {
-    /// Convergence tolerance on the mismatch infinity-norm (per unit).
-    pub tol: f64,
-    /// Maximum Newton iterations.
-    pub max_iterations: usize,
-}
+/// Convergence tolerance on the mismatch infinity-norm (per unit).
+const TOL: f64 = 1e-8;
+/// Maximum Newton iterations.
+const MAX_ITERATIONS: usize = 50;
 
-impl Default for AcOptions {
-    fn default() -> Self {
-        AcOptions { tol: 1e-8, max_iterations: 50 }
-    }
-}
-
-/// Solves the AC power flow for a generator dispatch, default options.
+/// Solves the AC power flow for a generator dispatch.
 ///
 /// Specified quantities follow bus kinds: the slack bus fixes `V, θ` and
 /// absorbs the active/reactive imbalance (losses); PV buses fix `P` (their
@@ -35,19 +25,6 @@ impl Default for AcOptions {
 ///   from the generator count.
 /// - [`PowerflowError::AcDiverged`] if Newton fails to converge.
 pub fn solve(net: &Network, dispatch_mw: &[f64]) -> Result<AcFlow, PowerflowError> {
-    solve_with(net, dispatch_mw, &AcOptions::default())
-}
-
-/// Solves the AC power flow with explicit options.
-///
-/// # Errors
-///
-/// Same as [`solve`].
-pub fn solve_with(
-    net: &Network,
-    dispatch_mw: &[f64],
-    options: &AcOptions,
-) -> Result<AcFlow, PowerflowError> {
     let n = net.num_buses();
     if dispatch_mw.len() != net.num_gens() {
         return Err(PowerflowError::DimensionMismatch {
@@ -101,7 +78,7 @@ pub fn solve_with(
 
     let mut iterations = 0usize;
     let mut mismatch_norm = f64::INFINITY;
-    while iterations < options.max_iterations {
+    while iterations < MAX_ITERATIONS {
         let (p_calc, q_calc) = calc(&v, &theta);
         // Mismatch vector: ΔP for non-slack, ΔQ for PQ.
         let mut mis = Vec::with_capacity(theta_idx.len() + v_idx.len());
@@ -112,7 +89,7 @@ pub fn solve_with(
             mis.push(q_spec[i] - q_calc[i]);
         }
         mismatch_norm = ed_linalg::norm_inf(&mis);
-        if mismatch_norm < options.tol {
+        if mismatch_norm < TOL {
             let p_injection_mw: Vec<f64> = p_calc.iter().map(|p| p * base).collect();
             let q_injection_mvar: Vec<f64> = q_calc.iter().map(|q| q * base).collect();
             let line_flows = flows::line_flows(net, &v, &theta);

@@ -5,7 +5,7 @@
 //! and everything the run reports is pinned exactly: objective and bound
 //! bits, nodes, simplex iterations, warm starts, cold restarts, and the
 //! `optim.bb.pruned` / `optim.bb.nodes` recorder counters. The cases cover
-//! a warm-started root, trees over presolved models (presolved before the
+//! a warm-started root, trees over presolved MPECs (presolved before the
 //! search, as Algorithm 1 does), a `max_nodes` limit with and without an
 //! incumbent, and a `SolveBudget` node-cap trip.
 //!
@@ -312,13 +312,6 @@ fn children_install_their_parents_factor() {
 
 #[test]
 fn presolved_tree_accounting() {
-    for (seed, want) in [
-        (0xB801_u64, "solved proved=true obj=0xc047a13f70be2819 bound=0xc047a13f70be2819 nodes=5 it=13 warm=4 cold=0 | bb.nodes=5 bb.pruned=2"),
-        (0xB802, "solved proved=true obj=0x4056ae5303f81e6a bound=0x4056ae5303f81e6a nodes=163 it=198 warm=139 cold=0 | bb.nodes=163 bb.pruned=77"),
-    ] {
-        let got = run(&seeded_milp(seed), Rule::Integers, Knobs::new(true));
-        check(&format!("milp {seed:#x} presolved"), got, want);
-    }
     for (seed, want) in [
         (0xE801_u64, "solved proved=true obj=0x402c52b4d7c46154 bound=0x402c52b4d7c46154 nodes=3 it=6 warm=2 cold=0 | bb.nodes=3 bb.pruned=1"),
         (0xE802, "solved proved=true obj=0x4025bfd530703953 bound=0x4025bfd530703953 nodes=3 it=8 warm=2 cold=0 | bb.nodes=3 bb.pruned=1"),
