@@ -2,7 +2,8 @@
 //! agree with a from-scratch refactorization of the explicitly updated
 //! matrix, unstable etas must be rejected rather than returning garbage,
 //! and the sparse factors, solves and eta file must reproduce a dense
-//! right-looking kernel bit for bit.
+//! right-looking kernel bit for bit; the count-ordered factor must
+//! reproduce it on the column-permuted matrix.
 
 use ed_linalg::{CscMatrix, LinalgError, Lu, Matrix, UpdatableLu};
 use ed_rng::{Rng, SeedableRng, StdRng};
@@ -389,9 +390,77 @@ fn kkt_like(n: usize, rng: &mut StdRng) -> Matrix {
     k
 }
 
+/// The columns of `a` by ascending nonzero count, ties by index: the `Q`
+/// of [`Lu::factor_by_count`].
+fn count_order(a: &Matrix) -> Vec<usize> {
+    let n = a.cols();
+    let count = |j: usize| (0..a.rows()).filter(|&i| a[(i, j)] != 0.0).count();
+    let mut q: Vec<usize> = (0..n).collect();
+    q.sort_by_key(|&j| count(j));
+    q
+}
+
+/// `det` of the column permutation `q`, by counting inversions.
+fn inversion_sign(q: &[usize]) -> f64 {
+    let mut sign = 1.0;
+    for i in 0..q.len() {
+        for j in i + 1..q.len() {
+            if q[i] > q[j] {
+                sign = -sign;
+            }
+        }
+    }
+    sign
+}
+
+/// Asserts [`Lu::factor_by_count`] is the dense elimination of `A·Q`:
+/// the same `Singular { column }`, named as the column of `A`, or a
+/// bit-identical determinant (times the sign of `Q`) and solves mapped
+/// through `Q` for each right-hand side in `rhs`. The first must match bit
+/// for bit, the others (with exact zeros) up to the sign of a zero result.
+fn assert_ordered_bit_identical(a: &Matrix, rhs: &[Vec<f64>], what: &str) {
+    let n = a.rows();
+    let q = count_order(a);
+    let mut aq = Matrix::zeros(n, n);
+    for (k, &j) in q.iter().enumerate() {
+        for i in 0..n {
+            aq[(i, k)] = a[(i, j)];
+        }
+    }
+    let (reference, ordered) =
+        match (dense::DenseLu::factor(&aq), Lu::factor_by_count(&CscMatrix::from_dense(a))) {
+            (Ok(r), Ok(o)) => (r, o),
+            (Err(LinalgError::Singular { column }), Err(e)) => {
+                let want = LinalgError::Singular { column: q[column] };
+                assert_eq!(e, want, "{what}: ordered singular column");
+                return;
+            }
+            (r, o) => panic!("{what}: dense A·Q {:?} vs ordered {:?}", r.err(), o.err()),
+        };
+    let det = reference.det() * inversion_sign(&q);
+    assert_eq!(det.to_bits(), ordered.det().to_bits(), "{what}: ordered det");
+    for (t, b) in rhs.iter().enumerate() {
+        let bits_of = if t == 0 { bits } else { bits_up_to_zero_sign };
+        // A x = b is (A·Q) z = b with x = Q z.
+        let z = reference.solve(b);
+        let mut x = vec![0.0; n];
+        for (k, &j) in q.iter().enumerate() {
+            x[j] = z[k];
+        }
+        assert_eq!(bits_of(&x), bits_of(&ordered.solve(b).unwrap()), "{what}: ordered solve");
+        // Aᵀ y = b is (A·Q)ᵀ y = Qᵀ b.
+        let qb: Vec<f64> = q.iter().map(|&j| b[j]).collect();
+        let y = bits_of(&reference.solve_transpose(&qb));
+        let got = bits_of(&ordered.solve_transpose(b).unwrap());
+        assert_eq!(y, got, "{what}: ordered solve_transpose");
+    }
+}
+
 /// Asserts the sparse factorization reproduces the dense kernel: the same
 /// `Singular { column }`, or bit-identical determinant and solves in both
-/// directions for integer, fractional and unit right-hand sides.
+/// directions for integer, fractional and unit right-hand sides. The
+/// count-ordered factor must reproduce the dense kernel on `A·Q`
+/// ([`assert_ordered_bit_identical`]) with the same right-hand sides.
 fn assert_bit_identical(a: &Matrix, rng: &mut StdRng, what: &str) -> bool {
     let n = a.rows();
     let reference = dense::DenseLu::factor(a);
@@ -402,6 +471,7 @@ fn assert_bit_identical(a: &Matrix, rng: &mut StdRng, what: &str) -> bool {
         (Err(r), Err(s), Err(c)) => {
             assert_eq!(r, s, "{what}: singular column");
             assert_eq!(r, c, "{what}: singular column via CSC");
+            assert_ordered_bit_identical(a, &[], what);
             return false;
         }
         (r, s, c) => panic!(
@@ -426,19 +496,21 @@ fn assert_bit_identical(a: &Matrix, rng: &mut StdRng, what: &str) -> bool {
     let mut e = vec![0.0; n];
     e[rng.gen_range(0..n)] = 1.0;
     let ints: Vec<f64> = (0..n).map(|_| rng.gen_range(-4i64..5) as f64).collect();
-    for b in [e, ints] {
-        let x = bits_up_to_zero_sign(&reference.solve(&b));
-        assert_eq!(x, bits_up_to_zero_sign(&sparse.solve(&b).unwrap()), "{what}: sparse solve");
-        let y = bits_up_to_zero_sign(&reference.solve_transpose(&b));
-        let got = bits_up_to_zero_sign(&sparse.solve_transpose(&b).unwrap());
+    for b in [&e, &ints] {
+        let x = bits_up_to_zero_sign(&reference.solve(b));
+        assert_eq!(x, bits_up_to_zero_sign(&sparse.solve(b).unwrap()), "{what}: sparse solve");
+        let y = bits_up_to_zero_sign(&reference.solve_transpose(b));
+        let got = bits_up_to_zero_sign(&sparse.solve_transpose(b).unwrap());
         assert_eq!(y, got, "{what}: sparse solve_transpose");
     }
+    assert_ordered_bit_identical(a, &[b, e, ints], what);
     true
 }
 
 /// Seeded sparse matrices full of exact magnitude ties factor, solve and
 /// report singularity bit-identically to the dense kernel (up to the sign
-/// of exact-zero results where the rhs has zeros). Ties go to the
+/// of exact-zero results where the rhs has zeros), in index order and, on
+/// the column-permuted matrix, in count order. Ties go to the
 /// smallest *current* row position: comparing original row indices instead
 /// picks different pivots on these matrices and fails this test.
 #[test]

@@ -78,9 +78,9 @@ for pin in \
     table3:8550e249f8fbee8aebf62eb4478e4e2b24b7c81d01bbf83916517644cf1568a3 \
     table4:42fc2f750104b1875b9999f0d4acd3e989e64f7d30e498be2060eb1420718ac0 \
     fig2:1d8d183cc3d582e53d99cfc56eca72a6fcd302943df8e80df74475bdd688a028 \
-    fig4:45164d3a2120a27b58ae526d6a7690da99998b1c6a6b6eef128e91c6891d26ab \
+    fig4:75c608635af6233e26be883c3ea657e2d28a4186dc811df107b714d5ec9531b9 \
     fig5:7ce29bb3c97596b6cde947c719d3c11f3e5503be4c39cae8ed728e630a2a47da \
-    fig8:bea83e37fcc8b4c08c868105ac91b92bbb304b50a05892d550c58d481241d418; do
+    fig8:7f0694969f8828eb44ebaa17f80410ed29a03e70c05d843bcfd1aa3939ae5bea; do
     bin="${pin%%:*}"
     want="${pin#*:}"
     run_capped "paper binary $bin" "./target/release/$bin" "$EXAMPLES_DIR/$bin.out"
@@ -107,12 +107,16 @@ run env -u ED_THREADS -u ED_TRACE -u ED_POOL cargo test -q --offline --workspace
 #   pool and serve's sweep-seed pool).
 run env ED_THREADS=4 ED_TRACE=1 ED_POOL=0 cargo test -q --offline --workspace
 # The answer and tally pins once more in the release profile, the one the
-# benchmark and the paper binaries run (about 12 s): the legs above check
+# benchmark and the paper binaries run (about 15 s): the legs above check
 # them only in the dev profile, whose optimization levels differ. The
 # presolve cross-check rides along: sweep118 and chain118 run presolved.
+# So do the 118-bus fill bound and the LU kernel's bit-identity battery
+# against dense elimination, in index and in column-count order: the
+# simplex factors its bases in count order in every profile.
 run env -u ED_THREADS -u ED_TRACE -u ED_POOL cargo test -q --offline --release \
-    --test sweep_bits --test dispatch_bits --test bb_accounting --test paper_regression \
-    --test presolve_roundtrip
+    --test sweep_bits --test sweep_answers --test dispatch_bits --test bb_accounting \
+    --test paper_regression --test presolve_roundtrip --test basis_fill
+run cargo test -q --offline --release -p ed-linalg --test lu
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc with warnings as errors: an intra-doc link to a deleted, renamed
 # or private item fails the gate instead of dangling.
@@ -281,7 +285,7 @@ echo "==> atlas quarantine-as-row OK"
 # (3456 cells, about 5 s) must reproduce the pinned report byte for byte.
 # A change that legitimately moves atlas answers re-pins the hash and
 # gives its evidence.
-ATLAS_PIN_SHA=d1c203c7d56c1320ca7aa772dc2017e862f22876261fe2d1c4838c79593b658e
+ATLAS_PIN_SHA=d83eb08b5fc3a229dd2e5a4718db528c5115f97b06e358507a9a395b468a76e9
 ATLAS_PIN_DIR="$(mktemp -d)"
 trap 'rm -rf "$ATLAS_PIN_DIR"' EXIT
 run ./target/release/ed-atlas --cases three_bus,six_bus --hours 96 --ed-k 3 \

@@ -342,7 +342,7 @@ fn max_nodes_limit_with_and_without_incumbent() {
     );
 
     for (seed, cap, want) in [
-        (0xB801_u64, 3, "solved proved=false obj=0xc047a13f70be2819 bound=0xc048162e7ceebb4d nodes=3 it=12 warm=2 cold=0 | bb.nodes=3 bb.pruned=0"),
+        (0xB801_u64, 3, "solved proved=false obj=0xc047a13f70be2819 bound=0xc048162e7ceebb4c nodes=3 it=12 warm=2 cold=0 | bb.nodes=3 bb.pruned=0"),
         (0xB803, 5, "node-limit obj=- bound=0xc04febbc8ba6091c nodes=5 it=12 warm=3 cold=0 | bb.nodes=5 bb.pruned=1"),
     ] {
         let m = seeded_milp(seed);
@@ -367,8 +367,8 @@ fn solve_budget_node_trip() {
         ..Knobs::new(false)
     };
     for (seed, cap, want) in [
-        (0xB801_u64, 3, "partial Nodes obj=0xc047a13f70be2819 bound=0xc048162e7ceebb4d nodes=3 it=30 warm=0 cold=0 | bb.nodes=3 bb.pruned=0"),
-        (0xB802, 6, "partial Nodes obj=- bound=0x405634d33fadc70c nodes=6 it=58 warm=0 cold=0 | bb.nodes=6 bb.pruned=0"),
+        (0xB801_u64, 3, "partial Nodes obj=0xc047a13f70be2819 bound=0xc048162e7ceebb4c nodes=3 it=30 warm=0 cold=0 | bb.nodes=3 bb.pruned=0"),
+        (0xB802, 6, "partial Nodes obj=- bound=0x405634d33fadc70b nodes=6 it=58 warm=0 cold=0 | bb.nodes=6 bb.pruned=0"),
     ] {
         let got = run(&seeded_milp(seed), Rule::Integers, budget(cap));
         check(&format!("milp {seed:#x} node budget {cap}"), got, want);
@@ -393,7 +393,7 @@ fn warm_node_budget_trip_keeps_warm_tallies() {
     check(
         "milp 0xb801 warm node budget 3",
         run(&seeded_milp(0xB801), Rule::Integers, k),
-        "partial Nodes obj=0xc047a13f70be2819 bound=0xc048162e7ceebb4d nodes=3 it=12 warm=2 cold=0 | bb.nodes=3 bb.pruned=0",
+        "partial Nodes obj=0xc047a13f70be2819 bound=0xc048162e7ceebb4c nodes=3 it=12 warm=2 cold=0 | bb.nodes=3 bb.pruned=0",
     );
     let k = Knobs {
         root: Some(seed_basis(&seeded_mpec(0xE801))),
