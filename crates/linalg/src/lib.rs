@@ -7,9 +7,10 @@
 //!   slicing and assembly helpers.
 //! - [`Lu`] — sparse LU factorization with partial pivoting (only the
 //!   factors' nonzeros are stored, bit-identical to dense elimination),
-//!   used for the simplex basis and for linear solves in the
-//!   Newton–Raphson AC power flow, PTDF computation, and the active-set QP
-//!   solver.
+//!   used for the simplex basis, which it factors with the columns taken
+//!   by ascending nonzero count ([`Lu::factor_by_count`]), and for linear
+//!   solves in the Newton–Raphson AC power flow, PTDF computation, and the
+//!   active-set QP solver.
 //! - [`UpdatableLu`] — an [`Lu`] plus a product-form eta file of column
 //!   replacements, each stability guarded so the caller refactorizes
 //!   instead; backs the simplex basis.
