@@ -165,7 +165,8 @@ fn field_usize(line: &str, key: &str) -> Option<usize> {
     digits.parse().ok()
 }
 
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+/// The string value of `"key":"…"` in a journal line or journaled row.
+pub(crate) fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\":\"");
     let start = line.find(&pat)? + pat.len();
     let end = line[start..].find('"')?;

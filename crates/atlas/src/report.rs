@@ -15,6 +15,7 @@
 use crate::cell::{CellFault, Solved, Tier, UntestableReason};
 use crate::engine::AtlasError;
 use crate::grid::AtlasSpec;
+use crate::journal::field_str;
 use ed_obs::{escape, num};
 use std::io;
 use std::path::Path;
@@ -206,13 +207,6 @@ pub fn quarantined_record(
     }
 }
 
-fn extract_str<'a>(row: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = row.find(&pat)? + pat.len();
-    let end = row[start..].find('"')?;
-    Some(&row[start..start + end])
-}
-
 fn extract_num(row: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
     let start = row.find(&pat)? + pat.len();
@@ -229,7 +223,7 @@ fn extract_num(row: &str, key: &str) -> Option<f64> {
 /// carry the fields every row must have (a corrupt journal must surface,
 /// not silently produce a hole).
 pub fn recovered_record(cell: usize, json: String) -> Result<CellRecord, String> {
-    let kind = extract_str(&json, "outcome")
+    let kind = field_str(&json, "outcome")
         .and_then(RowKind::parse)
         .ok_or_else(|| format!("journaled row for cell {cell} has no outcome: {json}"))?;
     let recorded_cell = extract_num(&json, "cell").map(|v| v as usize);
@@ -238,7 +232,7 @@ pub fn recovered_record(cell: usize, json: String) -> Result<CellRecord, String>
             "journaled row index mismatch: record says {recorded_cell:?}, journal says {cell}"
         ));
     }
-    let tier = extract_str(&json, "tier").and_then(Tier::parse);
+    let tier = field_str(&json, "tier").and_then(Tier::parse);
     let violation_pct = extract_num(&json, "violation_pct");
     let bound_only = json.contains("\"bound_only\":true");
     let retries = extract_num(&json, "retries").map(|v| v as u32).unwrap_or(0);

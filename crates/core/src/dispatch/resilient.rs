@@ -174,26 +174,7 @@ impl ResilientDispatcher {
         ratings_mw: &[f64],
         budget: &SolveBudget,
     ) -> Result<ResilientDispatch, CoreError> {
-        self.dispatch_with_factors(net, demand_mw, ratings_mw, budget, None)
-    }
-
-    /// [`dispatch`](ResilientDispatcher::dispatch) with a pre-built shared
-    /// factorization for the safety-gate audit, skipping the per-interval
-    /// refactorization — the warm-cache path for services that
-    /// dispatch the same topology across many requests.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`dispatch`](ResilientDispatcher::dispatch).
-    pub fn dispatch_with_factors(
-        &mut self,
-        net: &Network,
-        demand_mw: &[f64],
-        ratings_mw: &[f64],
-        budget: &SolveBudget,
-        factors: Option<std::sync::Arc<ed_powerflow::FactorCache>>,
-    ) -> Result<ResilientDispatch, CoreError> {
-        let out = self.run_ladder(net, demand_mw, ratings_mw, budget, factors);
+        let out = self.run_ladder(net, demand_mw, ratings_mw, budget);
         if let Ok(r) = &out {
             ed_obs::counter(r.rung.counter(), 1);
         }
@@ -206,7 +187,6 @@ impl ResilientDispatcher {
         demand_mw: &[f64],
         ratings_mw: &[f64],
         budget: &SolveBudget,
-        factors: Option<std::sync::Arc<ed_powerflow::FactorCache>>,
     ) -> Result<ResilientDispatch, CoreError> {
         // Rungs 1-2 as (rung, solver, linearize). Linear costs start at the
         // LP, which is then exact.
@@ -232,12 +212,10 @@ impl ResilientDispatcher {
         }
 
         // Every dispatch this call returns is audited by the same gate (one
-        // susceptance factorization shared across all rungs).
+        // susceptance factorization, from the factor pool, shared across all
+        // rungs).
         let audit = Audit {
-            gate: match factors {
-                Some(f) => Some(SafetyGate::with_factors(net, f)),
-                None => SafetyGate::new(net).ok(),
-            },
+            gate: SafetyGate::new(net).ok(),
             demand: demand_mw,
             ratings: ratings_mw,
         };

@@ -101,9 +101,10 @@ impl SafetyReport {
     }
 }
 
-/// Independent dispatch auditor for one network topology. Factors the
-/// reduced susceptance matrix once at construction; each check is then a
-/// back-substitution plus `O(gens + lines)` comparisons.
+/// Independent dispatch auditor for one network topology. Takes the
+/// reduced susceptance matrix's factors from the factor pool at
+/// construction; each check is then a back-substitution plus
+/// `O(gens + lines)` comparisons.
 pub struct SafetyGate<'a> {
     net: &'a Network,
     cache: std::sync::Arc<FactorCache>,
@@ -111,9 +112,10 @@ pub struct SafetyGate<'a> {
 
 impl<'a> SafetyGate<'a> {
     /// Builds the gate around the network's shared factorization: repeat
-    /// audits of the same topology (EMS case studies, replica checks) reuse
-    /// the pooled factors instead of refactoring per gate. With
-    /// `ED_POOL=0` this degrades to a fresh, bit-identical factorization.
+    /// audits of the same topology (EMS case studies, replica checks, serve
+    /// requests) reuse the pooled factors instead of refactoring per gate.
+    /// With `ED_POOL=0` this degrades to a fresh, bit-identical
+    /// factorization.
     ///
     /// # Errors
     ///
@@ -121,14 +123,6 @@ impl<'a> SafetyGate<'a> {
     /// impossible for a builder-validated connected network.
     pub fn new(net: &'a Network) -> Result<SafetyGate<'a>, PowerflowError> {
         Ok(SafetyGate { net, cache: FactorCache::shared(net)? })
-    }
-
-    /// Builds the gate around an existing shared factorization of the same
-    /// network, skipping the refactorization — the warm-cache path
-    /// for long-running services that audit many dispatches per topology.
-    /// The caller is responsible for the cache matching the network.
-    pub fn with_factors(net: &'a Network, cache: std::sync::Arc<FactorCache>) -> SafetyGate<'a> {
-        SafetyGate { net, cache }
     }
 
     /// Audits one dispatch against demand and the given line ratings

@@ -16,6 +16,6 @@ pub mod basis;
 pub(crate) mod pricing;
 pub(crate) mod simplex;
 
-pub use crate::model::{LpSolution, LpStatus, Row, RowId, RowSense, Sense, VarId};
+pub use crate::model::{LpSolution, Row, RowId, RowSense, Sense, VarId};
 pub use basis::{Basis, BasisStatus};
 pub use simplex::{phase1_basis, Pricing, SimplexOptions};

@@ -44,7 +44,7 @@
 use crate::budget::{BudgetTripped, Partial, SolveBudget, SolveOutcome};
 use crate::lp::basis::{Basis, BasisStatus};
 use crate::lp::pricing::DevexWeights;
-use crate::model::{LpSolution, LpStatus, Model, RowSense, Sense};
+use crate::model::{LpSolution, Model, RowSense, Sense};
 use crate::OptimError;
 use ed_linalg::{CscMatrix, LinalgError, Lu, UpdatableLu};
 use std::sync::Arc;
@@ -1341,7 +1341,6 @@ fn solve_attempt(
         }
     }
     let solution = LpSolution {
-        status: LpStatus::Optimal,
         objective,
         x,
         duals,

@@ -128,19 +128,10 @@ impl Row {
     }
 }
 
-/// Termination status of an LP solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpStatus {
-    /// An optimal basic solution was found.
-    Optimal,
-}
-
-/// Solution of an LP.
+/// Optimal solution of an LP (infeasible and unbounded outcomes are
+/// reported through [`OptimError`]).
 #[derive(Debug, Clone)]
 pub struct LpSolution {
-    /// Termination status (currently always [`LpStatus::Optimal`]; infeasible
-    /// and unbounded outcomes are reported through [`OptimError`]).
-    pub status: LpStatus,
     /// Optimal objective value in the problem's own sense.
     pub objective: f64,
     /// Primal values for the structural variables, indexed by [`VarId`].

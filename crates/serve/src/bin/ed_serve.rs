@@ -5,8 +5,9 @@
 //!          [--deadline-ms N] [--chaos] [--atlas-journal PATH]
 //! ```
 //!
-//! Runs until SIGTERM/SIGINT, then drains the queue (every admitted
-//! request gets its answer), prints a drain summary, and exits 0.
+//! Runs until SIGTERM/SIGINT, then drains through [`Server::shutdown`]
+//! (every admitted request gets its answer), prints a drain summary, and
+//! exits 0.
 
 use ed_serve::handlers::ServerConfig;
 use ed_serve::metrics::metrics;
@@ -61,8 +62,12 @@ fn main() {
         cfg.allow_chaos
     );
 
-    // Blocks until a shutdown signal, then drains.
-    let drained = server.join();
+    // A signal handler can only store an atomic, so this wait polls it,
+    // here on the main thread and off the request path.
+    while !signal::shutdown_requested() {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let drained = server.shutdown();
     println!(
         "ed-serve: shutdown complete, drained {drained} queued request(s); final metrics: {}",
         metrics().to_json()

@@ -1,5 +1,5 @@
-//! Keyed warm cache: case name → network + shared factorization +
-//! resilient-dispatcher state (which holds the last-known-good dispatch).
+//! Keyed warm cache: case name → network + resilient-dispatcher state
+//! (which holds the last-known-good dispatch).
 //!
 //! Entries sit behind `Arc`s so request handlers share them copy-on-write
 //! style: an invalidation swaps the map slot, while in-flight requests
@@ -7,16 +7,18 @@
 //! is *certified*: a `/certify` answer that fails its certificate, or a
 //! sweep with uncertified subproblems, evicts the entry and drops the
 //! case's pooled sweep seeds, so the next request starts without a
-//! last-known-good dispatch or a seed derived from the failed state. The
-//! factorization is reused: it comes back from the process-wide factor
-//! pool, because it is a pure function of the network and a failed LP
-//! certificate does not implicate it.
+//! last-known-good dispatch or a seed derived from the failed state. An
+//! entry holds no factorization: every solve and safety audit gets the
+//! network's from the process-wide factor pool
+//! ([`FactorCache::shared`](ed_powerflow::FactorCache::shared)), which an
+//! invalidation leaves alone, because it is a pure function of the
+//! network and a failed LP certificate does not implicate it.
 
 use crate::metrics::{bump, metrics};
 use ed_cases::KNOWN_CASES;
 use ed_core::dispatch::ResilientDispatcher;
 use ed_core::pool::SolutionPool;
-use ed_powerflow::{network_fingerprint, FactorCache, Network};
+use ed_powerflow::{network_fingerprint, Network};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -24,8 +26,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct CaseEntry {
     /// The network topology.
     pub net: Arc<Network>,
-    /// Shared susceptance factorization (safety-gate audits, DC solves).
-    pub factors: Arc<FactorCache>,
     /// Ladder state: remembers last-known-good across requests. The mutex
     /// serializes dispatches *per case*, which is also what keeps the LKG
     /// hand-off race-free.
@@ -48,8 +48,8 @@ impl WarmCache {
     ///
     /// # Errors
     ///
-    /// A typed reason string when the case is unknown or its
-    /// factorization fails — the caller turns this into a refusal.
+    /// A typed reason string when the case is unknown — the caller turns
+    /// this into a refusal.
     pub fn entry(&self, case: &str) -> Result<Arc<CaseEntry>, String> {
         if let Some(e) = self.warm(case) {
             bump(&metrics().cache_hits);
@@ -58,14 +58,8 @@ impl WarmCache {
         bump(&metrics().cache_misses);
         let net = ed_cases::by_name(case)
             .ok_or_else(|| format!("unknown case '{case}' (known: {KNOWN_CASES:?})"))?;
-        // Joins the process-wide factor pool (`ED_POOL`): a case already
-        // factored by the attack layer — or by a previous incarnation of
-        // this entry — is shared instead of refactored.
-        let factors = FactorCache::shared(&net)
-            .map_err(|e| format!("case '{case}' cannot be factored: {e}"))?;
         let entry = Arc::new(CaseEntry {
             net: Arc::new(net),
-            factors,
             dispatcher: Mutex::new(ResilientDispatcher::new()),
         });
         // Double-build race on a cold miss is harmless: last writer wins
@@ -82,9 +76,9 @@ impl WarmCache {
     /// Certified invalidation: drops the entry and every pooled sweep seed
     /// of its network — the last-known-good dispatch and the seeds both
     /// derive from state that just failed an independent audit. The next
-    /// request rebuilds the entry with a fresh dispatcher; its factors come
-    /// back from the factor pool, since they depend only on the network
-    /// and a failed certificate does not implicate them.
+    /// request rebuilds the entry with a fresh dispatcher; the network's
+    /// factors stay in the factor pool, since they depend only on the
+    /// network and a failed certificate does not implicate them.
     pub fn invalidate(&self, case: &str) -> bool {
         let removed = self.lock().remove(case);
         if let Some(entry) = &removed {

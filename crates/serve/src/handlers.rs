@@ -240,6 +240,15 @@ fn case_inputs(state: &AppState, body: &Json) -> Result<CaseInputs, Response> {
     Ok((entry, demand, ratings))
 }
 
+/// The independent gate over the case's network, its factors taken from
+/// the process-wide factor pool. Nothing is audited, and so nothing is
+/// served, when `B_red` cannot be factored.
+fn safety_gate(entry: &CaseEntry) -> Result<SafetyGate<'_>, Response> {
+    SafetyGate::new(&entry.net).map_err(|e| {
+        Response::refusal(422, "unaudited", &format!("the safety gate cannot factor this case: {e}"))
+    })
+}
+
 fn core_error_refusal(e: &CoreError) -> Response {
     match e {
         CoreError::DispatchInfeasible => {
@@ -286,13 +295,7 @@ fn dispatch(state: &AppState, body: &Json, deadline: Instant) -> Response {
             .dispatcher
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        dispatcher.dispatch_with_factors(
-            &entry.net,
-            &demand,
-            &ratings,
-            &budget,
-            Some(Arc::clone(&entry.factors)),
-        )
+        dispatcher.dispatch(&entry.net, &demand, &ratings, &budget)
     };
     let rd = match result {
         Ok(rd) => rd,
@@ -410,7 +413,10 @@ fn certify(state: &AppState, body: &Json, deadline: Instant) -> Response {
 
     // Certification checks the answer against the *model*; the gate
     // checks it against the *physics*. Both must pass before it leaves.
-    let gate = SafetyGate::with_factors(&entry.net, Arc::clone(&entry.factors));
+    let gate = match safety_gate(&entry) {
+        Ok(g) => g,
+        Err(r) => return r,
+    };
     let safety = gate.check(&demand, &ratings, &dispatch);
     if !safety.passed() {
         state.cache.invalidate(case);
@@ -582,7 +588,10 @@ fn safety_audit(state: &AppState, body: &Json) -> Response {
         cost: f64::NAN,
         lmp: Vec::new(),
     };
-    let gate = SafetyGate::with_factors(&entry.net, Arc::clone(&entry.factors));
+    let gate = match safety_gate(&entry) {
+        Ok(g) => g,
+        Err(r) => return r,
+    };
     let report = gate.check(&demand, &ratings, &dispatch);
     bump(&metrics().served_ok);
     Response::ok(format!("{{\"status\":\"ok\",\"audit\":{}}}", safety_json(&report)))

@@ -18,8 +18,10 @@
 //!    `X-Deadline-Ms` header into the solve budget, and work that cannot
 //!    finish in time is refused at admission or shed at dequeue — never
 //!    silently half-done.
-//! 4. **Shutdown drains.** SIGTERM stops admission, lets workers finish
-//!    every queued request, then exits 0.
+//! 4. **Shutdown drains.** [`Server::shutdown`] stops admission and lets
+//!    workers finish every queued request. The `ed-serve` binary calls it
+//!    on SIGTERM or SIGINT, then exits 0; the library reads no OS signal
+//!    itself.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,11 +65,12 @@ struct Job {
 
 type WorkerRegistry = Arc<Mutex<Vec<JoinHandle<()>>>>;
 
-/// A running service instance.
+/// A running service instance. [`Server::shutdown`] is the one way to
+/// stop it.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
     workers: WorkerRegistry,
     queue: Arc<BoundedQueue<Job>>,
     /// Shared state, exposed for in-process harnesses (soak, tests).
@@ -103,7 +106,7 @@ impl Server {
                 .expect("spawning the acceptor thread")
         };
 
-        Ok(Server { addr, stop, acceptor: Some(acceptor), workers, queue, state })
+        Ok(Server { addr, stop, acceptor, workers, queue, state })
     }
 
     /// The bound address (useful with port 0).
@@ -111,29 +114,21 @@ impl Server {
         self.addr
     }
 
-    /// Current queue depth (for harnesses).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Blocks until the acceptor exits (stop flag or OS signal), then
-    /// drains: closes the queue, joins every worker (they finish all
-    /// queued requests first), and returns the number of requests still
-    /// queued at the moment admission stopped.
-    pub fn join(mut self) -> usize {
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+    /// Graceful shutdown: stops admission (the acceptor sees the flag
+    /// within one poll interval), closes the queue and joins every worker
+    /// once it has answered all queued requests. Returns the number of
+    /// requests still queued when admission stopped.
+    pub fn shutdown(self) -> usize {
+        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.acceptor.join();
         let in_flight = self.queue.len();
         self.queue.close();
         loop {
-            let handle = {
-                let mut reg = self
-                    .workers
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                reg.pop()
-            };
+            let handle = self
+                .workers
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .pop();
             match handle {
                 Some(h) => {
                     let _ = h.join();
@@ -142,13 +137,6 @@ impl Server {
             }
         }
         in_flight
-    }
-
-    /// Graceful programmatic shutdown: stop admission, drain, join.
-    /// Returns the number of requests drained after admission stopped.
-    pub fn shutdown(self) -> usize {
-        self.stop.store(true, Ordering::Relaxed);
-        self.join()
     }
 }
 
@@ -238,23 +226,22 @@ fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Accepts connections, answers control endpoints inline, and admits
-/// work to the queue — or refuses with typed backpressure.
+/// work to the queue — or refuses with typed backpressure. Polls the
+/// non-blocking listener until [`Server::shutdown`] sets `stop`.
 fn accept_loop(
     listener: TcpListener,
     state: Arc<AppState>,
     queue: Arc<BoundedQueue<Job>>,
     stop: Arc<AtomicBool>,
 ) {
-    loop {
-        if stop.load(Ordering::Relaxed) || signal::shutdown_requested() {
-            break;
-        }
+    while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 bump(&metrics().accepted);
                 handle_connection(stream, &state, &queue);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
+            // Idle (`WouldBlock`) or a failed accept (EMFILE, say): wait
+            // one poll interval either way.
             Err(_) => thread::sleep(ACCEPT_POLL),
         }
     }

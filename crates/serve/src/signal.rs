@@ -1,9 +1,11 @@
 //! SIGTERM/SIGINT → atomic shutdown flag, with no external dependencies.
 //!
 //! The only async-signal-safe action the handler takes is a relaxed store
-//! into a process-wide `AtomicBool`; the accept loop polls it. This is
-//! the single place in the workspace that needs `unsafe` (the raw
-//! `signal(2)` registration) — everything else stays forbidden.
+//! into a process-wide `AtomicBool`. The `ed-serve` binary's `main` polls
+//! it and then calls [`Server::shutdown`](crate::Server::shutdown); the
+//! library never reads it. This is the single place in the workspace that
+//! needs `unsafe` (the raw `signal(2)` registration) — everything else
+//! stays forbidden.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -291,3 +291,24 @@ fn shutdown_drains_in_flight_requests() {
         assert_eq!(status, 200, "queued request must be answered during drain: {body}");
     }
 }
+
+#[test]
+fn idle_server_on_an_unspecified_address_shuts_down() {
+    // `shutdown` must return promptly for a listener bound to an
+    // unspecified address. Run on a helper thread so a shutdown that never
+    // returns fails here instead of hanging the suite.
+    let server = Server::start(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        workers: 1,
+        queue_capacity: 4,
+        ..ServerConfig::default()
+    })
+    .expect("test server failed to bind");
+    let (done, finished) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || done.send(server.shutdown()));
+    let drained = finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown of an idle server did not return within 5 s");
+    helper.join().expect("shutdown thread").expect("result sent");
+    assert_eq!(drained, 0, "an idle server has nothing queued");
+}

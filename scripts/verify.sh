@@ -200,6 +200,17 @@ grep -q '"status":"ok"' "$DRAIN_OUT" || {
     echo "FAILED: drained request did not get its answer: $(cat "$DRAIN_OUT")" >&2
     exit 1
 }
+# The drain must finish within 30 s of the signal; the EXIT trap kills a
+# server that has not.
+for _ in $(seq 1 300); do
+    kill -0 "$SERVE_PID" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$SERVE_PID" 2>/dev/null; then
+    echo "FAILED: ed-serve still running 30 s after SIGTERM" >&2
+    cat "$SERVE_LOG" >&2
+    exit 1
+fi
 SERVE_STATUS=0
 wait "$SERVE_PID" || SERVE_STATUS=$?
 trap - EXIT
