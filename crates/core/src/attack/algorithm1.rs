@@ -205,9 +205,7 @@ pub struct AttackResult {
     /// computed once, or the offered seed ([`BilevelOptions::warm_basis`])
     /// kept because it was primal feasible for this scenario. `None` in
     /// heuristic-only mode, with warm starts disabled, or when phase 1
-    /// tripped the budget. The serve layer pools this per scenario
-    /// fingerprint so repeat sweeps of the same scenario skip phase 1
-    /// entirely; an hour chain hands it to the next hour.
+    /// tripped the budget. An hour chain hands it to the next hour.
     pub seed_basis: Option<ed_optim::lp::Basis>,
 }
 
@@ -272,9 +270,9 @@ pub fn optimal_attack_with(
     }
     // The seed is computed once, before the fan-out: siblings differ only
     // in the objective row, so one phase-1 trajectory serves them all. The
-    // offered `warm_basis` (serve's pooled seed, the previous hour's) is
-    // checked here once: it skips even that phase 1 when primal feasible
-    // at this scenario's rhs and bounds, and is replaced by the cold seed
+    // offered `warm_basis` (the previous hour's seed) is checked here
+    // once: it skips even that phase 1 when primal feasible at this
+    // scenario's rhs and bounds, and is replaced by the cold seed
     // otherwise (a dimension mismatch is dropped by `set_seed`), so every
     // root starts from a seed it accepts.
     let mut seed_iterations = 0;
@@ -365,7 +363,7 @@ pub fn optimal_attack_with(
             if rec.attempted {
                 match options.solver {
                     BilevelSolver::Mpec => sweep.mpec_solves += 1,
-                    BilevelSolver::BigM { .. } => sweep.milp_solves += 1,
+                    BilevelSolver::BigM => sweep.milp_solves += 1,
                 }
             }
             sweep.certify_ms += rec.certify_ms;
@@ -775,8 +773,8 @@ fn run_subproblem_inner(
                     // share whatever fault corrupted the primary answer.
                     let mut alt = options.clone();
                     alt.solver = match options.solver {
-                        BilevelSolver::Mpec => BilevelSolver::BigM { big_m: 1e5 },
-                        BilevelSolver::BigM { .. } => BilevelSolver::Mpec,
+                        BilevelSolver::Mpec => BilevelSolver::BigM,
+                        BilevelSolver::BigM => BilevelSolver::Mpec,
                     };
                     if let Some(resolved) = resolve(&alt).filter(|r| r.2.passed()) {
                         (attempt, sol, cert) = resolved;
@@ -840,7 +838,7 @@ mod tests {
         let net = ed_cases::three_bus();
         let mut config = paper_config(130.0, 120.0);
         config.options = BilevelOptions {
-            solver: BilevelSolver::BigM { big_m: 1e5 },
+            solver: BilevelSolver::BigM,
             node_limit: 50_000,
             ..Default::default()
         };

@@ -15,17 +15,18 @@ use ed_optim::lp::{Basis, Row};
 use ed_optim::OptimError;
 use ed_powerflow::LineId;
 
+/// The big-M constant of [`BilevelSolver::BigM`], in model units (MW /
+/// $-per-MW scale).
+const BIG_M: f64 = 1e5;
+
 /// Which reformulation of complementary slackness to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[derive(Default)]
 pub enum BilevelSolver {
     /// The paper's approach: binary `μ_i` with `λ_i ≤ M μ_i` and
-    /// `s_i ≤ M (1 − μ_i)` (Eq. 16d), solved as a MILP. `big_m` is the
-    /// constant ("M is infinity, chosen as a significantly large number").
-    BigM {
-        /// The big-M constant in model units (MW / $-per-MW scale).
-        big_m: f64,
-    },
+    /// `s_i ≤ M (1 − μ_i)` (Eq. 16d), solved as a MILP, with `M` = 1e5
+    /// ("M is infinity, chosen as a significantly large number").
+    BigM,
     /// Branch directly on violated pairs `λ_i · s_i > 0`; no big-M enters
     /// the model. Scales better and is the default for large networks.
     #[default]
@@ -83,9 +84,8 @@ pub struct BilevelOptions {
     /// warm-started answer that fails its certificate is re-solved cold.
     pub warm_start: Option<bool>,
     /// Seed basis offered from outside the sweep, and the only way a seed
-    /// enters Algorithm 1: e.g. serve's pooled seed from the last certified
-    /// sweep of the same scenario, or the previous hour's `seed_basis` in
-    /// an hour chain. Checked once per sweep, before any subproblem root
+    /// enters Algorithm 1: e.g. the previous hour's `seed_basis` in an
+    /// hour chain. Checked once per sweep, before any subproblem root
     /// sees it: dropped on a dimension mismatch with the prepared reduced
     /// model, kept (phase 1 skipped) when primal feasible at this
     /// scenario's rhs and bounds, and otherwise replaced by the cold
@@ -187,12 +187,12 @@ pub(crate) fn solve_subproblem(
     let (mut lp, offset) = prepared.subproblem(target, dir, scale);
     let mut opts = match options.solver {
         BilevelSolver::Mpec => BranchOptions::pairs(),
-        BilevelSolver::BigM { big_m } => {
+        BilevelSolver::BigM => {
             for (lambda, slack) in lp.pairs().to_vec() {
                 let mu = lp.add_var(0.0, 1.0, 0.0);
                 // λ ≤ M μ  and  s ≤ M (1 − μ)   (Eq. 16d).
-                lp.add_row(Row::le(0.0).coef(lambda, 1.0).coef(mu, -big_m));
-                lp.add_row(Row::le(big_m).coef(slack, 1.0).coef(mu, big_m));
+                lp.add_row(Row::le(0.0).coef(lambda, 1.0).coef(mu, -BIG_M));
+                lp.add_row(Row::le(BIG_M).coef(slack, 1.0).coef(mu, BIG_M));
                 lp.set_integer(mu);
             }
             BranchOptions::integers()

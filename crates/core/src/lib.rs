@@ -18,9 +18,8 @@
 //! - [`mitigation`] — the defenses sketched in Section VII: in-bound and
 //!   trend plausibility checks, attack-aware robust dispatch, and N-version
 //!   replica cross-checking.
-//! - [`pool`] — scenario-fingerprinted seed pool with certified
-//!   invalidation, used by `ed-serve` to start repeat `/sweep`s of a
-//!   scenario from the last certified seed (`ED_POOL` gated).
+//! - [`pool`] — an empty solution pool, kept only for one caller in the
+//!   benchmark package.
 //!
 //! # Example: the paper's 3-bus attack
 //!

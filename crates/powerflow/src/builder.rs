@@ -1,7 +1,7 @@
 //! Validated construction of [`Network`] values.
 
 use crate::network::{Bus, BusId, BusKind, CostCurve, GenId, Generator, Line, LineId, Network};
-use crate::PowerflowError;
+use crate::{fnv1a, PowerflowError};
 
 /// Builder for [`Network`] with validation at [`NetworkBuilder::build`].
 ///
@@ -235,13 +235,48 @@ impl NetworkBuilder {
                 return invalid(format!("network is disconnected (bus {i} unreachable from bus 0)"));
             }
         }
-        Ok(Network {
+        let mut net = Network {
             base_mva: self.base_mva,
             buses: self.buses,
             lines: self.lines,
             gens: self.gens,
-        })
+            fingerprint: 0,
+        };
+        net.fingerprint = fingerprint(&net);
+        Ok(net)
     }
+}
+
+/// FNV-1a over every field that shapes the network's models; see
+/// [`Network::fingerprint`].
+fn fingerprint(net: &Network) -> u64 {
+    let mut bytes: Vec<u8> = Vec::with_capacity(64 + 32 * (net.num_buses() + net.num_lines()));
+    let push_f64 =
+        |bytes: &mut Vec<u8>, v: f64| bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    bytes.extend_from_slice(&net.base_mva().to_bits().to_le_bytes());
+    bytes.extend_from_slice(&(net.slack().0 as u64).to_le_bytes());
+    for bus in net.buses() {
+        push_f64(&mut bytes, bus.demand_mw);
+        push_f64(&mut bytes, bus.demand_mvar);
+        push_f64(&mut bytes, bus.voltage_setpoint_pu);
+    }
+    for line in net.lines() {
+        bytes.extend_from_slice(&(line.from.0 as u64).to_le_bytes());
+        bytes.extend_from_slice(&(line.to.0 as u64).to_le_bytes());
+        push_f64(&mut bytes, line.resistance_pu);
+        push_f64(&mut bytes, line.reactance_pu);
+        push_f64(&mut bytes, line.charging_pu);
+        push_f64(&mut bytes, line.rating_mva);
+    }
+    for g in net.gens() {
+        bytes.extend_from_slice(&(g.bus.0 as u64).to_le_bytes());
+        push_f64(&mut bytes, g.pmin_mw);
+        push_f64(&mut bytes, g.pmax_mw);
+        push_f64(&mut bytes, g.cost.a);
+        push_f64(&mut bytes, g.cost.b);
+        push_f64(&mut bytes, g.cost.c);
+    }
+    fnv1a(bytes)
 }
 
 #[cfg(test)]

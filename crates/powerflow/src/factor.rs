@@ -58,7 +58,7 @@ impl FactorCache {
     }
 
     /// Fetches (or builds and caches) the shared factorization for a
-    /// network, keyed by its topology fingerprint.
+    /// network, keyed by its [`Network::fingerprint`].
     ///
     /// Repeated scenarios over the same network — atlas hour chains, serve
     /// requests, safety audits — hit the same `Arc`'d factors instead of
@@ -76,7 +76,7 @@ impl FactorCache {
         }
         static POOL: OnceLock<Mutex<FactorPool>> = OnceLock::new();
         let pool = POOL.get_or_init(|| Mutex::new(FactorPool::default()));
-        let key = network_fingerprint(net);
+        let key = net.fingerprint();
         if let Some(hit) = pool.lock().expect("factor pool lock").get(key) {
             ed_obs::counter("powerflow.factor.pool.hits", 1);
             return Ok(hit);
@@ -174,10 +174,10 @@ impl FactorCache {
     }
 }
 
-/// Whether the two cross-scenario stores are enabled: the shared factor
-/// pool behind [`FactorCache::shared`] and ed-core's `SolutionPool` of
-/// sweep seeds. On by default; `ED_POOL=0` (or `false`/`off`) disables
-/// both so CI can prove pooled and unpooled answers identical.
+/// Whether the cross-scenario store, the shared factor pool behind
+/// [`FactorCache::shared`], is enabled. On by default; `ED_POOL=0` (or
+/// `false`/`off`) disables it so CI can prove pooled and unpooled answers
+/// identical.
 pub fn pool_env_enabled() -> bool {
     match std::env::var("ED_POOL") {
         Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
@@ -193,39 +193,6 @@ pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// A structural fingerprint of a network: topology, impedances, ratings,
-/// demands, and generator data. Two networks with the same fingerprint
-/// build bit-identical susceptance matrices and dispatch models, so the
-/// fingerprint is a sound pool key for factorizations and warm starts.
-pub fn network_fingerprint(net: &Network) -> u64 {
-    let mut bytes: Vec<u8> = Vec::with_capacity(64 + 32 * (net.num_buses() + net.num_lines()));
-    let push_f64 = |bytes: &mut Vec<u8>, v: f64| bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-    bytes.extend_from_slice(&net.base_mva().to_bits().to_le_bytes());
-    bytes.extend_from_slice(&(net.slack().0 as u64).to_le_bytes());
-    for bus in net.buses() {
-        push_f64(&mut bytes, bus.demand_mw);
-        push_f64(&mut bytes, bus.demand_mvar);
-        push_f64(&mut bytes, bus.voltage_setpoint_pu);
-    }
-    for line in net.lines() {
-        bytes.extend_from_slice(&(line.from.0 as u64).to_le_bytes());
-        bytes.extend_from_slice(&(line.to.0 as u64).to_le_bytes());
-        push_f64(&mut bytes, line.resistance_pu);
-        push_f64(&mut bytes, line.reactance_pu);
-        push_f64(&mut bytes, line.charging_pu);
-        push_f64(&mut bytes, line.rating_mva);
-    }
-    for g in net.gens() {
-        bytes.extend_from_slice(&(g.bus.0 as u64).to_le_bytes());
-        push_f64(&mut bytes, g.pmin_mw);
-        push_f64(&mut bytes, g.pmax_mw);
-        push_f64(&mut bytes, g.cost.a);
-        push_f64(&mut bytes, g.cost.b);
-        push_f64(&mut bytes, g.cost.c);
-    }
-    fnv1a(bytes)
 }
 
 /// Capacity-capped FIFO pool of shared factorizations.
@@ -337,8 +304,8 @@ mod tests {
         b.add_gen(b1, 0.0, 300.0, CostCurve::linear(2.0));
         b.add_gen(b2, 0.0, 300.0, CostCurve::linear(1.0));
         let other = b.build().unwrap();
-        assert_ne!(network_fingerprint(&net), network_fingerprint(&other));
-        assert_eq!(network_fingerprint(&net), network_fingerprint(&paper_three_bus()));
+        assert_ne!(net.fingerprint(), other.fingerprint());
+        assert_eq!(net.fingerprint(), paper_three_bus().fingerprint());
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub mod ptdf;
 
 pub use builder::NetworkBuilder;
 pub use error::PowerflowError;
-pub use factor::{fnv1a, network_fingerprint, pool_env_enabled, FactorCache};
+pub use factor::{fnv1a, pool_env_enabled, FactorCache};
 pub use network::{Bus, BusId, BusKind, CostCurve, GenId, Generator, Line, LineId, Network};

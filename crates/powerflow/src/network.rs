@@ -122,15 +122,27 @@ pub struct Generator {
 ///
 /// Construct with [`crate::NetworkBuilder`]; the builder guarantees a single
 /// slack bus, positive reactances, in-range indices, and a connected graph.
+/// A network is immutable once built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     pub(crate) base_mva: f64,
     pub(crate) buses: Vec<Bus>,
     pub(crate) lines: Vec<Line>,
     pub(crate) gens: Vec<Generator>,
+    /// [`Network::fingerprint`], computed once by the builder.
+    pub(crate) fingerprint: u64,
 }
 
 impl Network {
+    /// A structural fingerprint: FNV-1a over the topology, impedances,
+    /// ratings, demands and generator data. Two networks with the same
+    /// fingerprint build bit-identical susceptance matrices, so it is a
+    /// sound key for the shared factor pool ([`crate::FactorCache::shared`]).
+    /// Computed once, when the network is built.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
     /// System MVA base for per-unit conversion.
     pub fn base_mva(&self) -> f64 {
         self.base_mva

@@ -5,11 +5,10 @@
 //! style: an invalidation swaps the map slot, while in-flight requests
 //! keep their (still-consistent) snapshot until they finish. Invalidation
 //! is *certified*: a `/certify` answer that fails its certificate, or a
-//! sweep with uncertified subproblems, evicts the entry and drops the
-//! case's pooled sweep seeds, so the next request starts without a
-//! last-known-good dispatch or a seed derived from the failed state. An
-//! entry holds no factorization: every solve and safety audit gets the
-//! network's from the process-wide factor pool
+//! sweep with uncertified subproblems, evicts the entry, so the next
+//! request starts without a last-known-good dispatch derived from the
+//! failed state. An entry holds no factorization: every solve and safety
+//! audit gets the network's from the process-wide factor pool
 //! ([`FactorCache::shared`](ed_powerflow::FactorCache::shared)), which an
 //! invalidation leaves alone, because it is a pure function of the
 //! network and a failed LP certificate does not implicate it.
@@ -17,8 +16,7 @@
 use crate::metrics::{bump, metrics};
 use ed_cases::KNOWN_CASES;
 use ed_core::dispatch::ResilientDispatcher;
-use ed_core::pool::SolutionPool;
-use ed_powerflow::{network_fingerprint, Network};
+use ed_powerflow::Network;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -51,7 +49,7 @@ impl WarmCache {
     /// A typed reason string when the case is unknown — the caller turns
     /// this into a refusal.
     pub fn entry(&self, case: &str) -> Result<Arc<CaseEntry>, String> {
-        if let Some(e) = self.warm(case) {
+        if let Some(e) = self.lock().get(case).cloned() {
             bump(&metrics().cache_hits);
             return Ok(e);
         }
@@ -68,24 +66,17 @@ impl WarmCache {
         Ok(entry)
     }
 
-    /// The warm entry for `case`, if one is cached. Never builds one.
-    pub fn warm(&self, case: &str) -> Option<Arc<CaseEntry>> {
-        self.lock().get(case).cloned()
-    }
-
-    /// Certified invalidation: drops the entry and every pooled sweep seed
-    /// of its network — the last-known-good dispatch and the seeds both
-    /// derive from state that just failed an independent audit. The next
-    /// request rebuilds the entry with a fresh dispatcher; the network's
-    /// factors stay in the factor pool, since they depend only on the
-    /// network and a failed certificate does not implicate them.
+    /// Certified invalidation: drops the entry, whose last-known-good
+    /// dispatch derives from state that just failed an independent audit.
+    /// The next request rebuilds the entry with a fresh dispatcher; the
+    /// network's factors stay in the factor pool, since they depend only on
+    /// the network and a failed certificate does not implicate them.
     pub fn invalidate(&self, case: &str) -> bool {
-        let removed = self.lock().remove(case);
-        if let Some(entry) = &removed {
+        let removed = self.lock().remove(case).is_some();
+        if removed {
             bump(&metrics().cache_invalidations);
-            SolutionPool::global().invalidate_network(network_fingerprint(&entry.net));
         }
-        removed.is_some()
+        removed
     }
 
     /// Number of warm entries.
@@ -126,29 +117,6 @@ mod tests {
             Ok(_) => panic!("unknown case must not build"),
         };
         assert!(err.contains("unknown case"), "{err}");
-    }
-
-    #[test]
-    fn invalidation_drops_the_cases_pooled_seeds() {
-        use ed_core::pool::PoolEntry;
-        use ed_optim::lp::Basis;
-        let cache = WarmCache::new();
-        let entry = cache.entry("three_bus").unwrap();
-        let network = network_fingerprint(&entry.net);
-        let pool = SolutionPool::global();
-        // Two sweep scenarios of this case, keyed apart from anything
-        // another test of this binary could pool.
-        let keys = [network ^ 1, network ^ 2];
-        for key in keys {
-            pool.store(key, PoolEntry { basis: Basis::default(), network });
-        }
-        assert_eq!(pool.lookup(keys[0]).is_some(), SolutionPool::enabled());
-        assert!(cache.invalidate("three_bus"));
-        for key in keys {
-            assert!(pool.lookup(key).is_none(), "an invalidated case kept a pooled seed");
-        }
-        // A cold case has nothing to invalidate.
-        assert!(!cache.invalidate("six_bus"));
     }
 
     #[test]

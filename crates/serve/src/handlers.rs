@@ -15,11 +15,10 @@ use crate::json::{self, num_array, Json};
 use crate::metrics::{bump, metrics};
 use ed_core::attack::{optimal_attack, AttackConfig};
 use ed_core::dispatch::{DcOpf, Degradation, Dispatch, SafetyGate, SafetyReport};
-use ed_core::pool::{scenario_fingerprint, PoolEntry, SolutionPool};
 use ed_core::{CoreError, SolveBudget};
 use ed_obs::{escape, num};
 use ed_optim::Trust;
-use ed_powerflow::{network_fingerprint, LineId};
+use ed_powerflow::LineId;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,9 +37,7 @@ pub struct ServerConfig {
     /// honored. Off by default; the soak harness turns it on.
     pub allow_chaos: bool,
     /// Path to an `ed-atlas` journal. When set, `GET /atlas` reports the
-    /// sweep's recovery state and evicts warm sweep bases for any case
-    /// the atlas has quarantined; when unset, `/atlas` is a typed
-    /// refusal.
+    /// sweep's recovery state; when unset, `/atlas` is a typed refusal.
     pub atlas_journal: Option<String>,
 }
 
@@ -102,13 +99,11 @@ impl Response {
     }
 }
 
-/// `GET /atlas`: reports the configured atlas journal's recovery state
-/// and couples the sweep's quarantine verdicts back into the warm cache —
-/// any warm case the atlas quarantined has its pooled sweep seeds
-/// evicted (narrowly: factors and last-known-good stay, both being
-/// independently audited). Answered inline by the acceptor so it stays
-/// responsive under work-queue saturation, like the other control
-/// endpoints.
+/// `GET /atlas`: reports the configured atlas journal's recovery state:
+/// progress, quarantine events and the quarantined cases. It changes no
+/// server state; the warm cache holds nothing an atlas quarantine
+/// implicates. Answered inline by the acceptor so it stays responsive
+/// under work-queue saturation, like the other control endpoints.
 pub fn handle_atlas(state: &AppState) -> Response {
     bump(&metrics().atlas_polls);
     let Some(path) = state.cfg.atlas_journal.as_deref() else {
@@ -128,24 +123,12 @@ pub fn handle_atlas(state: &AppState) -> Response {
             );
         }
     };
-    let mut evicted: Vec<String> = Vec::new();
-    for case in scan.quarantined_cases() {
-        // A cold case has no pooled seeds: invalidating an entry drops
-        // them with it.
-        let network = state.cache.warm(&case).map(|e| network_fingerprint(&e.net));
-        if network.is_some_and(|n| SolutionPool::global().invalidate_network(n) > 0) {
-            bump(&metrics().atlas_quarantine_evictions);
-            evicted.push(case);
-        }
-    }
-    let quarantined = scan.quarantined_cases();
-    let join = |names: &[String]| {
-        names.iter().map(|c| format!("\"{}\"", escape(c))).collect::<Vec<_>>().join(",")
-    };
+    let quarantined: Vec<String> =
+        scan.quarantined_cases().iter().map(|c| format!("\"{}\"", escape(c))).collect();
     Response::ok(format!(
         "{{\"status\":\"ok\",\"journal\":\"{}\",\"spec_fingerprint\":{},\"cells\":{},\
          \"completed\":{},\"in_flight\":{},\"torn_lines\":{},\"quarantine_events\":{},\
-         \"quarantined_cases\":[{}],\"evicted_bases\":[{}]}}",
+         \"quarantined_cases\":[{}]}}",
         escape(path),
         match &scan.fingerprint {
             Some(f) => format!("\"{}\"", escape(f)),
@@ -156,8 +139,7 @@ pub fn handle_atlas(state: &AppState) -> Response {
         scan.in_flight(),
         scan.torn_lines,
         scan.quarantines.len(),
-        join(&quarantined),
-        join(&evicted),
+        quarantined.join(","),
     ))
 }
 
@@ -439,9 +421,8 @@ fn certify(state: &AppState, body: &Json, deadline: Instant) -> Response {
     ))
 }
 
-/// `POST /sweep` — Algorithm 1 attack assessment, started from the pooled
-/// seed of a repeat scenario; a sweep with any uncertified subproblem
-/// refuses and evicts the warm entry.
+/// `POST /sweep` — Algorithm 1 attack assessment; a sweep with any
+/// uncertified subproblem refuses and evicts the warm entry.
 fn sweep(state: &AppState, body: &Json, deadline: Instant) -> Response {
     let (entry, demand, _ratings) = match case_inputs(state, body) {
         Ok(v) => v,
@@ -502,17 +483,6 @@ fn sweep(state: &AppState, body: &Json, deadline: Instant) -> Response {
         config.options.node_limit = (nodes as usize).clamp(1, 1_000_000);
     }
 
-    // Warm-start a repeat sweep of the same scenario from the pooled seed
-    // of its last fully-certified run. The attack layer checks the seed
-    // once and certifies every answer, so a stale entry can cost
-    // iterations but never change a result.
-    let pool = SolutionPool::global();
-    let scenario = scenario_fingerprint(&entry.net, &config);
-    config.options.warm_basis = pool.lookup(scenario).map(|e| e.basis);
-    if config.options.warm_basis.is_some() {
-        bump(&metrics().sweep_basis_hits);
-    }
-
     let res = match optimal_attack(&entry.net, &config) {
         Ok(r) => r,
         Err(e) => return core_error_refusal(&e),
@@ -529,16 +499,6 @@ fn sweep(state: &AppState, body: &Json, deadline: Instant) -> Response {
                 res.subproblems.len()
             ),
         );
-    }
-
-    // Only a fully-certified sweep may donate its seed basis to future
-    // requests — an uncertified one already refused above, and a sweep
-    // with no certificates (certify off) is not trusted warm state.
-    if let Some(basis) = res.seed_basis.clone() {
-        if res.sweep.certified + res.sweep.cert_repaired == res.subproblems.len() {
-            let network = network_fingerprint(&entry.net);
-            pool.store(scenario, PoolEntry { basis, network });
-        }
     }
 
     let target = match res.target {

@@ -62,13 +62,8 @@ service_metrics! {
     cache_misses,
     /// Cache entries evicted by certified invalidation.
     cache_invalidations,
-    /// `/sweep` requests that started from a pooled certified seed basis.
-    sweep_basis_hits,
     /// `/atlas` polls (successful or refused).
     atlas_polls,
-    /// Cases whose pooled sweep seeds were evicted because the atlas
-    /// quarantined a cell of the case.
-    atlas_quarantine_evictions,
     /// Responses the server failed to write (client gone).
     write_failures,
 }
@@ -88,9 +83,7 @@ static METRICS: Metrics = Metrics {
     cache_hits: AtomicU64::new(0),
     cache_misses: AtomicU64::new(0),
     cache_invalidations: AtomicU64::new(0),
-    sweep_basis_hits: AtomicU64::new(0),
     atlas_polls: AtomicU64::new(0),
-    atlas_quarantine_evictions: AtomicU64::new(0),
     write_failures: AtomicU64::new(0),
 };
 
@@ -127,9 +120,7 @@ mod tests {
             "cache_hits",
             "cache_misses",
             "cache_invalidations",
-            "sweep_basis_hits",
             "atlas_polls",
-            "atlas_quarantine_evictions",
             "write_failures",
         ] {
             assert!(j.contains(&format!("\"{key}\":")), "{j}");

@@ -1,7 +1,6 @@
-//! `/atlas` endpoint tests: the sweep journal's quarantine verdicts must
-//! flow back into the warm cache (evicting only the pooled sweep seeds of
-//! the quarantined case), and an unconfigured or unreadable journal must
-//! be a typed refusal — never a guessed answer.
+//! `/atlas` endpoint tests: a configured journal's recovery state is
+//! reported as read, without touching the warm cache, and an unconfigured
+//! or unreadable journal is a typed refusal — never a guessed answer.
 
 use ed_atlas::Journal;
 use ed_serve::chaos::exchange;
@@ -60,13 +59,9 @@ fn unreadable_journal_is_a_typed_refusal_not_a_guess() {
 }
 
 #[test]
-fn quarantine_events_evict_the_matching_sweep_basis() {
-    use ed_core::pool::{PoolEntry, SolutionPool};
-    use ed_optim::lp::{Basis, BasisStatus};
-    use ed_powerflow::network_fingerprint;
-
+fn atlas_reports_the_journal_and_leaves_the_warm_cache_alone() {
     // A journal recording a quarantined cell on three_bus.
-    let path = temp_journal("evict");
+    let path = temp_journal("report");
     let j = Journal::create(&path, "deadbeef00000000", 6).unwrap();
     j.claim(0).unwrap();
     j.result(0, "{\"cell\":0,\"outcome\":\"completed\"}").unwrap();
@@ -76,41 +71,36 @@ fn quarantine_events_evict_the_matching_sweep_basis() {
     drop(j);
 
     let server = start(Some(path.to_str().unwrap().to_string()));
-    // Warm two cases with pooled sweep seeds; only the quarantined case's
-    // seed may be evicted.
-    let pool = SolutionPool::global();
-    let basis = Basis { statuses: vec![BasisStatus::Basic], art_rows: Vec::new() };
-    let tainted = server.state.cache.entry("three_bus").unwrap();
-    let network = network_fingerprint(&tainted.net);
-    pool.store(7, PoolEntry { basis: basis.clone(), network });
-    let healthy = server.state.cache.entry("six_bus").unwrap();
-    pool.store(9, PoolEntry { basis, network: network_fingerprint(&healthy.net) });
-    // With ED_POOL=0 nothing was pooled, so nothing can be evicted.
-    let pooling = SolutionPool::enabled();
+    // Warm the quarantined case and a healthy one.
+    server.state.cache.entry("three_bus").unwrap();
+    server.state.cache.entry("six_bus").unwrap();
 
     let (status, v) = get_atlas(&server);
     assert_eq!(status, 200, "{v:?}");
     assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
     assert_eq!(v.get("completed").and_then(Json::as_f64), Some(2.0));
     assert_eq!(v.get("quarantine_events").and_then(Json::as_f64), Some(1.0));
-    let evicted = str_array(&v, "evicted_bases");
-    let expected: Vec<String> = if pooling { vec!["three_bus".to_string()] } else { Vec::new() };
-    assert_eq!(evicted, expected, "{v:?}");
     assert_eq!(str_array(&v, "quarantined_cases"), vec!["three_bus".to_string()]);
-
-    assert!(pool.lookup(7).is_none(), "quarantined case must lose its pooled sweep seed");
+    // The report is the journal's state and nothing else: no eviction list.
+    let Json::Obj(fields) = &v else { panic!("not an object: {v:?}") };
+    let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
     assert_eq!(
-        pool.lookup(9).is_some(),
-        pooling,
-        "unquarantined case must keep its pooled sweep seed"
+        keys,
+        [
+            "cells",
+            "completed",
+            "in_flight",
+            "journal",
+            "quarantine_events",
+            "quarantined_cases",
+            "spec_fingerprint",
+            "status",
+            "torn_lines",
+        ],
+        "{v:?}"
     );
-    // Both entries stay warm — only the seed is tainted.
+    // Both cases stay warm: a quarantine implicates no cached state.
     assert_eq!(server.state.cache.len(), 2);
-
-    // A second poll has nothing left to evict: idempotent.
-    let (status, v) = get_atlas(&server);
-    assert_eq!(status, 200);
-    assert!(str_array(&v, "evicted_bases").is_empty(), "{v:?}");
 
     server.shutdown();
     std::fs::remove_file(&path).ok();

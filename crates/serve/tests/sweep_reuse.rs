@@ -1,9 +1,6 @@
-//! Repeat `/sweep`s of one scenario: the first fully certified sweep pools
-//! its seed basis under the scenario fingerprint, the second starts from
-//! that seed, and both answer byte-identically.
+//! Repeat `/sweep`s of one scenario: each computes its own seed, and both
+//! answer byte-identically.
 
-use ed_core::attack::AttackConfig;
-use ed_core::pool::{scenario_fingerprint, SolutionPool};
 use ed_serve::cache::WarmCache;
 use ed_serve::handlers::{handle_work, AppState, ServerConfig};
 use ed_serve::http::Request;
@@ -28,34 +25,17 @@ fn sweep(state: &AppState) -> (String, Json) {
 }
 
 #[test]
-fn repeat_sweep_starts_from_the_pooled_seed_and_answers_identically() {
+fn repeat_sweeps_answer_byte_identically() {
     let state = AppState {
         cache: WarmCache::new(),
         cfg: ServerConfig::default(),
     };
-    // The scenario serve builds from BODY: the case's canonical DLR lines
-    // and its own demand vector.
-    let net = ed_cases::three_bus();
-    let config = AttackConfig::new(ed_cases::three_bus::dlr_lines())
-        .bounds(100.0, 200.0)
-        .true_ratings(vec![130.0, 120.0])
-        .demand(net.demand_vector_mw());
-    let key = scenario_fingerprint(&net, &config);
-    let pool = SolutionPool::global();
-    assert!(pool.lookup(key).is_none(), "no sweep has run yet");
-
     let (first_body, first) = sweep(&state);
     let sweep_counts = first.get("sweep").expect("sweep accounting");
     assert_eq!(
         sweep_counts.get("uncertified").and_then(Json::as_f64),
         Some(0.0),
         "{first_body}"
-    );
-    let pooled = pool.lookup(key);
-    assert_eq!(
-        pooled.is_some(),
-        SolutionPool::enabled(),
-        "a fully certified sweep pools its seed exactly when pooling is on"
     );
 
     let (second_body, second) = sweep(&state);
@@ -64,7 +44,7 @@ fn repeat_sweep_starts_from_the_pooled_seed_and_answers_identically() {
         assert!(a.is_some(), "{field} missing: {first_body}");
         assert_eq!(
             a, b,
-            "{field} differs between the cold and the pooled-seed sweep"
+            "{field} differs between the first and the repeat sweep"
         );
     }
     // Byte-identical too: everything before the sweep accounting (status,
@@ -76,22 +56,4 @@ fn repeat_sweep_starts_from_the_pooled_seed_and_answers_identically() {
             .to_string()
     };
     assert_eq!(answer(&first_body), answer(&second_body));
-
-    // The second sweep kept the pooled seed (an accepted offer is
-    // returned unchanged) and deposited it again under the same key.
-    if let Some(seed) = pooled {
-        let again = pool
-            .lookup(key)
-            .expect("the repeat sweep kept its pool entry");
-        assert_eq!(
-            again.basis, seed.basis,
-            "the repeat sweep replaced the pooled seed"
-        );
-        assert_eq!(again.network, seed.network);
-    } else {
-        assert!(
-            pool.lookup(key).is_none(),
-            "ED_POOL=0 must leave the pool empty"
-        );
-    }
 }

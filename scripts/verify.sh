@@ -103,8 +103,8 @@ run env -u ED_THREADS -u ED_TRACE -u ED_POOL cargo test -q --offline --workspace
 #   bit-identical results at any thread count; the tests that pin
 #   `threads: Some(1)` keep the sequential path covered);
 # - ED_TRACE=1 turns the observability recorder on;
-# - ED_POOL=0 disables the two cross-scenario stores (the shared factor
-#   pool and serve's sweep-seed pool).
+# - ED_POOL=0 disables the one cross-scenario store, the shared factor
+#   pool behind FactorCache::shared.
 run env ED_THREADS=4 ED_TRACE=1 ED_POOL=0 cargo test -q --offline --workspace
 # The answer and tally pins once more in the release profile, the one the
 # benchmark and the paper binaries run (about 15 s): the legs above check
@@ -178,6 +178,7 @@ smoke "sweep reproduces the paper attack" '"ucap_pct":\|"reason":' \
     -d '{"case":"three_bus","bounds":[100,200],"true_ratings":[130,120]}' "$BASE/sweep"
 smoke "safety-audit flags an overload" '"passed":false' \
     -XPOST -d '{"case":"three_bus","p_mw":[300,0]}' "$BASE/safety-audit"
+smoke "atlas without a journal is a typed refusal" '"reason":"atlas_not_configured"' "$BASE/atlas"
 smoke "expired deadline refused at admission" 'deadline_expired_at_admission' \
     -XPOST -H 'x-deadline-ms: 0' -d '{"case":"three_bus"}' "$BASE/dispatch"
 smoke "malformed JSON is typed" '"reason":"bad_request"' \

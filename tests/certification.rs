@@ -147,7 +147,7 @@ fn bigm_sweep_certifies_too() {
     // primary path.
     let net = ed_security::cases::three_bus();
     let mut config = three_bus_config();
-    config.options.solver = BilevelSolver::BigM { big_m: 1e5 };
+    config.options.solver = BilevelSolver::BigM;
     config.options.node_limit = 50_000;
     config.options.certify = Some(true);
     config.options.use_heuristic = false;

@@ -68,7 +68,7 @@ fn bigm_equals_mpec_across_instances() {
     for (ud13, ud23) in [(130.0, 120.0), (150.0, 150.0), (110.0, 190.0)] {
         let mut config = paper_config(ud13, ud23);
         config.options = BilevelOptions {
-            solver: BilevelSolver::BigM { big_m: 1e5 },
+            solver: BilevelSolver::BigM,
             node_limit: 100_000,
             use_heuristic: true,
             ..Default::default()

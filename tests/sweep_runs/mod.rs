@@ -53,7 +53,7 @@ fn three_bus_at(ud: [f64; 2]) -> Vec<Run> {
         ("no_hint".to_string(), with(&base, |c| c.options.use_heuristic = false), true),
         (
             "bigm".to_string(),
-            with(&base, |c| c.options.solver = BilevelSolver::BigM { big_m: 1e5 }),
+            with(&base, |c| c.options.solver = BilevelSolver::BigM),
             true,
         ),
         ("certify_off".to_string(), with(&base, |c| c.options.certify = Some(false)), true),
@@ -73,7 +73,7 @@ fn three_bus_at(ud: [f64; 2]) -> Vec<Run> {
         "bigm/no_hint/max_nodes15".to_string(),
         with(&base, |c| {
             c.options.use_heuristic = false;
-            c.options.solver = BilevelSolver::BigM { big_m: 1e5 };
+            c.options.solver = BilevelSolver::BigM;
             c.options.budget = SolveBudget::unlimited().max_nodes(15);
         }),
         true,
@@ -125,7 +125,7 @@ pub fn six_bus_runs() -> Vec<Run> {
         ("fault3", with(&base, |c| c.options.inject_basis_fault = Some(3)), true),
         (
             "bigm",
-            with(&base, |c| c.options.solver = BilevelSolver::BigM { big_m: 1e5 }),
+            with(&base, |c| c.options.solver = BilevelSolver::BigM),
             true,
         ),
         ("heuristic_only", base.clone(), false),
